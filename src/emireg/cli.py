@@ -1,7 +1,8 @@
 """Command-line entry point: gen-synth, train, evaluate, predict, ablate, inspect.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or file-format error,
-3 numeric failure. Diagnostics go to stderr; machine-readable results
+3 numeric failure; ``ablate`` exits with the code of its first failed cell's
+error. Diagnostics go to stderr; machine-readable results
 (resolved config, eval reports) go to stdout.
 """
 
@@ -21,6 +22,7 @@ from .train import (
     EMA_PREFIX,
     TrainConfig,
     ablate,
+    cell_name,
     evaluate_checkpoint,
     predict_checkpoint,
     train,
@@ -32,6 +34,21 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# error class -> (exit code, label); the first class that matches wins
+_ERROR_KINDS = (
+    (ConfigError, EXIT_USAGE, "config error"),
+    (NumericError, EXIT_NUMERIC, "numeric failure"),
+    ((DataError, OSError), EXIT_DATA, "data error"),
+)
+
+
+def _classify(exc: Exception) -> tuple[int, str]:
+    """The documented exit code and label of an error; other package errors exit 2."""
+    for kind, code, label in _ERROR_KINDS:
+        if isinstance(exc, kind):
+            return code, label
+    return EXIT_DATA, "error"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,9 +312,19 @@ def _cmd_ablate(args) -> int:
     seeds = [base.seed + i for i in range(args.seeds)]
     rows, csv_path = ablate(base, seeds=seeds)
     print(Path(csv_path).read_text(), end="")
-    failed = [r for r in rows if r["status"] != "ok"]
     print(f"grid written to {csv_path}", file=sys.stderr)
-    return EXIT_OK if not failed else EXIT_NUMERIC
+    failed = [r for r in rows if r["error"] is not None]
+    if not failed:
+        return EXIT_OK
+    first = failed[0]
+    code, label = _classify(first["error"])
+    cell = cell_name(first["objective"], first["vad"], first["fusion"])
+    print(
+        f"emireg: {len(failed)} ablation cell(s) failed; first {cell}: "
+        f"{label}: {first['error']}",
+        file=sys.stderr,
+    )
+    return code
 
 
 def _cmd_inspect(args) -> int:
@@ -343,18 +370,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"emireg: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as exc:
-        print(f"emireg: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (DataError, FileNotFoundError, OSError) as exc:
-        print(f"emireg: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except EmiregError as exc:
-        print(f"emireg: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (EmiregError, OSError) as exc:
+        code, label = _classify(exc)
+        print(f"emireg: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

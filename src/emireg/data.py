@@ -11,11 +11,20 @@ Binary layouts (all little-endian):
 ``EMIC`` checkpoint files
     magic ``EMIC`` | version u16 | named tensor records until EOF, each:
     name length u16 | UTF-8 name | rank u8 | extents u32 each |
-    float64 values.
+    float64 values. Names are unique within a file.
+
+Readers reject non-finite feature values, undecodable or repeated tensor
+names with a :class:`~emireg.errors.FormatError` carrying the byte offset.
 
 The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
 the sentinel target -1 in all six columns, marking them metric-excluded.
+
+Batching pools each split once: the first ``make_batches`` call on a
+:class:`Split` resamples every sample to the alignment length into one
+read-only float64 ``[N x align x d]`` block per modality and stacks the
+targets into ``[N x 6]``. Batches are then slices of those blocks (views,
+in manifest order) or one gather per modality (copies, shuffled).
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ import csv
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,34 +59,73 @@ N_TARGETS = len(TARGET_COLUMNS)
 # -- sample / batch ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
-    """One clip: three feature sequences, presence flags, and the 6-D target."""
+    """One clip: three raw feature sequences, presence flags, and the 6-D target.
+
+    ``features`` holds each modality's [L x d] sequence as read (placeholder
+    applied); pooling to the alignment length happens per split, in
+    :func:`make_batches`.
+    """
 
     id: str
     features: dict[str, Array]
     target: Array
     present: dict[str, bool]
-    _pooled: dict[int, dict[str, Array]] = field(default_factory=dict, repr=False)
-
-    def pooled(self, align_len: int) -> dict[str, Array]:
-        """Features pooled to a fixed length, cached per alignment length."""
-        cached = self._pooled.get(align_len)
-        if cached is None:
-            cached = {
-                m: adaptive_avg_pool(self.features[m], align_len) for m in MODALITIES
-            }
-            self._pooled[align_len] = cached
-        return cached
 
     @property
     def is_sentinel(self) -> bool:
         return bool(np.all(self.target == -1.0))
 
 
+class Split(tuple):
+    """The samples of one :func:`load_split` call, in manifest order.
+
+    Immutable, so the pooled blocks cached on it always belong to exactly
+    these samples. The cache is keyed by alignment length.
+    """
+
+    def __new__(cls, samples):
+        self = super().__new__(cls, samples)
+        self._pooled = {}
+        return self
+
+    def pooled(self, align_len: int) -> tuple[dict[str, Array], Array]:
+        """This split's read-only pooled feature blocks and stacked targets."""
+        cached = self._pooled.get(align_len)
+        if cached is None:
+            cached = self._pooled[align_len] = _pool_samples(self, align_len)
+        return cached
+
+
+def _pool_samples(
+    samples: Sequence[Sample], align_len: int
+) -> tuple[dict[str, Array], Array]:
+    """Pool every sample into one [N x align x d] block per modality.
+
+    Also stacks the targets into [N x 6]. All arrays are marked read-only,
+    so a write through a batch view raises instead of changing later epochs.
+    """
+    features: dict[str, Array] = {}
+    for m in MODALITIES:
+        dim = samples[0].features[m].shape[1]
+        block = np.empty((len(samples), align_len, dim))
+        for i, s in enumerate(samples):
+            adaptive_avg_pool(s.features[m], align_len, out=block[i])
+        block.flags.writeable = False
+        features[m] = block
+    targets = as_tensor(np.stack([s.target for s in samples]))
+    targets.flags.writeable = False
+    return features, targets
+
+
 @dataclass
 class Batch:
-    """Aligned, stacked samples ready for the model."""
+    """Aligned samples ready for the model.
+
+    In manifest order the arrays are read-only views of the split's pooled
+    block; shuffled, they are fresh copies.
+    """
 
     ids: list[str]
     features: dict[str, Array]  # modality -> [batch x align x dim]
@@ -167,8 +216,15 @@ def read_feature_file(path) -> dict[str, Array | None]:
             raise FormatError(
                 f"{path}: present {m} block with empty extent", offset=r.offset - 8
             )
-        payload = r.take(rows * dim * 4, f"{m} payload")
-        out[m] = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).astype(np.float64)
+        payload = np.frombuffer(r.take(rows * dim * 4, f"{m} payload"), dtype="<f4")
+        finite = np.isfinite(payload)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise FormatError(
+                f"{path}: non-finite value in {m} payload",
+                offset=r.offset - payload.nbytes + 4 * first,
+            )
+        out[m] = payload.reshape(rows, dim).astype(np.float64)
     if r.offset != len(raw):
         raise FormatError(f"{path}: trailing bytes after last block", offset=r.offset)
     return out
@@ -255,9 +311,7 @@ def load_manifest(path) -> list[ManifestRow]:
     return rows
 
 
-def load_split(
-    manifest_path, split: str, dims: dict[str, int]
-) -> list[Sample]:
+def load_split(manifest_path, split: str, dims: dict[str, int]) -> Split:
     """Load one split's samples in manifest order, applying the placeholder rule."""
     manifest_path = Path(manifest_path)
     rows = [r for r in load_manifest(manifest_path) if r.split == split]
@@ -280,10 +334,10 @@ def load_split(
         samples.append(
             Sample(id=row.id, features=filled, target=row.target, present=present)
         )
-    return samples
+    return Split(samples)
 
 
-def placeholder_count(samples: list[Sample]) -> dict[str, int]:
+def placeholder_count(samples: Sequence[Sample]) -> dict[str, int]:
     """How many samples had each modality absent (placeholder applied)."""
     return {m: sum(1 for s in samples if not s.present[m]) for m in MODALITIES}
 
@@ -292,7 +346,7 @@ def placeholder_count(samples: list[Sample]) -> dict[str, int]:
 
 
 def make_batches(
-    samples: list[Sample],
+    samples: Sequence[Sample],
     batch_size: int,
     align_len: int,
     shuffle: bool = False,
@@ -301,27 +355,35 @@ def make_batches(
     """Partition samples into batches; the final short batch is kept.
 
     With ``shuffle`` the order comes from ``rng`` (one permutation per call);
-    otherwise manifest order is preserved.
+    otherwise manifest order is preserved. A :class:`Split` is pooled once
+    per alignment length and reused; any other sequence is pooled per call.
     """
     if not samples:
         raise DataError("cannot batch an empty split")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    order = list(range(len(samples)))
-    if shuffle:
-        if rng is None:
-            raise ConfigError("shuffle requested without a generator")
-        order = list(rng.permutation(len(samples)))
+    if shuffle and rng is None:
+        raise ConfigError("shuffle requested without a generator")
+    if isinstance(samples, Split):
+        features, targets = samples.pooled(align_len)
+    else:
+        features, targets = _pool_samples(samples, align_len)
+    ids = np.array([s.id for s in samples], dtype=object)
+    order = rng.permutation(len(samples)) if shuffle else None
     batches: list[Batch] = []
-    for start in range(0, len(order), batch_size):
-        chunk = [samples[i] for i in order[start : start + batch_size]]
-        pooled = [s.pooled(align_len) for s in chunk]
-        features = {
-            m: np.stack([p[m] for p in pooled], axis=0) for m in MODALITIES
-        }
-        targets = np.stack([s.target for s in chunk], axis=0).astype(np.float64)
+    for start in range(0, len(samples), batch_size):
+        # a slice gives views of the blocks, an index array one gather each
+        rows = (
+            slice(start, start + batch_size)
+            if order is None
+            else order[start : start + batch_size]
+        )
         batches.append(
-            Batch(ids=[s.id for s in chunk], features=features, targets=targets)
+            Batch(
+                ids=list(ids[rows]),
+                features={m: block[rows] for m, block in features.items()},
+                targets=targets[rows],
+            )
         )
     return batches
 
@@ -359,7 +421,15 @@ def load_checkpoint(path) -> dict[str, Array]:
     tensors: dict[str, Array] = {}
     while r.offset < len(raw):
         name_len = r.u16("tensor name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        name_at = r.offset
+        try:
+            name = r.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: tensor name is not UTF-8", offset=name_at + exc.start
+            ) from exc
+        if name in tensors:
+            raise FormatError(f"{path}: duplicate tensor name {name!r}", offset=name_at)
         rank = r.u8(f"{name} rank")
         shape = tuple(r.u32(f"{name} extent") for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1

@@ -125,17 +125,27 @@ class Dropout:
         return as_tensor(upstream) * self._mask
 
 
-def _pool_bin_edges(length: int, target: int) -> list[tuple[int, int]]:
-    # bin b covers input rows [floor(b*L/T), ceil((b+1)*L/T)); every bin is
-    # non-empty for any L >= 1, including the upsampling case L < T
-    return [
-        ((b * length) // target, ((b + 1) * length + target - 1) // target)
-        for b in range(target)
-    ]
+def _pool_bins(length: int, target: int) -> tuple[Array, Array]:
+    """Start row and width of each bin when pooling ``length`` rows to ``target``.
+
+    Bin b covers input rows [floor(b*L/T), ceil((b+1)*L/T)); every bin is
+    non-empty for any L >= 1, including the upsampling case L < T.
+    """
+    b = np.arange(target)
+    starts = (b * length) // target
+    ends = ((b + 1) * length + target - 1) // target
+    return starts, ends - starts
 
 
-def adaptive_avg_pool(x, target: int) -> Array:
-    """Resample a [L x d] sequence to [target x d] by per-bin averaging."""
+def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
+    """Resample a [L x d] sequence to [target x d] by per-bin averaging.
+
+    Each bin's rows are added in order and the sum divided by the bin width,
+    so every output row is bit-identical to ``x[start:end].mean(axis=0)``.
+    The loop runs over row positions within a bin (at most ceil(L/T) + 1),
+    not over bins. ``out``, if given, is a C-contiguous float64
+    [target x d] array that receives the result.
+    """
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"adaptive_avg_pool expects [L x d], got {x.shape}")
@@ -144,11 +154,18 @@ def adaptive_avg_pool(x, target: int) -> Array:
     length = x.shape[0]
     if length == 0:
         raise ShapeError("adaptive_avg_pool over an empty sequence")
-    if length == target:
-        return x.copy()
-    out = np.empty((target, x.shape[1]))
-    for b, (start, end) in enumerate(_pool_bin_edges(length, target)):
-        out[b] = x[start:end].mean(axis=0)
+    if out is not None and out.shape != (target, x.shape[1]):
+        raise ShapeError(f"pool output {out.shape} != ({target}, {x.shape[1]})")
+    starts, widths = _pool_bins(length, target)
+    # "clip" never clips here (starts < length); it lets take write into out unbuffered
+    out = np.take(x, starts, axis=0, out=out, mode="clip")
+    for j in range(1, int(widths.max())):
+        live = widths > j
+        if live.all():
+            out += x[starts + j]
+        else:
+            out[live] += x[starts[live] + j]
+    out /= widths[:, None]
     return ensure_finite(out, "adaptive_avg_pool")
 
 
@@ -159,6 +176,6 @@ def adaptive_avg_pool_backward(upstream, length: int) -> Array:
     if length == target:
         return upstream.copy()
     out = np.zeros((length, upstream.shape[1]))
-    for b, (start, end) in enumerate(_pool_bin_edges(length, target)):
-        out[start:end] += upstream[b] / (end - start)
+    for b, (start, width) in enumerate(zip(*_pool_bins(length, target))):
+        out[start : start + width] += upstream[b] / width
     return out

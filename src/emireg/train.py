@@ -8,6 +8,7 @@ same config are bit-identical.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
@@ -159,6 +160,7 @@ class RunRecord:
     best_epoch: int = 0
     best_p_mean: float = float("-inf")
     stop_reason: str = ""
+    abort_error: str = ""  # the NumericError message behind a non_finite_loss stop
 
 
 def _shuffle_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -277,6 +279,7 @@ def train(config: TrainConfig) -> RunRecord:
                 except NumericError as exc:
                     # keep the last-good checkpoints; do not overwrite them
                     record.stop_reason = "non_finite_loss"
+                    record.abort_error = str(exc)
                     emit(
                         {
                             "type": "abort",
@@ -431,7 +434,10 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
 
     All cells share the base seed(s) so differences reflect configuration.
     Failed cells are marked rather than sinking the whole grid; only package
-    errors (EmiregError) mark a cell, any other exception propagates.
+    errors (EmiregError) mark a cell, any other exception propagates. A
+    cell's ``error`` is the exception that failed it (a non_finite_loss stop
+    counts as a NumericError), or None; the CSV writes it as
+    ``ErrorClass: message``.
     """
     base.validate()
     if base.run_dir is None:
@@ -444,7 +450,7 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
         name = cell_name(objective, vad, fusion)
         scores: list[float] = []
         best_epochs: list[int] = []
-        status = "ok"
+        error: EmiregError | None = None
         for seed in seeds:
             run_dir = grid_dir / (name if len(seeds) == 1 else f"{name}-seed{seed}")
             cfg = replace(
@@ -454,32 +460,35 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
             )
             try:
                 record = train(cfg)
-            except EmiregError:
-                status = "failed"
+            except EmiregError as exc:
+                error = exc
                 break
             if record.stop_reason == "non_finite_loss":
-                status = "failed"
+                error = NumericError(record.abort_error)
                 break
             scores.append(record.best_p_mean)
             best_epochs.append(record.best_epoch)
+        ok = error is None
         row = {
             "fusion": fusion,
             "objective": objective,
             "vad": vad,
-            "p_mean": float(np.mean(scores)) if scores and status == "ok" else "",
+            "p_mean": float(np.mean(scores)) if scores and ok else "",
             "p_spread": (
-                float(np.max(scores) - np.min(scores))
-                if len(scores) > 1 and status == "ok"
-                else ""
+                float(np.max(scores) - np.min(scores)) if len(scores) > 1 and ok else ""
             ),
-            "best_epoch": best_epochs[0] if best_epochs and status == "ok" else "",
-            "status": status,
+            "best_epoch": best_epochs[0] if best_epochs and ok else "",
+            "status": "ok" if ok else "failed",
+            "error": error,
         }
         rows.append(row)
     csv_path = grid_dir / "ablation.csv"
-    columns = ["fusion", "objective", "vad", "p_mean", "p_spread", "best_epoch", "status"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    columns = list(rows[0])
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
         for row in rows:
-            fh.write(",".join(str(row[c]) for c in columns) + "\n")
+            error = row["error"]
+            text = "" if error is None else f"{type(error).__name__}: {error}"
+            writer.writerow({**row, "error": text})
     return rows, csv_path

@@ -35,6 +35,25 @@ def column_means_loop(x):
     return out
 
 
+def adaptive_avg_pool_loop(x, target):
+    """Pool [L x d] to [target x d]: bin b averages rows [floor(b*L/T), ceil((b+1)*L/T)).
+
+    Each entry adds its bin's rows one at a time, first row to last, then
+    divides by the bin width.
+    """
+    length, cols = x.shape
+    out = np.zeros((target, cols))
+    for b in range(target):
+        start = (b * length) // target
+        end = -(-(b + 1) * length // target)
+        for j in range(cols):
+            acc = float(x[start, j])
+            for i in range(start + 1, end):
+                acc += float(x[i, j])
+            out[b, j] = acc / (end - start)
+    return out
+
+
 def pearson_two_pass(x, y):
     """Two-pass population Pearson: subtract means first, then correlate."""
     x = np.asarray(x, dtype=np.float64)

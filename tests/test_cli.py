@@ -137,6 +137,24 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_non_finite_feature_is_data_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "ds"
+        run_cli("gen-synth", "--n", "20", "--dims", DIMS_FLAG, "--seed", "4",
+                "--out", str(data_dir))
+        emif = data_dir / "features" / "syn000003.emif"  # a train row
+        raw = bytearray(emif.read_bytes())
+        raw[15:19] = np.float32(np.nan).tobytes()  # first visual value
+        emif.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--data", str(data_dir), "--run-dir", str(tmp_path / "r"),
+            "--hidden-dim", "8", "--batch-size", "8", "--epochs", "1",
+            "--align-len", "16",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "non-finite value in visual" in err
+
     def test_help_lists_paper_defaults(self, capsys):
         assert run_cli("train", "--help") == 0
         text = capsys.readouterr().out
@@ -226,6 +244,19 @@ class TestInspect:
         bad = tmp_path / "bad.emic"
         bad.write_bytes(b"EMIC\x01\x00\x05\x00ab")  # truncated name record
         assert run_cli("inspect", "--ckpt", str(bad)) == 2
+
+    def test_non_utf8_tensor_name_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.emic"
+        bad.write_bytes(b"EMIC\x01\x00\x01\x00\xff\x00" + np.float64(1.0).tobytes())
+        assert run_cli("inspect", "--ckpt", str(bad)) == 2
+        assert "not UTF-8 (at byte offset 8)" in capsys.readouterr().err
+
+    def test_duplicate_tensor_name_is_data_error(self, tmp_path, capsys):
+        record = b"\x01\x00w\x00" + np.float64(1.0).tobytes()
+        bad = tmp_path / "dup.emic"
+        bad.write_bytes(b"EMIC\x01\x00" + record + record)
+        assert run_cli("inspect", "--ckpt", str(bad)) == 2
+        assert "duplicate tensor name 'w'" in capsys.readouterr().err
 
     def test_requires_exactly_one_target(self, trained_run):
         assert run_cli("inspect") == 1

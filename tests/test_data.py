@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import emireg.data as data_module
 from emireg.data import (
     MANIFEST_NAME,
     SIDECAR_NAME,
@@ -110,6 +111,21 @@ class TestFeatureFile:
         blocks = {"visual": np.array([[np.nan]]), "audio": None, "text": None}
         with pytest.raises(DataError):
             write_feature_file(tmp_path / "n.emif", blocks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reader_rejects_non_finite_payload(self, tmp_path, bad):
+        path = tmp_path / "n.emif"
+        write_feature_file(
+            path, {"visual": np.ones((2, 3)), "audio": np.ones((4, 2)), "text": None}
+        )
+        raw = bytearray(path.read_bytes())
+        # header 6 bytes, visual block 9 + 24 bytes, audio block header 9 bytes
+        audio_payload = 6 + 9 + 2 * 3 * 4 + 9
+        raw[audio_payload + 4 * 5 : audio_payload + 4 * 6] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite value in audio") as err:
+            read_feature_file(path)
+        assert err.value.offset == audio_payload + 4 * 5
 
 
 class TestPlaceholder:
@@ -263,6 +279,82 @@ class TestBatching:
             assert batch.features[m].shape == (10, 16, DIMS[m])
         assert batch.targets.shape == (10, 6)
 
+    def test_load_split_is_immutable(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 3)
+        assert isinstance(samples, tuple)
+        with pytest.raises(TypeError):
+            samples[0] = samples[1]
+
+    def test_unshuffled_batches_are_read_only_views_of_the_block(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 10)
+        blocks, targets = samples.pooled(16)
+        for batch in make_batches(samples, 4, align_len=16):
+            for m in MODALITIES:
+                assert np.shares_memory(batch.features[m], blocks[m])
+                assert not batch.features[m].flags.writeable
+            assert np.shares_memory(batch.targets, targets)
+            with pytest.raises(ValueError):
+                batch.features["audio"][0, 0, 0] = 1.0
+
+    def test_shuffled_rows_match_unshuffled_rows(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 23)
+        plain = make_batches(samples, 5, align_len=16)
+        by_id = {}
+        for batch in plain:
+            for i, sample_id in enumerate(batch.ids):
+                by_id[sample_id] = (
+                    {m: batch.features[m][i] for m in MODALITIES},
+                    batch.targets[i],
+                )
+        shuffled = make_batches(
+            samples, 5, align_len=16, shuffle=True, rng=np.random.default_rng(8)
+        )
+        assert [i for b in shuffled for i in b.ids] != [s.id for s in samples]
+        for batch in shuffled:
+            for i, sample_id in enumerate(batch.ids):
+                features, target = by_id[sample_id]
+                for m in MODALITIES:
+                    assert batch.features[m][i].tobytes() == features[m].tobytes()
+                assert batch.targets[i].tobytes() == target.tobytes()
+
+    def test_split_is_pooled_once(self, rng, tmp_path, monkeypatch):
+        samples = _make_dataset(rng, tmp_path / "ds", 7)
+        calls = []
+        real_pool = data_module.adaptive_avg_pool
+
+        def counting_pool(*args, **kwargs):
+            calls.append(1)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "adaptive_avg_pool", counting_pool)
+        make_batches(samples, 3, align_len=16)
+        assert len(calls) == 7 * len(MODALITIES)
+        make_batches(samples, 3, 16, shuffle=True, rng=np.random.default_rng(1))
+        make_batches(samples, 4, align_len=16)
+        assert len(calls) == 7 * len(MODALITIES)
+        make_batches(samples, 3, align_len=12)  # a new length pools again
+        assert len(calls) == 14 * len(MODALITIES)
+
+    def test_plain_list_batches_uncached(self, rng, tmp_path, monkeypatch):
+        samples = _make_dataset(rng, tmp_path / "ds", 9)
+        expected = make_batches(samples, 4, align_len=16)
+        calls = []
+        real_pool = data_module.adaptive_avg_pool
+
+        def counting_pool(*args, **kwargs):
+            calls.append(1)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "adaptive_avg_pool", counting_pool)
+        for _ in range(2):
+            got = make_batches(list(samples), 4, align_len=16)
+            assert [b.ids for b in got] == [b.ids for b in expected]
+            for a, b in zip(got, expected):
+                for m in MODALITIES:
+                    assert a.features[m].tobytes() == b.features[m].tobytes()
+                assert a.targets.tobytes() == b.targets.tobytes()
+        assert len(calls) == 2 * 9 * len(MODALITIES)
+
     def test_batch_features_match_per_sample_pooling(self, rng, tmp_path):
         from emireg.layers import adaptive_avg_pool
 
@@ -305,6 +397,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset is not None
+
+
+    def test_non_utf8_name_rejected(self, rng, tmp_path):
+        path = tmp_path / "m.emic"
+        save_checkpoint(path, {"w": rng.normal(size=2)})
+        raw = bytearray(path.read_bytes())
+        raw[8] = 0xFF  # the name's first byte, after magic, version and length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 8
+
+    def test_duplicate_name_rejected(self, rng, tmp_path):
+        path = tmp_path / "m.emic"
+        save_checkpoint(path, {"w": rng.normal(size=2)})
+        raw = path.read_bytes()
+        path.write_bytes(raw + raw[6:])  # the same record twice
+        with pytest.raises(FormatError, match="duplicate tensor name 'w'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(raw) + 2
 
 
 def _tree_digest(root: Path) -> dict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emireg.errors import ConfigError, ShapeError, StateError
+from emireg.errors import ConfigError, NumericError, ShapeError, StateError
 from emireg.layers import (
     Dropout,
     Linear,
@@ -9,6 +9,8 @@ from emireg.layers import (
     adaptive_avg_pool_backward,
 )
 from emireg.tensor import grad_check, relu, sigmoid
+
+from oracles import adaptive_avg_pool_loop
 
 
 class TestLinear:
@@ -180,6 +182,34 @@ class TestAdaptiveAvgPool:
     def test_empty_sequence_errors(self):
         with pytest.raises(ShapeError):
             adaptive_avg_pool(np.zeros((0, 3)), 4)
+
+    def test_bit_identical_to_loop_oracle(self, rng):
+        # covers up- and downsampling and mixed bin widths (e.g. 150 -> 128)
+        for length in range(1, 401):
+            x = rng.normal(size=(length, 2))
+            for target in (1, 7, 16, 128, 300):
+                out = adaptive_avg_pool(x, target)
+                expected = adaptive_avg_pool_loop(x, target)
+                assert out.tobytes() == expected.tobytes(), (length, target)
+
+    def test_writes_into_out(self, rng):
+        x = rng.normal(size=(150, 4))
+        out = np.full((128, 4), np.nan)
+        assert adaptive_avg_pool(x, 128, out=out) is out
+        assert out.tobytes() == adaptive_avg_pool(x, 128).tobytes()
+        same = np.empty((150, 4))
+        adaptive_avg_pool(x, 150, out=same)
+        assert np.array_equal(same, x)
+
+    def test_out_shape_checked(self, rng):
+        with pytest.raises(ShapeError):
+            adaptive_avg_pool(rng.normal(size=(20, 4)), 8, out=np.empty((8, 5)))
+
+    def test_non_finite_input_raises(self):
+        x = np.ones((9, 2))
+        x[4, 1] = np.inf
+        with pytest.raises(NumericError):
+            adaptive_avg_pool(x, 3)
 
     @pytest.mark.parametrize("length,target", [(7, 3), (3, 7), (128, 128), (5, 4)])
     def test_gradient_check(self, rng, length, target):

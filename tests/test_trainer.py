@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 from pathlib import Path
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from emireg.data import MANIFEST_NAME, ManifestRow, write_feature_file, write_manifest
-from emireg.errors import ConfigError, NumericError
+from emireg.cli import main
+from emireg.errors import ConfigError, DataError, NumericError
 from emireg.optim import cosine_lr
 from emireg.train import (
     ABLATION_CELLS,
+    RunRecord,
     TrainConfig,
     ablate,
     cell_config,
@@ -169,6 +172,7 @@ class TestTrainLoop:
         assert record.stop_reason == "non_finite_loss"
         log = read_log(record.run_dir)
         assert log[-2]["type"] == "abort"
+        assert record.abort_error == log[-2]["error"] != ""
         assert log[-1]["type"] == "end"
 
     def test_zero_weights_match_mse_cell_config(self, small_dataset, tmp_path):
@@ -275,7 +279,7 @@ class TestAblate:
         ]
         lines = Path(csv_path).read_text().splitlines()
         assert len(lines) == 9
-        assert lines[0] == "fusion,objective,vad,p_mean,p_spread,best_epoch,status"
+        assert lines[0] == "fusion,objective,vad,p_mean,p_spread,best_epoch,status,error"
         assert all(r["status"] == "ok" for r in rows)
         assert all(isinstance(r["p_mean"], float) for r in rows)
 
@@ -293,7 +297,9 @@ class TestAblate:
         rows, _ = ablate(base, seeds=[1, 2])
         assert all(isinstance(r["p_spread"], float) for r in rows)
 
-    def test_only_package_errors_mark_a_cell(self, small_dataset, tmp_path, monkeypatch):
+    def test_only_package_errors_mark_a_cell(
+        self, small_dataset, tmp_path, monkeypatch, capsys
+    ):
         # `emireg.train` as an attribute path resolves to the re-exported
         # function, so the trainer module is patched through sys.modules
         trainer = sys.modules["emireg.train"]
@@ -307,17 +313,56 @@ class TestAblate:
         with pytest.raises(NameError):
             ablate(base)
 
-        def one_cell_blows_up(cfg):
-            if Path(cfg.run_dir).name == "multi_vad_concat":
+        def three_cells_fail(cfg):
+            name = Path(cfg.run_dir).name
+            if name == "mse_novad_concat":
+                return RunRecord(
+                    config_hash="", run_dir=cfg.run_dir, stop_reason="non_finite_loss",
+                    abort_error="non-finite values produced by linear forward",
+                )
+            if name == "mse_vad_average":
+                raise DataError("features/s3.emif: truncated")
+            if name == "multi_vad_concat":
                 raise NumericError("non-finite loss")
             return real_train(cfg)
 
-        monkeypatch.setattr(trainer, "train", one_cell_blows_up)
-        base = small_config(small_dataset, tmp_path / "grid", epochs=1)
-        rows, _ = ablate(base)
-        status = {(r["objective"], r["vad"], r["fusion"]): r["status"] for r in rows}
-        assert status.pop(("multi", True, "concat")) == "failed"
-        assert list(status.values()) == ["ok"] * 7
+        monkeypatch.setattr(trainer, "train", three_cells_fail)
+        rows, csv_path = ablate(small_config(small_dataset, tmp_path / "grid", epochs=1))
+        failed = [r for r in rows if r["status"] == "failed"]
+        assert [type(r["error"]) for r in failed] == [NumericError, DataError, NumericError]
+        with open(csv_path, newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        errors = {(r["objective"], r["vad"], r["fusion"]): r["error"] for r in csv_rows}
+        assert errors.pop(("mse", "False", "concat")) == (
+            "NumericError: non-finite values produced by linear forward"
+        )
+        assert errors.pop(("mse", "True", "average")) == "DataError: features/s3.emif: truncated"
+        assert errors.pop(("multi", "True", "concat")) == "NumericError: non-finite loss"
+        assert list(errors.values()) == [""] * 5
+        assert [r["status"] for r in csv_rows].count("ok") == 5
+
+        # the first failed cell's error class sets the exit code: DataError -> 2
+        def data_cell_first(cfg):
+            if Path(cfg.run_dir).name in ("mse_vad_average", "multi_vad_concat"):
+                return three_cells_fail(cfg)
+            return RunRecord(
+                config_hash="", run_dir=cfg.run_dir, best_epoch=1, best_p_mean=0.5,
+                stop_reason="completed",
+            )
+
+        monkeypatch.setattr(trainer, "train", data_cell_first)
+        capsys.readouterr()
+        code = main([
+            "ablate", "--data", str(small_dataset), "--run-dir", str(tmp_path / "cli"),
+            "--hidden-dim", "8", "--batch-size", "16", "--epochs", "1",
+            "--align-len", "16",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (
+            "2 ablation cell(s) failed; first mse_vad_average: "
+            "data error: features/s3.emif: truncated"
+        ) in err
 
 
 class TestRobustness:
