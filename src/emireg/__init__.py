@@ -21,8 +21,9 @@ from .data import (
 from .layers import Dropout, Linear, adaptive_avg_pool
 from .losses import LossBreakdown, LossWeights, mse_loss, pearson_loss, total_loss, vad_reg_loss
 from .metrics import EarlyStopper, EvalReport, mean_pcc, pearson
-from .model import MODALITIES, ForwardOutputs, Model, fuse
+from .model import ForwardOutputs, Model, fuse
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
+from .schema import MODALITIES
 from .tensor import grad_check
 from .train import RunRecord, TrainConfig, ablate, evaluate_checkpoint, train
 

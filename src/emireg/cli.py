@@ -16,15 +16,16 @@ from pathlib import Path
 
 from . import data
 from .errors import ConfigError, DataError, EmiregError, NumericError
-from .model import MODALITIES
+from .schema import MODALITIES, TARGET_COLUMNS
 # Use these names: the package attribute `train` is the function, not the submodule.
 from .train import (
-    EMA_PREFIX,
+    CHOICES,
     TrainConfig,
     ablate,
     cell_name,
     evaluate_checkpoint,
     predict_checkpoint,
+    split_checkpoint,
     train,
 )
 
@@ -85,47 +86,34 @@ def _fresh_run_dir(root: Path, name: str) -> Path:
     return candidate
 
 
-_TRAIN_FLAGS = [
-    # (flag, config field, type, help)
-    ("--hidden-dim", "hidden_dim", int, "hidden/fused dimension (default: 256)"),
-    ("--dropout", "dropout", float, "dropout ratio (default: 0.2)"),
-    ("--batch-size", "batch_size", int, "batch size (default: 32)"),
-    ("--lr", "lr", float, "initial learning rate (default: 1e-4)"),
-    ("--weight-decay", "weight_decay", float, "decoupled weight decay (default: 1e-4)"),
-    ("--epochs", "epochs", int, "training epochs (default: 30)"),
-    ("--patience", "patience", int, "early-stopping patience (default: 8)"),
-    ("--clip-norm", "clip_norm", float, "gradient norm clip (default: 1.0)"),
-    ("--ema-decay", "ema_decay", float, "EMA decay (default: 0.999)"),
-    ("--align-len", "align_len", int, "temporal alignment length (default: 128)"),
-    ("--lambda-corr", "lambda_corr", float, "correlation-loss weight (default: 0.5)"),
-    ("--lambda-aux", "lambda_aux", float, "auxiliary-loss weight (default: 0.3)"),
-    ("--lambda-vad", "lambda_vad", float, "VAD-regularizer weight (default: 0.1)"),
-    ("--lambda-visual", "lambda_visual", float, "visual aux sub-weight (default: 1.0)"),
-    ("--lambda-audio", "lambda_audio", float, "audio aux sub-weight (default: 1.0)"),
-    ("--lambda-text", "lambda_text", float, "text aux sub-weight (default: 1.0)"),
-    ("--eta-min", "eta_min", float, "cosine schedule floor (default: 0.0)"),
-    ("--seed", "seed", int, "run seed (default: 0)"),
-]
-
-_TRAIN_CHOICES = [
-    ("--fusion", "fusion", ("concat", "average"), "fusion mode (default: concat)"),
-    ("--vad", "vad_enabled", ("on", "off"), "VAD audio pathway (default: on)"),
-    ("--corr-mode", "corr_mode", ("per_dim", "flat"), "correlation loss form (default: per_dim)"),
-    (
-        "--hidden-activation",
-        "hidden_activation",
-        ("relu", "sigmoid", "identity"),
-        "hidden activation (default: relu)",
-    ),
-    (
-        "--output-activation",
-        "output_activation",
-        ("sigmoid", "identity"),
-        "output activation (default: sigmoid)",
-    ),
-    ("--lr-cadence", "lr_cadence", ("epoch", "step"), "cosine step cadence (default: epoch)"),
-    ("--ema-cadence", "ema_cadence", ("epoch", "step"), "EMA update cadence (default: step)"),
-]
+# config field -> help text. The flag is the field with dashes; its type,
+# choices and "(default: ...)" come from TrainConfig and CHOICES.
+_TRAIN_FLAGS = {
+    "hidden_dim": "hidden/fused dimension",
+    "dropout": "dropout ratio",
+    "batch_size": "batch size",
+    "lr": "initial learning rate",
+    "weight_decay": "decoupled weight decay",
+    "epochs": "training epochs",
+    "patience": "early-stopping patience",
+    "clip_norm": "gradient norm clip",
+    "ema_decay": "EMA decay",
+    "align_len": "temporal alignment length",
+    "lambda_corr": "correlation-loss weight",
+    "lambda_aux": "auxiliary-loss weight",
+    "lambda_vad": "VAD-regularizer weight",
+    "lambda_visual": "visual aux sub-weight",
+    "lambda_audio": "audio aux sub-weight",
+    "lambda_text": "text aux sub-weight",
+    "eta_min": "cosine schedule floor",
+    "seed": "run seed",
+    "fusion": "fusion mode",
+    "corr_mode": "correlation loss form",
+    "hidden_activation": "hidden activation",
+    "output_activation": "output activation",
+    "lr_cadence": "cosine step cadence",
+    "ema_cadence": "EMA update cadence",
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,12 +121,24 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="dataset directory containing manifest.csv")
     parser.add_argument("--run-dir", help=f"run directory (default: ${RUN_ROOT_ENV} or ./runs)")
     parser.add_argument("--dims", help="feature dims as visual:audio:text")
-    for flag, fieldname, typ, help_text in _TRAIN_FLAGS:
-        parser.add_argument(flag, dest=fieldname, type=typ, default=None, help=help_text)
-    for flag, fieldname, choices, help_text in _TRAIN_CHOICES:
+    defaults = TrainConfig()
+    for fieldname, help_text in _TRAIN_FLAGS.items():
+        default = getattr(defaults, fieldname)
+        kind = {"choices": CHOICES[fieldname]} if fieldname in CHOICES else {"type": type(default)}
         parser.add_argument(
-            flag, dest=fieldname, choices=choices, default=None, help=help_text
+            "--" + fieldname.replace("_", "-"),
+            dest=fieldname,
+            default=None,
+            help=f"{help_text} (default: {default})",
+            **kind,
         )
+    parser.add_argument(
+        "--vad",
+        dest="vad_enabled",
+        choices=("on", "off"),
+        default=None,
+        help=f"VAD audio pathway (default: {'on' if defaults.vad_enabled else 'off'})",
+    )
 
 
 def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
@@ -159,14 +159,12 @@ def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
         if sidecar.exists():
             with open(sidecar) as fh:
                 payload["dims"] = json.load(fh)["dims"]
-    for flag, fieldname, _, _ in _TRAIN_FLAGS:
+    for fieldname in _TRAIN_FLAGS:
         value = getattr(args, fieldname)
         if value is not None:
             payload[fieldname] = value
-    for flag, fieldname, _, _ in _TRAIN_CHOICES:
-        value = getattr(args, fieldname)
-        if value is not None:
-            payload[fieldname] = value == "on" if fieldname == "vad_enabled" else value
+    if args.vad_enabled is not None:
+        payload["vad_enabled"] = args.vad_enabled == "on"
     if args.run_dir:
         payload["run_dir"] = args.run_dir
     cfg = TrainConfig.from_dict(payload)
@@ -207,7 +205,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", type=float, default=0.0, help="target noise sigma (default: 0.0)")
     p.add_argument(
         "--mode",
-        choices=("overlap", "disjoint"),
+        choices=data.SYNTHETIC_MODES,
         default="overlap",
         help="latent-to-modality assignment (default: overlap)",
     )
@@ -235,7 +233,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="run the 2x2x2 fusion/objective/VAD grid")
     _add_config_flags(p)
-    p.add_argument("--grid", choices=("default",), default="default", help="grid to run")
     p.add_argument("--seeds", type=int, default=1, help="seeds per cell (default: 1)")
 
     p = sub.add_parser("inspect", help="dump a checkpoint or feature-file header")
@@ -300,7 +297,7 @@ def _cmd_predict(args) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:
-        fh.write("id," + ",".join(data.TARGET_COLUMNS) + "\n")
+        fh.write("id," + ",".join(TARGET_COLUMNS) + "\n")
         for sample_id, row in zip(ids, values):
             fh.write(sample_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
     print(f"wrote {len(ids)} predictions to {out_path}", file=sys.stderr)
@@ -343,12 +340,12 @@ def _cmd_inspect(args) -> int:
         return EXIT_OK
     path = Path(args.ckpt)
     tensors = data.load_checkpoint(path)
-    raw = {k: v for k, v in tensors.items() if not k.startswith(EMA_PREFIX)}
+    raw, shadows = split_checkpoint(tensors)
     print(f"{path}: magic {data.CHECKPOINT_MAGIC.decode()} version {data.FORMAT_VERSION}")
     for name, value in tensors.items():
         print(f"  {name}: {'x'.join(str(e) for e in value.shape) or 'scalar'}")
     print(f"parameters: {sum(v.size for v in raw.values())}")
-    print(f"tensors: {len(tensors)} ({len(raw)} raw, {len(tensors) - len(raw)} ema)")
+    print(f"tensors: {len(tensors)} ({len(raw)} raw, {len(shadows)} ema)")
     return EXIT_OK
 
 

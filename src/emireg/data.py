@@ -14,7 +14,10 @@ Binary layouts (all little-endian):
     float64 values. Names are unique within a file.
 
 Readers reject non-finite feature values, undecodable or repeated tensor
-names with a :class:`~emireg.errors.FormatError` carrying the byte offset.
+names and extents that overrun the file with a
+:class:`~emireg.errors.FormatError` carrying the byte offset. Checkpoints are
+written to a temporary file beside the target and renamed over it, so a
+failed write leaves the previous checkpoint intact.
 
 The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
@@ -32,6 +35,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,19 +46,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
 from .layers import adaptive_avg_pool
-from .model import MODALITIES
-from .tensor import Array, as_tensor
+from .schema import MODALITIES, TARGET_COLUMNS
+from .tensor import Array, as_tensor, seeded_rng
 
 FEATURE_MAGIC = b"EMIF"
 CHECKPOINT_MAGIC = b"EMIC"
 FORMAT_VERSION = 1
 
-TARGET_COLUMNS = ("adm", "amu", "det", "emp", "exc", "joy")
 SPLITS = ("train", "val", "test")
 MANIFEST_NAME = "manifest.csv"
 SIDECAR_NAME = "synth.json"
-
-N_TARGETS = len(TARGET_COLUMNS)
 
 
 # -- sample / batch ----------------------------------------------------------
@@ -72,10 +74,6 @@ class Sample:
     features: dict[str, Array]
     target: Array
     present: dict[str, bool]
-
-    @property
-    def is_sentinel(self) -> bool:
-        return bool(np.all(self.target == -1.0))
 
 
 class Split(tuple):
@@ -405,7 +403,13 @@ def save_checkpoint(path, tensors: dict[str, Array]) -> None:
         for extent in value.shape:
             buf.write(struct.pack("<I", extent))
         buf.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_bytes(buf.getvalue())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> dict[str, Array]:
@@ -431,9 +435,13 @@ def load_checkpoint(path) -> dict[str, Array]:
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}", offset=name_at)
         rank = r.u8(f"{name} rank")
+        shape_at = r.offset
         shape = tuple(r.u32(f"{name} extent") for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        payload = r.take(count * 8, f"{name} payload")
+        # exact integer products: a fixed-width one could wrap
+        payload = r.take(math.prod(shape) * 8, f"{name} payload")
+        if math.prod(e for e in shape if e) * 8 > np.iinfo(np.intp).max:
+            # numpy refuses such a shape even when a zero extent leaves it empty
+            raise FormatError(f"{path}: {name} extents {shape} too large", offset=shape_at)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return tensors
 
@@ -444,6 +452,7 @@ def load_checkpoint(path) -> dict[str, Array]:
 SEQ_LEN_RANGE = (48, 192)  # spans both sides of the 128-row alignment
 JITTER_SCALE = 0.05
 SPLIT_FRACTIONS = {"train": 0.7, "val": 0.15}
+SYNTHETIC_MODES = ("overlap", "disjoint")
 
 _LATENT_DIM = 6
 _MAP_STREAM = 0x51A7
@@ -455,7 +464,7 @@ def _modality_latents(mode: str) -> dict[str, list[int]]:
         return {m: list(range(_LATENT_DIM)) for m in MODALITIES}
     if mode == "disjoint":
         return {m: [2 * i, 2 * i + 1] for i, m in enumerate(MODALITIES)}
-    raise ConfigError(f"unknown synthetic mode {mode!r} (overlap or disjoint)")
+    raise ConfigError(f"unknown synthetic mode {mode!r}, expected one of {SYNTHETIC_MODES}")
 
 
 def generate_synthetic(
@@ -492,15 +501,11 @@ def generate_synthetic(
 
     maps = {}
     for i, m in enumerate(MODALITIES):
-        map_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, _MAP_STREAM, i]))
-        )
+        map_rng = seeded_rng(seed, _MAP_STREAM, i)
         k = len(assignment[m])
         maps[m] = map_rng.normal(0.0, 1.0, size=(dims[m], k)) / np.sqrt(k)
 
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, _SAMPLE_STREAM]))
-    )
+    rng = seeded_rng(seed, _SAMPLE_STREAM)
     n_train = int(n * SPLIT_FRACTIONS["train"])
     n_val = int(n * SPLIT_FRACTIONS["val"])
     rows: list[ManifestRow] = []

@@ -1,9 +1,10 @@
-"""Differentiable building blocks: linear projection, dropout, adaptive pooling.
+"""Building blocks: linear projection and dropout, plus adaptive pooling.
 
 Layers follow a layer-local backward convention: ``forward`` caches what it
 needs, ``backward`` takes the upstream gradient and returns the gradient
 with respect to the layer input while accumulating parameter gradients in
-place. A layer instance belongs to one training thread.
+place. A layer instance belongs to one training thread. Pooling runs when
+batches are built, on features that are not learned, so it has no backward.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class Param:
         self.grad[...] = 0.0
 
 
-def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Array:
+def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> Array:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)); keeps heads near 0.5."""
-    fan_out, fan_in = shape if len(shape) == 2 else (shape[0], shape[0])
+    fan_out, fan_in = shape
     bound = float(np.sqrt(GLOROT_GAIN / (fan_in + fan_out)))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -43,8 +44,9 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Array:
 class Linear:
     """Affine map ``y = x @ W.T + b`` over a batch of row vectors.
 
-    ``weight`` is [out x in]. The input is cached by ``forward`` so that
-    ``backward`` can form the parameter gradients.
+    ``weight`` is [out x in], Glorot-initialized from ``rng``, or zero
+    without one. The input is cached by ``forward`` so that ``backward`` can
+    form the parameter gradients.
     """
 
     def __init__(
@@ -53,11 +55,10 @@ class Linear:
         in_dim: int,
         rng: np.random.Generator | None = None,
         bias: bool = True,
-        init: str = "glorot",
     ):
         if out_dim < 1 or in_dim < 1:
             raise ConfigError(f"linear dims must be positive, got {out_dim}x{in_dim}")
-        if init == "zero" or rng is None:
+        if rng is None:
             w = np.zeros((out_dim, in_dim))
         else:
             w = glorot_uniform((out_dim, in_dim), rng)
@@ -125,18 +126,6 @@ class Dropout:
         return as_tensor(upstream) * self._mask
 
 
-def _pool_bins(length: int, target: int) -> tuple[Array, Array]:
-    """Start row and width of each bin when pooling ``length`` rows to ``target``.
-
-    Bin b covers input rows [floor(b*L/T), ceil((b+1)*L/T)); every bin is
-    non-empty for any L >= 1, including the upsampling case L < T.
-    """
-    b = np.arange(target)
-    starts = (b * length) // target
-    ends = ((b + 1) * length + target - 1) // target
-    return starts, ends - starts
-
-
 def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
     """Resample a [L x d] sequence to [target x d] by per-bin averaging.
 
@@ -156,7 +145,10 @@ def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
         raise ShapeError("adaptive_avg_pool over an empty sequence")
     if out is not None and out.shape != (target, x.shape[1]):
         raise ShapeError(f"pool output {out.shape} != ({target}, {x.shape[1]})")
-    starts, widths = _pool_bins(length, target)
+    # bin b covers rows [floor(b*L/T), ceil((b+1)*L/T)): never empty, even when L < T
+    b = np.arange(target)
+    starts = (b * length) // target
+    widths = ((b + 1) * length + target - 1) // target - starts
     # "clip" never clips here (starts < length); it lets take write into out unbuffered
     out = np.take(x, starts, axis=0, out=out, mode="clip")
     for j in range(1, int(widths.max())):
@@ -167,15 +159,3 @@ def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
             out[live] += x[starts[live] + j]
     out /= widths[:, None]
     return ensure_finite(out, "adaptive_avg_pool")
-
-
-def adaptive_avg_pool_backward(upstream, length: int) -> Array:
-    """Distribute each bin's gradient uniformly over the rows it averaged."""
-    upstream = as_tensor(upstream)
-    target = upstream.shape[0]
-    if length == target:
-        return upstream.copy()
-    out = np.zeros((length, upstream.shape[1]))
-    for b, (start, width) in enumerate(zip(*_pool_bins(length, target))):
-        out[start : start + width] += upstream[b] / width
-    return out

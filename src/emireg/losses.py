@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .metrics import pearson_with_grad
+from .schema import N_TARGETS, VAD_DIM
 from .tensor import Array, as_tensor, ensure_finite
 
-N_TARGETS = 6
 DEFAULT_CORR_EPS = 1e-8
+CORR_MODES = ("per_dim", "flat")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def pearson_loss(
 
     ``per_dim`` computes one PCC per target dimension over the batch and
     averages the six; ``flat`` computes a single PCC over all entries.
-    Dimensions whose prediction or target variance falls below ``eps``
+    Dimensions whose prediction or target variance is at or below ``eps``
     contribute PCC = 0 (so 1 to the loss) with a zero gradient, which keeps
     collapsed predictions penalized but gradient-safe.
     """
@@ -112,35 +114,18 @@ def pearson_loss(
     _check_pred_target(y_hat, y, "pearson_loss")
     if y_hat.shape[0] < 2:
         raise ShapeError(f"pearson_loss needs batch >= 2, got {y_hat.shape[0]}")
-    if mode == "flat":
-        value, grad_flat = _pcc_with_grad(y_hat.ravel(), y.ravel(), eps)
-        return 1.0 - value, -grad_flat.reshape(y_hat.shape)
-    if mode != "per_dim":
+    if mode not in CORR_MODES:
         raise ConfigError(f"unknown pearson mode {mode!r}")
+    if mode == "flat":
+        value, _, grad_flat = pearson_with_grad(y_hat.ravel(), y.ravel(), eps)
+        return 1.0 - value, -grad_flat.reshape(y_hat.shape)
     grad = np.zeros_like(y_hat)
     total = 0.0
     for dim in range(N_TARGETS):
-        value, g = _pcc_with_grad(y_hat[:, dim], y[:, dim], eps)
+        value, _, g = pearson_with_grad(y_hat[:, dim], y[:, dim], eps)
         total += value
         grad[:, dim] = -g / N_TARGETS
     return 1.0 - total / N_TARGETS, grad
-
-
-def _pcc_with_grad(x: Array, t: Array, eps: float) -> tuple[float, Array]:
-    """Population PCC of x against fixed t, and d PCC / d x. Degenerate -> (0, 0)."""
-    n = x.size
-    xc = x - x.mean()
-    tc = t - t.mean()
-    var_x = float(xc @ xc) / n
-    var_t = float(tc @ tc) / n
-    if var_x < eps or var_t < eps:
-        return 0.0, np.zeros_like(x)
-    sx = float(np.sqrt(xc @ xc))
-    st = float(np.sqrt(tc @ tc))
-    cov = float(xc @ tc)
-    r = cov / (sx * st)
-    grad = tc / (sx * st) - (r / (sx * sx)) * xc
-    return r, grad
 
 
 def aux_loss(
@@ -164,8 +149,8 @@ def aux_loss(
 def vad_reg_loss(v_hat) -> tuple[float, Array]:
     """Mean over the batch of the squared distance of v_hat to (0.5, 0.5, 0.5)."""
     v_hat = as_tensor(v_hat)
-    if v_hat.ndim != 2 or v_hat.shape[1] != 3:
-        raise ShapeError(f"vad_reg_loss expects [batch x 3], got {v_hat.shape}")
+    if v_hat.ndim != 2 or v_hat.shape[1] != VAD_DIM:
+        raise ShapeError(f"vad_reg_loss expects [batch x {VAD_DIM}], got {v_hat.shape}")
     diff = v_hat - 0.5
     batch = v_hat.shape[0]
     value = float(np.sum(diff * diff) / batch)

@@ -7,16 +7,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .schema import N_TARGETS
 from .tensor import Array, as_tensor
 
-N_TARGETS = 6
 DEGENERATE_EPS = 1e-12
+
+
+def pearson_with_grad(x: Array, t: Array, eps: float) -> tuple[float, bool, Array]:
+    """Population PCC of 1-D ``x`` against ``t``, the degenerate flag, and d PCC / d x.
+
+    Both vectors are centred on their means before any product is formed, so
+    a large common offset does not cancel the variance away. A variance at or
+    below ``eps`` on either side gives PCC 0, the flag set, and a zero
+    gradient. The metric and the correlation loss both use this one form.
+    """
+    n = x.size
+    xc = x - x.mean()
+    tc = t - t.mean()
+    var_x = float(xc @ xc) / n
+    var_t = float(tc @ tc) / n
+    if var_x <= eps or var_t <= eps:
+        return 0.0, True, np.zeros_like(x)
+    sx = float(np.sqrt(xc @ xc))
+    st = float(np.sqrt(tc @ tc))
+    cov = float(xc @ tc)
+    r = cov / (sx * st)
+    grad = tc / (sx * st) - (r / (sx * sx)) * xc
+    return r, False, grad
 
 
 def pearson(x, y, eps: float = DEGENERATE_EPS) -> tuple[float, bool]:
     """Population Pearson correlation of two equal-length vectors.
 
-    Computed in a single pass over raw moments with a fixed summation order.
     Returns ``(r, degenerate)``; a variance at or below ``eps`` on either
     side yields the degenerate value 0 with the flag set.
     """
@@ -24,22 +46,10 @@ def pearson(x, y, eps: float = DEGENERATE_EPS) -> tuple[float, bool]:
     y = as_tensor(y).ravel()
     if x.size != y.size:
         raise ShapeError(f"pearson length mismatch: {x.size} vs {y.size}")
-    n = x.size
-    if n < 2:
-        raise ShapeError(f"pearson needs length >= 2, got {n}")
-    sx = float(np.sum(x))
-    sy = float(np.sum(y))
-    sxx = float(np.sum(x * x))
-    syy = float(np.sum(y * y))
-    sxy = float(np.sum(x * y))
-    mean_x = sx / n
-    mean_y = sy / n
-    var_x = sxx / n - mean_x * mean_x
-    var_y = syy / n - mean_y * mean_y
-    if var_x <= eps or var_y <= eps:
-        return 0.0, True
-    cov = sxy / n - mean_x * mean_y
-    return cov / float(np.sqrt(var_x * var_y)), False
+    if x.size < 2:
+        raise ShapeError(f"pearson needs length >= 2, got {x.size}")
+    r, degenerate, _ = pearson_with_grad(x, y, eps)
+    return r, degenerate
 
 
 @dataclass

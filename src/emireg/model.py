@@ -3,7 +3,8 @@
 The architecture is a fixed DAG, so the backward pass is written as an
 explicit reverse traversal instead of a tape. Parameter initialization is
 keyed by parameter name, which makes shared layers start identically across
-configurations that add or remove the VAD pathway.
+configurations that add or remove the VAD pathway. The fusion modes and the
+activations are defined here, once; the config and the CLI read these tables.
 """
 
 from __future__ import annotations
@@ -14,30 +15,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Dropout, Linear, Param, adaptive_avg_pool
+from .layers import Dropout, Linear, Param
+from .schema import MODALITIES, N_TARGETS, VAD_DIM
 from .tensor import (
     Array,
     as_tensor,
     relu,
     relu_grad_mask,
+    seeded_rng,
     sigmoid,
     sigmoid_grad_from_output,
 )
 
-MODALITIES = ("visual", "audio", "text")
-N_TARGETS = 6
-VAD_DIM = 3
+FUSION_MODES = ("concat", "average")
+
+# name -> (forward, gradient): the gradient maps (pre-activation, output,
+# upstream) to the gradient w.r.t. the pre-activation
+ACTIVATIONS = {
+    "relu": (relu, lambda pre, out, up: up * relu_grad_mask(pre)),
+    "sigmoid": (sigmoid, lambda pre, out, up: up * sigmoid_grad_from_output(out)),
+    "identity": (lambda x: x, lambda pre, out, up: up),
+}
+OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
 
 _INIT_STREAM = 0x1217
 _DROPOUT_STREAM = 0x2D0D
 
 
-def _rng_for(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
-
-
 def _init_rng(seed: int, name: str) -> np.random.Generator:
-    return _rng_for(seed, _INIT_STREAM, zlib.crc32(name.encode("utf-8")))
+    return seeded_rng(seed, _INIT_STREAM, zlib.crc32(name.encode("utf-8")))
 
 
 @dataclass
@@ -54,11 +60,8 @@ class ForwardOutputs:
 
 
 def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
-    """Join branch embeddings: ``concat`` preserves subspaces, ``average`` mixes."""
+    """Join [batch x h] branch embeddings: ``concat`` keeps subspaces, ``average`` mixes."""
     parts = [as_tensor(z) for z in (z_visual, z_audio, z_text)]
-    flat = parts[0].ndim == 1
-    if flat:
-        parts = [p[None, :] for p in parts]
     if any(p.shape != parts[0].shape for p in parts):
         raise ShapeError(
             "fuse expects equal embedding shapes, got "
@@ -70,7 +73,7 @@ def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
         out = (parts[0] + parts[1] + parts[2]) / 3.0
     else:
         raise ConfigError(f"unknown fusion mode {mode!r}")
-    return out[0] if flat else out
+    return out
 
 
 def unfuse_grad(d_fused: Array, hidden_dim: int, mode: str) -> dict[str, Array]:
@@ -83,26 +86,6 @@ def unfuse_grad(d_fused: Array, hidden_dim: int, mode: str) -> dict[str, Array]:
     if mode == "average":
         return {m: d_fused / 3.0 for m in MODALITIES}
     raise ConfigError(f"unknown fusion mode {mode!r}")
-
-
-def _activation(name: str, x: Array) -> Array:
-    if name == "relu":
-        return relu(x)
-    if name == "sigmoid":
-        return sigmoid(x)
-    if name == "identity":
-        return x
-    raise ConfigError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name: str, pre: Array, out: Array, upstream: Array) -> Array:
-    if name == "relu":
-        return upstream * relu_grad_mask(pre)
-    if name == "sigmoid":
-        return upstream * sigmoid_grad_from_output(out)
-    if name == "identity":
-        return upstream
-    raise ConfigError(f"unknown activation {name!r}")
 
 
 class Model:
@@ -130,11 +113,11 @@ class Model:
     ):
         if set(dims) != set(MODALITIES):
             raise ConfigError(f"dims must cover {MODALITIES}, got {sorted(dims)}")
-        if fusion not in ("concat", "average"):
+        if fusion not in FUSION_MODES:
             raise ConfigError(f"unknown fusion mode {fusion!r}")
-        if hidden_activation not in ("relu", "sigmoid", "identity"):
+        if hidden_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {hidden_activation!r}")
-        if output_activation not in ("sigmoid", "identity"):
+        if output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigError(f"unknown output activation {output_activation!r}")
         self.dims = dict(dims)
         self.hidden_dim = hidden_dim
@@ -142,10 +125,12 @@ class Model:
         self.vad_enabled = vad_enabled
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
+        self._act, self._act_grad = ACTIVATIONS[hidden_activation]
+        self._out_act, self._out_act_grad = ACTIVATIONS[output_activation]
         self.align_len = align_len
         self.fused_dim = 3 * hidden_dim if fusion == "concat" else hidden_dim
 
-        dropout_rng = _rng_for(seed, _DROPOUT_STREAM)
+        dropout_rng = seeded_rng(seed, _DROPOUT_STREAM)
         self.proj = {
             m: Linear(hidden_dim, dims[m], rng=_init_rng(seed, f"{m}.proj"))
             for m in MODALITIES
@@ -158,7 +143,7 @@ class Model:
         if vad_enabled:
             self.vad_head = Linear(VAD_DIM, hidden_dim, rng=_init_rng(seed, "vad.head"))
             # zero start keeps the injection inert until training engages it
-            self.inj = Linear(hidden_dim, VAD_DIM, bias=False, init="zero")
+            self.inj = Linear(hidden_dim, VAD_DIM, bias=False)
         else:
             self.vad_head = None
             self.inj = None
@@ -218,23 +203,6 @@ class Model:
 
     # -- forward / backward -------------------------------------------------
 
-    def branch_embed(self, features, modality: str, train: bool = False) -> Array:
-        """Embed one raw [L x d] sequence through a single branch.
-
-        Pool to the alignment length, project, activate, drop out, then
-        mean over time. For audio this is the pre-injection embedding.
-        Standalone convenience; the batched path does not use it.
-        """
-        x = adaptive_avg_pool(as_tensor(features), self.align_len)
-        if x.shape[1] != self.dims[modality]:
-            raise ConfigError(
-                f"{modality} feature dim {x.shape[1]} != configured {self.dims[modality]}"
-            )
-        pre = self.proj[modality].forward(x)
-        act = _activation(self.hidden_activation, pre)
-        dropped = self.drop[modality].forward(act, train)
-        return dropped.mean(axis=0)
-
     def forward(self, features: dict[str, Array], train: bool) -> ForwardOutputs:
         """Run the whole network on pooled features [batch x align x dim]."""
         cache: dict = {"train": train}
@@ -259,7 +227,7 @@ class Model:
                 raise ShapeError(f"modalities disagree on batch size at {m}")
             flat = x.reshape(batch * self.align_len, self.dims[m])
             pre = self.proj[m].forward(flat)
-            act = _activation(self.hidden_activation, pre)
+            act = self._act(pre)
             dropped = self.drop[m].forward(act, train)
             z[m] = dropped.reshape(batch, self.align_len, self.hidden_dim).mean(axis=1)
             cache[m] = {"pre": pre, "act": act, "rows": x.shape}
@@ -280,19 +248,16 @@ class Model:
 
         z_fus = fuse(z["visual"], z["audio"], z["text"], self.fusion)
         h_pre = self.fusion_hidden.forward(z_fus)
-        h_act = _activation(self.hidden_activation, h_pre)
+        h_act = self._act(h_pre)
         h_drop = self.fusion_drop.forward(h_act, train)
         y_logits = self.fusion_out.forward(h_drop)
-        y_hat = (
-            sigmoid(y_logits) if self.output_activation == "sigmoid" else y_logits
-        )
+        y_hat = self._out_act(y_logits)
 
         aux: dict[str, Array] = {}
         aux_logits: dict[str, Array] = {}
         for m in MODALITIES:
-            logits = self.aux_head[m].forward(z[m])
-            aux_logits[m] = logits
-            aux[m] = sigmoid(logits) if self.output_activation == "sigmoid" else logits
+            aux_logits[m] = self.aux_head[m].forward(z[m])
+            aux[m] = self._out_act(aux_logits[m])
 
         cache.update(
             batch=batch,
@@ -302,6 +267,7 @@ class Model:
             h_act=h_act,
             y_logits=y_logits,
             y_hat=y_hat,
+            aux_logits=aux_logits,
             aux=aux,
         )
         self._cache = cache
@@ -314,11 +280,6 @@ class Model:
             z_audio_main=z_audio_main,
             z_fus=z_fus,
         )
-
-    def _output_act_grad(self, upstream: Array, out: Array) -> Array:
-        if self.output_activation == "sigmoid":
-            return upstream * sigmoid_grad_from_output(out)
-        return upstream
 
     def backward(
         self,
@@ -337,12 +298,10 @@ class Model:
         c = self._cache
         batch = c["batch"]
 
-        d_y_logits = self._output_act_grad(as_tensor(d_y_hat), c["y_hat"])
+        d_y_logits = self._out_act_grad(c["y_logits"], c["y_hat"], as_tensor(d_y_hat))
         d_h_drop = self.fusion_out.backward(d_y_logits)
         d_h_act = self.fusion_drop.backward(d_h_drop)
-        d_h_pre = _activation_grad(
-            self.hidden_activation, c["h_pre"], c["h_act"], d_h_act
-        )
+        d_h_pre = self._act_grad(c["h_pre"], c["h_act"], d_h_act)
         d_z = unfuse_grad(
             self.fusion_hidden.backward(d_h_pre), self.hidden_dim, self.fusion
         )
@@ -351,7 +310,7 @@ class Model:
             up = d_aux.get(m) if d_aux else None
             if up is None:
                 continue
-            d_logits = self._output_act_grad(as_tensor(up), c["aux"][m])
+            d_logits = self._out_act_grad(c["aux_logits"][m], c["aux"][m], as_tensor(up))
             d_z[m] = d_z[m] + self.aux_head[m].backward(d_logits)
 
         d_pre_extra_audio = None
@@ -373,9 +332,7 @@ class Model:
                 d_z[m][:, None, :] / self.align_len, self.align_len, axis=1
             ).reshape(batch * self.align_len, self.hidden_dim)
             d_act = self.drop[m].backward(d_rows)
-            d_pre = _activation_grad(
-                self.hidden_activation, c[m]["pre"], c[m]["act"], d_act
-            )
+            d_pre = self._act_grad(c[m]["pre"], c[m]["act"], d_act)
             if m == "audio" and d_pre_extra_audio is not None:
                 d_pre = d_pre + d_pre_extra_audio
             d_flat = self.proj[m].backward(d_pre)

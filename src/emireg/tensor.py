@@ -1,10 +1,11 @@
-"""Dense float64 arrays and the primitive operations layers are built from.
+"""Float64 array helpers: coercion, the finite check, activations, seeded streams.
 
-All arrays are C-contiguous float64 ("row-major 64-bit reals"). Operations
-are pure functions: they never mutate their inputs, they are deterministic
-(same inputs give bit-identical outputs on a fixed platform), and they
-raise :class:`~emireg.errors.NumericError` instead of silently propagating
-NaN/Inf.
+Arrays are C-contiguous float64 ("row-major 64-bit reals"). The helpers are
+pure and deterministic (same inputs give bit-identical outputs on a fixed
+platform); :func:`ensure_finite` turns NaN/Inf into a
+:class:`~emireg.errors.NumericError`. :func:`grad_check` compares an analytic
+gradient with central finite differences, and :func:`seeded_rng` gives every
+random consumer its own reproducible stream.
 """
 
 from __future__ import annotations
@@ -30,45 +31,9 @@ def ensure_finite(x: Array, context: str) -> Array:
     return x
 
 
-def _require_same_shape(a: Array, b: Array, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def matmul(a, b) -> Array:
-    """Strict 2-D matrix product a[m,k] @ b[k,n]."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return ensure_finite(a @ b, "matmul")
-
-
-def add(a, b) -> Array:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _require_same_shape(a, b, "add")
-    return ensure_finite(a + b, "add")
-
-
-def sub(a, b) -> Array:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _require_same_shape(a, b, "sub")
-    return ensure_finite(a - b, "sub")
-
-
-def mul(a, b) -> Array:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _require_same_shape(a, b, "mul")
-    return ensure_finite(a * b, "mul")
-
-
-def scale(x, c: float) -> Array:
-    return ensure_finite(as_tensor(x) * float(c), "scale")
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """A PCG64 stream keyed by ``[seed, *key]``; equal arguments give equal streams."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
 def sigmoid(x) -> Array:
@@ -94,16 +59,6 @@ def relu(x) -> Array:
 def relu_grad_mask(x: Array) -> Array:
     """Derivative of relu at the pre-activation x (0 at the kink itself)."""
     return (x > 0).astype(np.float64)
-
-
-def reduce_mean(x, axis: int) -> Array:
-    """Arithmetic mean along ``axis``; the output drops that axis."""
-    x = as_tensor(x)
-    if not 0 <= axis < x.ndim:
-        raise ShapeError(f"reduce_mean axis {axis} out of range for rank {x.ndim}")
-    if x.shape[axis] == 0:
-        raise ShapeError(f"reduce_mean over empty axis {axis} of shape {x.shape}")
-    return ensure_finite(np.mean(x, axis=axis), "reduce_mean")
 
 
 def grad_check(

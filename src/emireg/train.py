@@ -18,13 +18,25 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, DataError, EmiregError, NumericError
-from .losses import LossWeights, total_loss
+from .losses import CORR_MODES, DEFAULT_CORR_EPS, LossWeights, total_loss
 from .metrics import EarlyStopper, EvalReport, mean_pcc
-from .model import MODALITIES, Model
+from .model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS, Model
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
-from .tensor import Array
+from .schema import MODALITIES
+from .tensor import Array, seeded_rng
 
 EMA_PREFIX = "ema/"
+CADENCES = ("epoch", "step")
+
+# config field -> the values it accepts; validation and the CLI read this
+CHOICES = {
+    "fusion": FUSION_MODES,
+    "corr_mode": CORR_MODES,
+    "hidden_activation": tuple(ACTIVATIONS),
+    "output_activation": OUTPUT_ACTIVATIONS,
+    "lr_cadence": CADENCES,
+    "ema_cadence": CADENCES,
+}
 
 _SHUFFLE_STREAM = 0x5841
 
@@ -48,14 +60,14 @@ class TrainConfig:
     align_len: int = 128
     fusion: str = "concat"
     vad_enabled: bool = True
-    lambda_corr: float = 0.5
-    lambda_aux: float = 0.3
-    lambda_vad: float = 0.1
-    lambda_visual: float = 1.0
-    lambda_audio: float = 1.0
-    lambda_text: float = 1.0
+    lambda_corr: float = LossWeights.corr
+    lambda_aux: float = LossWeights.aux
+    lambda_vad: float = LossWeights.vad
+    lambda_visual: float = LossWeights.aux_visual
+    lambda_audio: float = LossWeights.aux_audio
+    lambda_text: float = LossWeights.aux_text
     corr_mode: str = "per_dim"
-    corr_eps: float = 1e-8
+    corr_eps: float = DEFAULT_CORR_EPS
     hidden_activation: str = "relu"
     output_activation: str = "sigmoid"
     lr_cadence: str = "epoch"
@@ -92,14 +104,10 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError(f"ema_decay must be in [0, 1], got {self.ema_decay}")
-        if self.fusion not in ("concat", "average"):
-            raise ConfigError(f"unknown fusion mode {self.fusion!r}")
-        if self.corr_mode not in ("per_dim", "flat"):
-            raise ConfigError(f"unknown corr_mode {self.corr_mode!r}")
-        if self.lr_cadence not in ("epoch", "step"):
-            raise ConfigError(f"unknown lr_cadence {self.lr_cadence!r}")
-        if self.ema_cadence not in ("epoch", "step"):
-            raise ConfigError(f"unknown ema_cadence {self.ema_cadence!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
         self.loss_weights()  # validates non-negativity
 
     def loss_weights(self) -> LossWeights:
@@ -163,12 +171,6 @@ class RunRecord:
     abort_error: str = ""  # the NumericError message behind a non_finite_loss stop
 
 
-def _shuffle_rng(seed: int, epoch: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, _SHUFFLE_STREAM, epoch]))
-    )
-
-
 def _checkpoint_tensors(model: Model, ema: Ema) -> dict[str, Array]:
     tensors: dict[str, Array] = {}
     for name, p in model.parameters().items():
@@ -178,20 +180,22 @@ def _checkpoint_tensors(model: Model, ema: Ema) -> dict[str, Array]:
     return tensors
 
 
-def _collect_predictions(
+def _forward_batches(
     model: Model, batches: list[data.Batch]
-) -> tuple[Array, Array, list[str]]:
-    preds, targets, ids = [], [], []
+) -> tuple[list[str], Array, Array, Array]:
+    """Eval-mode forward over batches: ids, predictions, logits and targets, in order."""
+    ids, preds, logits, targets = [], [], [], []
     for batch in batches:
         out = model.forward(batch.features, train=False)
-        preds.append(out.y_hat)
-        targets.append(batch.targets)
         ids.extend(batch.ids)
-    return np.concatenate(preds, axis=0), np.concatenate(targets, axis=0), ids
+        preds.append(out.y_hat)
+        logits.append(out.y_logits)
+        targets.append(batch.targets)
+    return ids, np.concatenate(preds), np.concatenate(logits), np.concatenate(targets)
 
 
-def _eval_report(model: Model, batches: list[data.Batch]) -> EvalReport:
-    preds, targets, _ = _collect_predictions(model, batches)
+def _score(preds: Array, targets: Array) -> EvalReport:
+    """The metric over the rows whose targets are not the all -1 sentinel."""
     keep = ~np.all(targets == -1.0, axis=1)
     if not np.any(keep):
         raise DataError("evaluation split has only sentinel targets")
@@ -204,7 +208,8 @@ def _eval_with_values(
     saved = model.get_values()
     model.set_values(values)
     try:
-        return _eval_report(model, batches)
+        _, preds, _, targets = _forward_batches(model, batches)
+        return _score(preds, targets)
     finally:
         model.set_values(saved)
 
@@ -255,7 +260,7 @@ def train(config: TrainConfig) -> RunRecord:
                 config.batch_size,
                 config.align_len,
                 shuffle=True,
-                rng=_shuffle_rng(config.seed, epoch),
+                rng=seeded_rng(config.seed, _SHUFFLE_STREAM, epoch),
             )
             aborted = False
             for batch in batches:
@@ -342,7 +347,8 @@ def train(config: TrainConfig) -> RunRecord:
 # -- checkpoint evaluation ------------------------------------------------------
 
 
-def _split_checkpoint(tensors: dict[str, Array]) -> tuple[dict, dict]:
+def split_checkpoint(tensors: dict[str, Array]) -> tuple[dict, dict]:
+    """Separate a checkpoint's raw parameters from its EMA shadows (prefix removed)."""
     raw = {k: v for k, v in tensors.items() if not k.startswith(EMA_PREFIX)}
     shadows = {
         k[len(EMA_PREFIX) :]: v for k, v in tensors.items() if k.startswith(EMA_PREFIX)
@@ -354,7 +360,7 @@ def load_model_from_checkpoint(
     config: TrainConfig, ckpt_path, use_ema: bool = True
 ) -> Model:
     tensors = data.load_checkpoint(ckpt_path)
-    raw, shadows = _split_checkpoint(tensors)
+    raw, shadows = split_checkpoint(tensors)
     model = config.build_model()
     if use_ema:
         if not shadows:
@@ -365,19 +371,27 @@ def load_model_from_checkpoint(
     return model
 
 
+def _checkpoint_forward(
+    config: TrainConfig, ckpt_path, manifest_path, split: str, use_ema: bool
+) -> tuple[list[str], Array, Array, Array]:
+    """Load a checkpoint and run it over one split in manifest order."""
+    if split not in data.SPLITS:
+        raise ConfigError(f"unknown split {split!r}, expected one of {data.SPLITS}")
+    model = load_model_from_checkpoint(config, ckpt_path, use_ema=use_ema)
+    samples = data.load_split(manifest_path, split, config.dims)
+    batches = data.make_batches(
+        samples, config.batch_size, config.align_len, shuffle=False
+    )
+    return _forward_batches(model, batches)
+
+
 def evaluate_checkpoint(
     config: TrainConfig, ckpt_path, split: str, use_ema: bool = True
 ) -> EvalReport:
     """Eval-mode pass over a split in manifest order with chosen weights."""
-    if split not in data.SPLITS:
-        raise ConfigError(f"unknown split {split!r}")
-    model = load_model_from_checkpoint(config, ckpt_path, use_ema=use_ema)
     manifest = Path(config.data_dir) / data.MANIFEST_NAME
-    samples = data.load_split(manifest, split, config.dims)
-    batches = data.make_batches(
-        samples, config.batch_size, config.align_len, shuffle=False
-    )
-    return _eval_report(model, batches)
+    _, preds, _, targets = _checkpoint_forward(config, ckpt_path, manifest, split, use_ema)
+    return _score(preds, targets)
 
 
 def predict_checkpoint(
@@ -389,19 +403,10 @@ def predict_checkpoint(
     raw_logits: bool = False,
 ) -> tuple[list[str], Array]:
     """Predictions for one split in manifest order."""
-    model = load_model_from_checkpoint(config, ckpt_path, use_ema=use_ema)
-    samples = data.load_split(manifest_path, split, config.dims)
-    batches = data.make_batches(
-        samples, config.batch_size, config.align_len, shuffle=False
+    ids, preds, logits, _ = _checkpoint_forward(
+        config, ckpt_path, manifest_path, split, use_ema
     )
-    preds, logits, ids = [], [], []
-    for batch in batches:
-        out = model.forward(batch.features, train=False)
-        preds.append(out.y_hat)
-        logits.append(out.y_logits)
-        ids.extend(batch.ids)
-    values = np.concatenate(logits if raw_logits else preds, axis=0)
-    return ids, values
+    return ids, logits if raw_logits else preds
 
 
 # -- ablation grid ----------------------------------------------------------------

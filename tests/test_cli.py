@@ -1,13 +1,17 @@
 import hashlib
 import json
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from emireg.cli import main
-from emireg.data import MANIFEST_NAME, generate_synthetic, load_manifest
-from emireg.train import TrainConfig
+from emireg.data import MANIFEST_NAME, SPLITS, SYNTHETIC_MODES, generate_synthetic, load_manifest
+from emireg.losses import CORR_MODES
+from emireg.model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS
+from emireg.train import CADENCES, TrainConfig
 
 from support import SMALL_DIMS
 
@@ -158,7 +162,7 @@ class TestTrain:
     def test_help_lists_paper_defaults(self, capsys):
         assert run_cli("train", "--help") == 0
         text = capsys.readouterr().out
-        for needle in ("256", "0.2", "32", "1e-4", "30", "8", "1.0", "0.999", "128"):
+        for needle in ("256", "0.2", "32", "0.0001", "30", "8", "1.0", "0.999", "128"):
             assert needle in text
 
 
@@ -258,6 +262,14 @@ class TestInspect:
         assert run_cli("inspect", "--ckpt", str(bad)) == 2
         assert "duplicate tensor name 'w'" in capsys.readouterr().err
 
+    def test_extent_overflow_is_data_error(self, tmp_path, capsys):
+        # 2**31 * 2**31 * 4 elements: 2**64, which wraps to 0 in int64
+        record = b"\x01\x00w\x03" + struct.pack("<3I", 2**31, 2**31, 4)
+        bad = tmp_path / "huge.emic"
+        bad.write_bytes(b"EMIC\x01\x00" + record + np.float64(1.0).tobytes())
+        assert run_cli("inspect", "--ckpt", str(bad)) == 2
+        assert "truncated while reading w payload (at byte offset 22)" in capsys.readouterr().err
+
     def test_requires_exactly_one_target(self, trained_run):
         assert run_cli("inspect") == 1
         assert run_cli(
@@ -276,3 +288,51 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "gen-synth" in capsys.readouterr().out
+
+
+class TestFlagTables:
+    """Choice lists and defaults in the help come from the tables, not by hand."""
+
+    def help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")  # one help entry per line
+        assert run_cli(command, "--help") == 0
+        return capsys.readouterr().out
+
+    def choice_lists(self, capsys, monkeypatch, command):
+        text = self.help_text(capsys, monkeypatch, command)
+        found = re.findall(r"--([a-z-]+) \{([^}]*)\}\s", text)
+        return {flag: tuple(choices.split(",")) for flag, choices in found}
+
+    def test_choice_lists_match_their_tables(self, capsys, monkeypatch):
+        tables = {
+            "fusion": FUSION_MODES,
+            "corr-mode": CORR_MODES,
+            "hidden-activation": tuple(ACTIVATIONS),
+            "output-activation": OUTPUT_ACTIVATIONS,
+            "lr-cadence": CADENCES,
+            "ema-cadence": CADENCES,
+            "vad": ("on", "off"),
+        }
+        assert self.choice_lists(capsys, monkeypatch, "train") == tables
+        for command, flag, table in (
+            ("evaluate", "split", SPLITS),
+            ("predict", "split", SPLITS),
+            ("gen-synth", "mode", SYNTHETIC_MODES),
+        ):
+            assert self.choice_lists(capsys, monkeypatch, command)[flag] == table
+
+    def test_defaults_match_train_config(self, capsys, monkeypatch):
+        text = self.help_text(capsys, monkeypatch, "train")
+        found = re.findall(r"--([a-z-]+)(?: \S+)?\s+[^\n]*\(default: ([^)]*)\)", text)
+        defaults = TrainConfig()
+        checked = set()
+        for flag, shown in found:
+            if flag == "run-dir":
+                continue
+            if flag == "vad":
+                assert shown == ("on" if defaults.vad_enabled else "off")
+                continue
+            value = getattr(defaults, flag.replace("-", "_"))
+            assert type(value)(shown) == value, flag
+            checked.add(flag)
+        assert len(checked) == 24

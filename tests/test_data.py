@@ -1,9 +1,12 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import emireg.data as data_module
 from emireg.data import (
@@ -23,7 +26,7 @@ from emireg.data import (
     write_manifest,
 )
 from emireg.errors import ConfigError, DataError, FormatError
-from emireg.model import MODALITIES
+from emireg.schema import MODALITIES
 
 from oracles import dataset_mean_features, least_squares_mean_pcc
 
@@ -417,6 +420,130 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="duplicate tensor name 'w'") as err:
             load_checkpoint(path)
         assert err.value.offset == len(raw) + 2
+
+    @pytest.mark.parametrize("shape", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])
+    def test_extents_past_int64_are_truncation(self, tmp_path, shape):
+        # the element count is 2**64 - 2**33 + 1 or 2**64: a fixed-width
+        # product wraps to a negative count or to zero
+        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.FORMAT_VERSION)
+        record = struct.pack(f"<H1sB{len(shape)}I", 1, b"w", len(shape), *shape)
+        path = tmp_path / "m.emic"
+        path.write_bytes(header + record + bytes(16))
+        with pytest.raises(FormatError, match="truncated while reading w payload") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(header) + len(record)
+
+    def test_empty_tensor_with_oversized_extents_rejected(self, tmp_path):
+        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.FORMAT_VERSION)
+        record = struct.pack("<H1sB3I", 1, b"w", 3, 0, 2**31, 2**30)
+        path = tmp_path / "m.emic"
+        path.write_bytes(header + record)
+        with pytest.raises(FormatError, match="too large") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(header) + 4
+
+    def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "best.emic"
+        save_checkpoint(path, {"w": rng.normal(size=(4, 4))})
+        before = path.read_bytes()
+
+        def torn_write(self, payload):
+            with open(self, "wb") as fh:
+                fh.write(payload[: len(payload) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, {"w": rng.normal(size=(4, 4))})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def _feature_bytes_and_extents(tmp_path) -> tuple[bytes, list[int]]:
+    """A valid feature file and the byte offsets of its u32 extents."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "valid.emif"
+    blocks = {"visual": rng.normal(size=(3, 8)), "audio": None, "text": rng.normal(size=(2, 6))}
+    write_feature_file(path, blocks)
+    raw = path.read_bytes()
+    extents, offset = [], 6
+    for _ in MODALITIES:
+        rows, dim = struct.unpack_from("<II", raw, offset + 1)
+        extents += [offset + 1, offset + 5]
+        offset += 9 + rows * dim * 4
+    return raw, extents
+
+
+def _checkpoint_bytes_and_extents(tmp_path) -> tuple[bytes, list[int]]:
+    """A valid checkpoint and the byte offsets of its u32 extents.
+
+    It holds an empty tensor with large extents, so that one changed extent
+    can push the element count past 2**63.
+    """
+    tensors = {
+        "w": np.arange(6.0).reshape(2, 3),
+        "empty": np.zeros((0, 2**31, 4)),
+        "s": np.array(2.5),
+    }
+    path = tmp_path / "valid.emic"
+    save_checkpoint(path, tensors)
+    extents, offset = [], 6
+    for name, value in tensors.items():
+        offset += 2 + len(name) + 1
+        extents += [offset + 4 * i for i in range(value.ndim)]
+        offset += 4 * value.ndim + 8 * value.size
+    return path.read_bytes(), extents
+
+
+_READERS = {
+    "emif": (read_feature_file, _feature_bytes_and_extents),
+    "emic": (load_checkpoint, _checkpoint_bytes_and_extents),
+}
+_FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _parses_or_format_error(kind: str, path: Path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        _READERS[kind][0](path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+class TestReaderFuzz:
+    """Any input either parses or raises FormatError; nothing else escapes."""
+
+    @_FUZZ
+    @given(tail=st.binary(max_size=300), keep_header=st.booleans())
+    def test_arbitrary_bytes(self, kind, tmp_path, tail, keep_header):
+        valid, _ = _READERS[kind][1](tmp_path)
+        raw = valid[:6] + tail if keep_header else tail
+        _parses_or_format_error(kind, tmp_path / f"fuzz.{kind}", raw)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_one_byte_changed(self, kind, tmp_path, data):
+        valid, _ = _READERS[kind][1](tmp_path)
+        at = data.draw(st.integers(0, len(valid) - 1))
+        raw = bytearray(valid)
+        raw[at] = data.draw(st.integers(0, 255))
+        _parses_or_format_error(kind, tmp_path / f"fuzz.{kind}", bytes(raw))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_one_extent_changed(self, kind, tmp_path, data):
+        valid, extents = _READERS[kind][1](tmp_path)
+        raw = bytearray(valid)
+        at = data.draw(st.sampled_from(extents))
+        struct.pack_into("<I", raw, at, data.draw(st.integers(0, 2**32 - 1)))
+        _parses_or_format_error(kind, tmp_path / f"fuzz.{kind}", bytes(raw))
 
 
 def _tree_digest(root: Path) -> dict:

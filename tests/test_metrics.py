@@ -51,6 +51,15 @@ class TestPearson:
             r, _ = pearson(x, y)
             assert abs(r - pearson_two_pass(x, y)) < 1e-10
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_large_offset_keeps_precision(self, rng, offset):
+        # a raw-moment form cancels catastrophically here: errors near 1e-8 and 1e-4
+        for _ in range(50):
+            x = offset + rng.normal(size=32)
+            y = offset + 0.5 * (x - offset) + rng.normal(size=32)
+            r, _ = pearson(x, y)
+            assert abs(r - pearson_two_pass(x, y)) < 1e-12
+
     def test_too_short(self):
         with pytest.raises(ShapeError):
             pearson([1.0], [2.0])

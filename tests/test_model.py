@@ -6,6 +6,7 @@ from emireg.layers import adaptive_avg_pool
 from emireg.model import MODALITIES, Model, fuse, unfuse_grad
 from emireg.tensor import grad_check, relu, sigmoid
 
+from oracles import column_means_loop
 from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case
 
 
@@ -21,12 +22,12 @@ def tiny_features(rng, batch=4, align=8):
 
 class TestFuse:
     def test_concat_order(self):
-        out = fuse([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], "concat")
-        assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        out = fuse([[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]], "concat")
+        assert np.array_equal(out, [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
 
     def test_average(self):
-        out = fuse([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], "average")
-        assert np.array_equal(out, [3.0, 4.0])
+        out = fuse([[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]], "average")
+        assert np.array_equal(out, [[3.0, 4.0]])
 
     def test_concat_width_at_paper_hidden_size(self, rng):
         zs = [rng.normal(size=(2, 256)) for _ in range(3)]
@@ -40,11 +41,11 @@ class TestFuse:
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            fuse([1.0], [2.0], [3.0], "bilinear")
+            fuse([[1.0]], [[2.0]], [[3.0]], "bilinear")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            fuse([1.0, 2.0], [3.0], [5.0, 6.0], "concat")
+            fuse([[1.0, 2.0]], [[3.0]], [[5.0, 6.0]], "concat")
 
     def test_unfuse_concat_roundtrip(self, rng):
         d = rng.normal(size=(4, 15))
@@ -61,31 +62,50 @@ class TestFuse:
 
 
 class TestBranch:
+    """One branch of ``Model.forward`` at batch 1, on already pooled rows."""
+
     def test_constant_rows_reduce_to_projection(self, rng):
         model = tiny_model()
         c = rng.normal(size=TINY_DIMS["visual"])
-        seq = np.tile(c, (13, 1))  # time-invariant input
-        z = model.branch_embed(seq, "visual")
+        feats = tiny_features(rng, batch=1)
+        feats["visual"] = np.tile(c, (1, 8, 1))  # time-invariant input
+        z = model.forward(feats, train=False).z["visual"][0]
         expected = relu(model.proj["visual"].weight.value @ c)
         np.testing.assert_allclose(z, expected, atol=1e-12)
 
-    def test_zero_input_zero_bias_gives_zero(self):
+    def test_zero_input_zero_bias_gives_zero(self, rng):
         model = tiny_model()
-        z = model.branch_embed(np.zeros((5, TINY_DIMS["text"])), "text")
+        feats = tiny_features(rng, batch=1)
+        feats["text"] = np.zeros((1, 8, TINY_DIMS["text"]))
+        z = model.forward(feats, train=False).z["text"][0]
         assert np.array_equal(z, np.zeros(6))
 
     def test_step_by_step_composition(self, rng):
         model = tiny_model()
         seq = rng.normal(size=(11, TINY_DIMS["audio"]))
         pooled = adaptive_avg_pool(seq, 8)
+        feats = tiny_features(rng, batch=1)
+        feats["audio"] = pooled[None]
         projected = pooled @ model.proj["audio"].weight.value.T
         expected = relu(projected).mean(axis=0)  # dropout off, so a no-op
-        np.testing.assert_allclose(model.branch_embed(seq, "audio"), expected, atol=1e-12)
+        z = model.forward(feats, train=False).z_audio_main[0]
+        np.testing.assert_allclose(z, expected, atol=1e-12)
 
-    def test_dim_mismatch(self):
+    def test_time_mean_against_per_column_loop(self, rng):
+        model = tiny_model(hidden_dim=256, align_len=128)
+        feats = tiny_features(rng, batch=2, align=128)
+        z = model.forward(feats, train=False).z["visual"]
+        for b in range(2):
+            projected = feats["visual"][b] @ model.proj["visual"].weight.value.T
+            expected = column_means_loop(relu(projected))  # [128 x 256] -> [256]
+            np.testing.assert_allclose(z[b], expected, atol=1e-12, rtol=0)
+
+    def test_dim_mismatch(self, rng):
         model = tiny_model()
+        feats = tiny_features(rng, batch=1)
+        feats["visual"] = np.zeros((1, 8, 99))
         with pytest.raises(ConfigError):
-            model.branch_embed(np.zeros((5, 99)), "visual")
+            model.forward(feats, train=False)
 
 
 class TestVadPathway:

@@ -59,6 +59,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(dims=None).validate()
 
+    @pytest.mark.parametrize(
+        "field,value", [("hidden_activation", "tanh"), ("output_activation", "relu")]
+    )
+    def test_unknown_activation_rejected_before_the_run_starts(self, tmp_path, field, value):
+        cfg = small_config(tmp_path / "d", tmp_path / "run", **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_paper_defaults(self):
         cfg = TrainConfig()
         assert cfg.hidden_dim == 256
@@ -260,6 +269,14 @@ class TestPredict:
         )
         assert not np.array_equal(probs, logits)
         np.testing.assert_allclose(1 / (1 + np.exp(-logits)), probs, atol=1e-12)
+
+    def test_unknown_split_is_config_error_for_evaluate_and_predict(self, small_dataset, tmp_path):
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=1)
+        ckpt = Path(train(cfg).run_dir) / "best.emic"
+        with pytest.raises(ConfigError, match="bogus"):
+            evaluate_checkpoint(cfg, ckpt, "bogus")
+        with pytest.raises(ConfigError, match="bogus"):
+            predict_checkpoint(cfg, ckpt, Path(cfg.data_dir) / MANIFEST_NAME, "bogus")
 
 
 class TestAblate:
