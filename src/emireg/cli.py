@@ -191,6 +191,8 @@ def _load_eval_config(args) -> TrainConfig:
         cfg = TrainConfig.from_json(sidecar)
     if getattr(args, "data", None):
         cfg.data_dir = args.data
+    if cfg.data_dir is None and not getattr(args, "manifest", None):
+        raise ConfigError("no dataset given: pass --data or set data_dir in the config")
     return cfg
 
 

@@ -13,8 +13,8 @@ Binary layouts (all little-endian):
     name length u16 | UTF-8 name | rank u8 | extents u32 each |
     float64 values. Names are unique within a file.
 
-Readers reject non-finite feature values, undecodable or repeated tensor
-names and extents that overrun the file with a
+Readers reject non-finite feature and tensor values, undecodable or repeated
+tensor names and extents that overrun the file with a
 :class:`~emireg.errors.FormatError` carrying the byte offset. Checkpoints are
 written to a temporary file beside the target and renamed over it, so a
 failed write leaves the previous checkpoint intact.
@@ -26,8 +26,10 @@ the sentinel target -1 in all six columns, marking them metric-excluded.
 Batching pools each split once: the first ``make_batches`` call on a
 :class:`Split` resamples every sample to the alignment length into one
 read-only float64 ``[N x align x d]`` block per modality and stacks the
-targets into ``[N x 6]``. Batches are then slices of those blocks (views,
-in manifest order) or one gather per modality (copies, shuffled).
+targets into ``[N x 6]``. ``make_batches`` returns a :class:`Batches`
+sequence that builds each batch when it is indexed: a slice of those blocks
+(views, in manifest order) or one gather per modality (a copy, shuffled), so
+a shuffled epoch holds one batch's copy, not a second copy of the split.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class Batch:
     """Aligned samples ready for the model.
 
     In manifest order the arrays are read-only views of the split's pooled
-    block; shuffled, they are fresh copies.
+    block; shuffled, they are fresh copies, made when :class:`Batches`
+    builds the batch.
     """
 
     ids: list[str]
@@ -131,6 +134,35 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+class Batches(Sequence):
+    """The batches of one :func:`make_batches` call, each built when indexed.
+
+    ``rows[i]`` selects batch ``i``'s samples: a slice, which gives views of
+    the pooled blocks, or an index array, which gives one gather per block.
+    Indexing again rebuilds the same batch, so the sequence can be iterated
+    any number of times.
+    """
+
+    def __init__(
+        self, ids: Array, features: dict[str, Array], targets: Array, rows: list
+    ):
+        self._ids = ids
+        self._features = features
+        self._targets = targets
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> Batch:
+        rows = self._rows[i]
+        return Batch(
+            ids=list(self._ids[rows]),
+            features={m: block[rows] for m, block in self._features.items()},
+            targets=self._targets[rows],
+        )
 
 
 # -- EMIF feature files -------------------------------------------------------
@@ -161,6 +193,19 @@ class _Reader:
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
+
+    def finite(self, count: int, dtype: str, what: str) -> Array:
+        """``count`` values of ``dtype``; a NaN or Inf is an error at its offset."""
+        at = self.offset
+        values = np.frombuffer(self.take(count * np.dtype(dtype).itemsize, what), dtype)
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise FormatError(
+                f"{self.path}: non-finite value in {what}",
+                offset=at + values.itemsize * first,
+            )
+        return values
 
 
 def write_feature_file(path, features: dict[str, Array | None]) -> None:
@@ -214,14 +259,7 @@ def read_feature_file(path) -> dict[str, Array | None]:
             raise FormatError(
                 f"{path}: present {m} block with empty extent", offset=r.offset - 8
             )
-        payload = np.frombuffer(r.take(rows * dim * 4, f"{m} payload"), dtype="<f4")
-        finite = np.isfinite(payload)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            raise FormatError(
-                f"{path}: non-finite value in {m} payload",
-                offset=r.offset - payload.nbytes + 4 * first,
-            )
+        payload = r.finite(rows * dim, "<f4", f"{m} payload")
         out[m] = payload.reshape(rows, dim).astype(np.float64)
     if r.offset != len(raw):
         raise FormatError(f"{path}: trailing bytes after last block", offset=r.offset)
@@ -349,12 +387,14 @@ def make_batches(
     align_len: int,
     shuffle: bool = False,
     rng: np.random.Generator | None = None,
-) -> list[Batch]:
+) -> Batches:
     """Partition samples into batches; the final short batch is kept.
 
     With ``shuffle`` the order comes from ``rng`` (one permutation per call);
-    otherwise manifest order is preserved. A :class:`Split` is pooled once
-    per alignment length and reused; any other sequence is pooled per call.
+    otherwise manifest order is preserved. Pooling, validation and the
+    permutation happen here; each batch is built when the returned
+    :class:`Batches` is indexed. A :class:`Split` is pooled once per
+    alignment length and reused; any other sequence is pooled per call.
     """
     if not samples:
         raise DataError("cannot batch an empty split")
@@ -367,23 +407,13 @@ def make_batches(
     else:
         features, targets = _pool_samples(samples, align_len)
     ids = np.array([s.id for s in samples], dtype=object)
-    order = rng.permutation(len(samples)) if shuffle else None
-    batches: list[Batch] = []
-    for start in range(0, len(samples), batch_size):
-        # a slice gives views of the blocks, an index array one gather each
-        rows = (
-            slice(start, start + batch_size)
-            if order is None
-            else order[start : start + batch_size]
-        )
-        batches.append(
-            Batch(
-                ids=list(ids[rows]),
-                features={m: block[rows] for m, block in features.items()},
-                targets=targets[rows],
-            )
-        )
-    return batches
+    starts = range(0, len(samples), batch_size)
+    if shuffle:
+        order = rng.permutation(len(samples))
+        rows = [order[start : start + batch_size] for start in starts]
+    else:
+        rows = [slice(start, start + batch_size) for start in starts]
+    return Batches(ids, features, targets, rows)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -438,11 +468,11 @@ def load_checkpoint(path) -> dict[str, Array]:
         shape_at = r.offset
         shape = tuple(r.u32(f"{name} extent") for _ in range(rank))
         # exact integer products: a fixed-width one could wrap
-        payload = r.take(math.prod(shape) * 8, f"{name} payload")
+        payload = r.finite(math.prod(shape), "<f8", f"{name} payload")
         if math.prod(e for e in shape if e) * 8 > np.iinfo(np.intp).max:
             # numpy refuses such a shape even when a zero extent leaves it empty
             raise FormatError(f"{path}: {name} extents {shape} too large", offset=shape_at)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        tensors[name] = payload.reshape(shape).copy()
     return tensors
 
 

@@ -1,10 +1,13 @@
 """Building blocks: linear projection and dropout, plus adaptive pooling.
 
 Layers follow a layer-local backward convention: ``forward`` caches what it
-needs, ``backward`` takes the upstream gradient and returns the gradient
-with respect to the layer input while accumulating parameter gradients in
-place. A layer instance belongs to one training thread. Pooling runs when
-batches are built, on features that are not learned, so it has no backward.
+needs, ``backward`` takes the upstream gradient, accumulates parameter
+gradients in place and returns the gradient with respect to the layer
+input. ``Linear.backward(..., input_grad=False)`` skips that input gradient
+and returns None, for layers whose input is not learned (the projections of
+frozen features). A layer instance belongs to one training thread. Pooling
+runs when batches are built, on features that are not learned, so it has no
+backward.
 """
 
 from __future__ import annotations
@@ -81,8 +84,12 @@ class Linear:
             y += self.bias.value
         return ensure_finite(y, "linear forward")
 
-    def backward(self, upstream) -> Array:
-        """Accumulate weight/bias grads; return the gradient w.r.t. the input."""
+    def backward(self, upstream, input_grad: bool = True) -> Array | None:
+        """Accumulate weight/bias grads; return the gradient w.r.t. the input.
+
+        With ``input_grad=False`` the ``upstream @ W`` product is skipped and
+        None is returned; the parameter grads are the same either way.
+        """
         if self._input is None:
             raise StateError("linear backward called before forward")
         upstream = as_tensor(upstream)
@@ -94,7 +101,7 @@ class Linear:
         self.weight.grad += upstream.T @ self._input
         if self.bias is not None:
             self.bias.grad += upstream.sum(axis=0)
-        return upstream @ self.weight.value
+        return upstream @ self.weight.value if input_grad else None
 
 
 class Dropout:

@@ -226,19 +226,17 @@ class Model:
             elif x.shape[0] != batch:
                 raise ShapeError(f"modalities disagree on batch size at {m}")
             flat = x.reshape(batch * self.align_len, self.dims[m])
-            pre = self.proj[m].forward(flat)
+            pre = self.proj[m].forward(flat).reshape(
+                batch, self.align_len, self.hidden_dim
+            )
             act = self._act(pre)
             dropped = self.drop[m].forward(act, train)
-            z[m] = dropped.reshape(batch, self.align_len, self.hidden_dim).mean(axis=1)
-            cache[m] = {"pre": pre, "act": act, "rows": x.shape}
+            z[m] = dropped.mean(axis=1)
+            cache[m] = {"pre": pre, "act": act}
 
         z_audio_main = z["audio"]
         if self.vad_enabled:
-            a_mean = (
-                cache["audio"]["pre"]
-                .reshape(batch, self.align_len, self.hidden_dim)
-                .mean(axis=1)
-            )
+            a_mean = cache["audio"]["pre"].mean(axis=1)
             v_logits = self.vad_head.forward(a_mean)
             v_hat = sigmoid(v_logits)
             z["audio"] = z_audio_main + self.inj.forward(v_hat)
@@ -286,12 +284,12 @@ class Model:
         d_y_hat: Array,
         d_aux: dict[str, Array],
         d_v_hat: Array | None = None,
-    ) -> dict[str, Array]:
+    ) -> None:
         """Reverse traversal of the forward DAG; accumulates parameter grads.
 
-        Returns the gradients w.r.t. the (pooled) input features, mostly for
-        verification. ``d_v_hat`` carries the direct regularizer gradient on
-        the latent VAD vector.
+        Returns None: the pooled input features are not learned, so the
+        projections form no input gradient. ``d_v_hat`` carries the direct
+        regularizer gradient on the latent VAD vector.
         """
         if self._cache is None:
             raise StateError("model backward called before forward")
@@ -313,28 +311,24 @@ class Model:
             d_logits = self._out_act_grad(c["aux_logits"][m], c["aux"][m], as_tensor(up))
             d_z[m] = d_z[m] + self.aux_head[m].backward(d_logits)
 
-        d_pre_extra_audio = None
+        d_a_rows = None
         if self.vad_enabled:
             v_hat = c["vad"]["v_hat"]
             d_v_total = self.inj.backward(d_z["audio"])
             if d_v_hat is not None:
                 d_v_total = d_v_total + as_tensor(d_v_hat)
             d_v_logits = d_v_total * sigmoid_grad_from_output(v_hat)
-            d_a_mean = self.vad_head.backward(d_v_logits)
             # mean over time: every projected row shares the pooled gradient
-            d_pre_extra_audio = np.repeat(
-                d_a_mean[:, None, :] / self.align_len, self.align_len, axis=1
-            ).reshape(batch * self.align_len, self.hidden_dim)
+            d_a_rows = (self.vad_head.backward(d_v_logits) / self.align_len)[:, None, :]
 
-        input_grads: dict[str, Array] = {}
         for m in MODALITIES:
-            d_rows = np.repeat(
-                d_z[m][:, None, :] / self.align_len, self.align_len, axis=1
-            ).reshape(batch * self.align_len, self.hidden_dim)
-            d_act = self.drop[m].backward(d_rows)
+            # [batch x 1 x h] broadcasts over time against the cached [batch x T x h]
+            d_act = self.drop[m].backward(d_z[m][:, None, :] / self.align_len)
             d_pre = self._act_grad(c[m]["pre"], c[m]["act"], d_act)
-            if m == "audio" and d_pre_extra_audio is not None:
-                d_pre = d_pre + d_pre_extra_audio
-            d_flat = self.proj[m].backward(d_pre)
-            input_grads[m] = d_flat.reshape(c[m]["rows"])
-        return input_grads
+            if m == "audio" and d_a_rows is not None:
+                d_pre = d_pre + d_a_rows
+            # still [batch x 1 x h] after the identity activation without dropout
+            d_pre = np.broadcast_to(d_pre, c[m]["pre"].shape)
+            self.proj[m].backward(
+                d_pre.reshape(batch * self.align_len, self.hidden_dim), input_grad=False
+            )

@@ -96,6 +96,7 @@ class TrainConfig:
             "weight_decay": self.weight_decay,
             "clip_norm": self.clip_norm,
             "eta_min": self.eta_min,
+            "corr_eps": self.corr_eps,
         }
         for name, value in nonnegative.items():
             if not np.isfinite(value) or value < 0:
@@ -181,7 +182,7 @@ def _checkpoint_tensors(model: Model, ema: Ema) -> dict[str, Array]:
 
 
 def _forward_batches(
-    model: Model, batches: list[data.Batch]
+    model: Model, batches: data.Batches
 ) -> tuple[list[str], Array, Array, Array]:
     """Eval-mode forward over batches: ids, predictions, logits and targets, in order."""
     ids, preds, logits, targets = [], [], [], []
@@ -203,7 +204,7 @@ def _score(preds: Array, targets: Array) -> EvalReport:
 
 
 def _eval_with_values(
-    model: Model, values: dict[str, Array], batches: list[data.Batch]
+    model: Model, values: dict[str, Array], batches: data.Batches
 ) -> EvalReport:
     saved = model.get_values()
     model.set_values(values)
@@ -389,6 +390,8 @@ def evaluate_checkpoint(
     config: TrainConfig, ckpt_path, split: str, use_ema: bool = True
 ) -> EvalReport:
     """Eval-mode pass over a split in manifest order with chosen weights."""
+    if config.data_dir is None:
+        raise ConfigError("config.data_dir is required for evaluation")
     manifest = Path(config.data_dir) / data.MANIFEST_NAME
     _, preds, _, targets = _checkpoint_forward(config, ckpt_path, manifest, split, use_ema)
     return _score(preds, targets)

@@ -105,3 +105,66 @@ def dataset_mean_features(samples):
             )
         )
     return np.stack(rows, axis=0)
+
+
+def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
+    """Parameter gradients of a model's last forward, by explicit row gradients.
+
+    Reverses the forward from its cache and dropout masks (hidden relu or
+    identity, sigmoid outputs). Each branch's time-mean adjoint is built as
+    an explicit [B*T x h] array with ``np.repeat``. Grads start at zero and
+    receive one sum each, as the model's accumulators do.
+    """
+    c = model._cache
+    rows = (c["batch"] * model.align_len, model.hidden_dim)
+    grads = {}
+
+    def act_back(pre, up):
+        if model.hidden_activation == "identity":
+            return up
+        return up * (pre > 0).astype(np.float64)
+
+    def sigmoid_back(y, up):
+        return up * (y * (1.0 - y))
+
+    def drop_back(layer, up):
+        return up if layer._mask is None else up * layer._mask.reshape(up.shape)
+
+    def linear_back(name, layer, up):
+        grads[f"{name}.weight"] = np.zeros(layer.weight.shape) + up.T @ layer._input
+        if layer.bias is not None:
+            grads[f"{name}.bias"] = np.zeros(layer.out_dim) + up.sum(axis=0)
+        return up @ layer.weight.value
+
+    def time_mean_back(d_mean):
+        return np.repeat(
+            d_mean[:, None, :] / model.align_len, model.align_len, axis=1
+        ).reshape(rows)
+
+    d_y_logits = sigmoid_back(c["y_hat"], d_y_hat)
+    d_h_drop = linear_back("fusion.out", model.fusion_out, d_y_logits)
+    d_h_pre = act_back(c["h_pre"], drop_back(model.fusion_drop, d_h_drop))
+    d_fused = linear_back("fusion.hidden", model.fusion_hidden, d_h_pre)
+    h = model.hidden_dim
+    d_z = {}
+    for i, m in enumerate(("visual", "audio", "text")):
+        if model.fusion == "concat":
+            d_z[m] = d_fused[:, i * h : (i + 1) * h].copy()
+        else:
+            d_z[m] = d_fused / 3.0
+        if m in d_aux:
+            d_logits = sigmoid_back(c["aux"][m], d_aux[m])
+            d_z[m] = d_z[m] + linear_back(f"{m}.aux", model.aux_head[m], d_logits)
+    if model.vad_enabled:
+        d_v = linear_back("vad.inj", model.inj, d_z["audio"])
+        if d_v_hat is not None:
+            d_v = d_v + d_v_hat
+        d_v_logits = sigmoid_back(c["vad"]["v_hat"], d_v)
+        d_a_mean = linear_back("vad.head", model.vad_head, d_v_logits)
+    for m in ("visual", "audio", "text"):
+        d_act = drop_back(model.drop[m], time_mean_back(d_z[m]))
+        d_pre = act_back(c[m]["pre"].reshape(rows), d_act)
+        if m == "audio" and model.vad_enabled:
+            d_pre = d_pre + time_mean_back(d_a_mean)
+        linear_back(f"{m}.proj", model.proj[m], d_pre)
+    return grads

@@ -184,6 +184,35 @@ class TestEvaluate:
     def test_missing_checkpoint_is_data_error(self, trained_run):
         assert run_cli("evaluate", "--ckpt", str(trained_run / "gone.emic")) == 2
 
+    def test_config_without_dataset_is_config_error(self, trained_run, tmp_path, capsys):
+        payload = json.loads((trained_run / "config.json").read_text())
+        manifest = str(Path(payload["data_dir"]) / MANIFEST_NAME)
+        payload["data_dir"] = None
+        config = tmp_path / "no-data.json"
+        config.write_text(json.dumps(payload))
+        ckpt = ("--ckpt", str(trained_run / "best.emic"), "--config", str(config))
+        out = ("--out", str(tmp_path / "p.csv"))
+        assert run_cli("evaluate", *ckpt) == 1
+        assert "no dataset given" in capsys.readouterr().err
+        assert run_cli("predict", *ckpt, *out) == 1
+        assert "no dataset given" in capsys.readouterr().err
+        # predict needs only a manifest
+        assert run_cli("predict", *ckpt, *out, "--manifest", manifest) == 0
+
+    def test_non_finite_checkpoint_is_data_error(self, trained_run, capsys):
+        ckpt = trained_run / "best.emic"
+        raw = bytearray(ckpt.read_bytes())
+        # the first tensor's first value: after magic, version, name, rank and extents
+        name_len = struct.unpack("<H", raw[6:8])[0]
+        rank = raw[8 + name_len]
+        first_value = 8 + name_len + 1 + 4 * rank
+        raw[first_value : first_value + 8] = np.float64(np.nan).tobytes()
+        ckpt.write_bytes(bytes(raw))
+        assert run_cli("inspect", "--ckpt", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert f"visual.proj.weight payload (at byte offset {first_value})" in err
+        assert run_cli("evaluate", "--ckpt", str(ckpt), "--no-ema") == 2
+
 
 class TestPredict:
     def test_csv_rows_match_split(self, trained_run, small_dataset, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import emireg.data as data_module
 from emireg.data import (
     MANIFEST_NAME,
     SIDECAR_NAME,
+    Batches,
     ManifestRow,
     apply_placeholder,
     generate_synthetic,
@@ -358,6 +360,41 @@ class TestBatching:
                 assert a.targets.tobytes() == b.targets.tobytes()
         assert len(calls) == 2 * 9 * len(MODALITIES)
 
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_batches_index_and_iterate_again_alike(self, rng, tmp_path, shuffle):
+        samples = _make_dataset(rng, tmp_path / "ds", 11)
+        batches = make_batches(
+            samples, 4, 16, shuffle=shuffle, rng=np.random.default_rng(2)
+        )
+        assert isinstance(batches, Batches)
+        assert len(batches) == 3
+        first, second = list(batches), list(batches)
+        indexed = [batches[i] for i in range(len(batches))]
+        assert batches[-1].ids == indexed[2].ids
+        with pytest.raises(IndexError):
+            batches[3]
+        for a, b, c in zip(first, second, indexed):
+            assert a.ids == b.ids == c.ids
+            for m in MODALITIES:
+                assert a.features[m].tobytes() == b.features[m].tobytes()
+                assert a.features[m].tobytes() == c.features[m].tobytes()
+            assert a.targets.tobytes() == b.targets.tobytes() == c.targets.tobytes()
+
+    def test_shuffled_call_gathers_no_batch_up_front(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 40)
+        make_batches(samples, 8, align_len=16)  # pool the split first
+        batch_bytes = sum(8 * 16 * d * 8 for d in DIMS.values())
+        tracemalloc.start()
+        try:
+            batches = make_batches(
+                samples, 8, 16, shuffle=True, rng=np.random.default_rng(4)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == 5
+        assert peak < batch_bytes
+
     def test_batch_features_match_per_sample_pooling(self, rng, tmp_path):
         from emireg.layers import adaptive_avg_pool
 
@@ -411,6 +448,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="not UTF-8") as err:
             load_checkpoint(path)
         assert err.value.offset == 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.emic"
+        save_checkpoint(path, {"a": np.ones(2), "w": np.ones((2, 3))})
+        raw = bytearray(path.read_bytes())
+        # header 6, "a" record 2 + 1 + 1 + 4 + 16, "w" record header 2 + 1 + 1 + 8
+        w_payload = 6 + 24 + 12
+        raw[w_payload + 8 * 4 : w_payload + 8 * 5] = np.float64(bad).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite value in w payload") as err:
+            load_checkpoint(path)
+        assert err.value.offset == w_payload + 8 * 4
 
     def test_duplicate_name_rejected(self, rng, tmp_path):
         path = tmp_path / "m.emic"

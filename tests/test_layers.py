@@ -66,6 +66,17 @@ class TestLinear:
         layer.backward(up)
         np.testing.assert_allclose(layer.weight.grad, 2 * first)
 
+    def test_backward_without_input_grad(self, rng):
+        x = rng.normal(size=(6, 4))
+        up = rng.normal(size=(6, 3))
+        full, lean = (Linear(3, 4, rng=np.random.default_rng(5)) for _ in range(2))
+        full.forward(x)
+        lean.forward(x)
+        assert full.backward(up).shape == x.shape
+        assert lean.backward(up, input_grad=False) is None
+        assert lean.weight.grad.tobytes() == full.weight.grad.tobytes()
+        assert lean.bias.grad.tobytes() == full.bias.grad.tobytes()
+
     def test_backward_before_forward(self):
         with pytest.raises(StateError):
             Linear(2, 3).backward(np.zeros((1, 2)))

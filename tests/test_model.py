@@ -6,7 +6,7 @@ from emireg.layers import adaptive_avg_pool
 from emireg.model import MODALITIES, Model, fuse, unfuse_grad
 from emireg.tensor import grad_check, relu, sigmoid
 
-from oracles import column_means_loop
+from oracles import column_means_loop, model_param_grads_repeated
 from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case
 
 
@@ -245,6 +245,33 @@ class TestModelBackward:
         for m in MODALITIES:
             assert np.all(model.aux_head[m].weight.grad == 0.0)
             assert np.all(model.aux_head[m].bias.grad == 0.0)
+
+    @pytest.mark.parametrize("fusion", ["concat", "average"])
+    @pytest.mark.parametrize("vad", [True, False])
+    @pytest.mark.parametrize(
+        "train,activation", [(True, "relu"), (False, "relu"), (False, "identity")]
+    )
+    def test_param_grads_match_repeated_rows(self, rng, fusion, vad, train, activation):
+        model = tiny_model(
+            seed=3,
+            dropout=0.2,
+            vad_enabled=vad,
+            fusion=fusion,
+            hidden_activation=activation,
+        )
+        if vad:  # engage the injection path, which starts at zero
+            model.inj.weight.value[...] = rng.normal(0.0, 0.3, model.inj.weight.shape)
+        model.forward(tiny_features(rng), train=train)
+        d_y_hat = rng.normal(size=(4, 6))
+        d_aux = {m: rng.normal(size=(4, 6)) for m in MODALITIES}
+        d_v_hat = rng.normal(size=(4, 3)) if vad else None
+        model.zero_grads()
+        assert model.backward(d_y_hat, d_aux, d_v_hat) is None
+        expected = model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat)
+        params = model.parameters()
+        assert set(expected) == set(params)
+        for name, p in params.items():
+            assert p.grad.tobytes() == expected[name].tobytes(), name
 
     def test_full_gradient_check(self):
         worst = 0.0

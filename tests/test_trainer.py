@@ -59,6 +59,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(dims=None).validate()
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_corr_eps_must_be_finite_and_non_negative(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="corr_eps"):
+            small_config(tmp_path, tmp_path, corr_eps=value).validate()
+        small_config(tmp_path, tmp_path, corr_eps=0.0).validate()
+
     @pytest.mark.parametrize(
         "field,value", [("hidden_activation", "tanh"), ("output_activation", "relu")]
     )
