@@ -148,8 +148,7 @@ def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
         config_path = Path(args.config)
         if not config_path.exists():
             raise DataError(f"config file not found: {config_path}")
-        with open(config_path) as fh:
-            payload.update(json.load(fh))
+        payload = TrainConfig.from_json(config_path).to_dict()
     if args.data:
         payload["data_dir"] = args.data
     if args.dims:
@@ -193,6 +192,7 @@ def _load_eval_config(args) -> TrainConfig:
         cfg.data_dir = args.data
     if cfg.data_dir is None and not getattr(args, "manifest", None):
         raise ConfigError("no dataset given: pass --data or set data_dir in the config")
+    cfg.validate()
     return cfg
 
 

@@ -5,8 +5,9 @@ Binary layouts (all little-endian):
 ``EMIF`` feature files
     magic ``EMIF`` | version u16 | three modality blocks in fixed order
     (visual, audio, text), each: present u8 | rows u32 | dim u32 |
-    rows*dim float32 values. Features are stored as 32-bit and widened to
-    64-bit on load; a write/read round-trip is bit-exact at 32 bits.
+    rows*dim float32 values. Features are stored as 32-bit and stay 32-bit
+    in memory; the pool widens each value, exactly, as it adds it into the
+    float64 block. A write/read round-trip is bit-exact at 32 bits.
 
 ``EMIC`` checkpoint files
     magic ``EMIC`` | version u16 | named tensor records until EOF, each:
@@ -40,9 +41,10 @@ import json
 import math
 import os
 import struct
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,12 +70,12 @@ class Sample:
     """One clip: three raw feature sequences, presence flags, and the 6-D target.
 
     ``features`` holds each modality's [L x d] sequence as read (placeholder
-    applied); pooling to the alignment length happens per split, in
-    :func:`make_batches`.
+    applied): read-only float32 when loaded from an EMIF file. Pooling to
+    the alignment length happens per split, in :func:`make_batches`.
     """
 
     id: str
-    features: dict[str, Array]
+    features: Mapping[str, Array]
     target: Array
     present: dict[str, bool]
 
@@ -81,8 +83,10 @@ class Sample:
 class Split(tuple):
     """The samples of one :func:`load_split` call, in manifest order.
 
-    Immutable, so the pooled blocks cached on it always belong to exactly
-    these samples. The cache is keyed by alignment length.
+    Immutable: a tuple of frozen samples whose feature mappings, feature
+    arrays and targets are read-only, so the pooled blocks cached on it
+    always belong to exactly these samples. The cache is keyed by alignment
+    length.
     """
 
     def __new__(cls, samples):
@@ -176,14 +180,17 @@ class _Reader:
         self.offset = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def _advance(self, n: int, what: str) -> int:
+        """Move past ``n`` bytes and return the offset where they start."""
         if self.offset + n > len(self.data):
             raise FormatError(
                 f"{self.path}: truncated while reading {what}", offset=self.offset
             )
-        chunk = self.data[self.offset : self.offset + n]
         self.offset += n
-        return chunk
+        return self.offset - n
+
+    def take(self, n: int, what: str) -> bytes:
+        return self.data[self._advance(n, what) : self.offset]
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -195,9 +202,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def finite(self, count: int, dtype: str, what: str) -> Array:
-        """``count`` values of ``dtype``; a NaN or Inf is an error at its offset."""
-        at = self.offset
-        values = np.frombuffer(self.take(count * np.dtype(dtype).itemsize, what), dtype)
+        """``count`` values of ``dtype``; a NaN or Inf is an error at its offset.
+
+        The values are a read-only view of the buffer, not a copy.
+        """
+        dtype = np.dtype(dtype)
+        at = self._advance(count * dtype.itemsize, what)
+        values = np.frombuffer(self.data, dtype, count, at)
         finite = np.isfinite(values)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -230,7 +241,11 @@ def write_feature_file(path, features: dict[str, Array | None]) -> None:
 
 
 def read_feature_file(path) -> dict[str, Array | None]:
-    """Read modality blocks back; values widen to float64, absent stays None."""
+    """Read modality blocks back; absent stays None.
+
+    Each present block is a read-only float32 [rows x dim] view of the
+    file's bytes: neither copied nor widened.
+    """
     raw = Path(path).read_bytes()
     r = _Reader(raw, str(path))
     magic = r.take(4, "magic")
@@ -260,7 +275,7 @@ def read_feature_file(path) -> dict[str, Array | None]:
                 f"{path}: present {m} block with empty extent", offset=r.offset - 8
             )
         payload = r.finite(rows * dim, "<f4", f"{m} payload")
-        out[m] = payload.reshape(rows, dim).astype(np.float64)
+        out[m] = payload.reshape(rows, dim)
     if r.offset != len(raw):
         raise FormatError(f"{path}: trailing bytes after last block", offset=r.offset)
     return out
@@ -274,8 +289,10 @@ def apply_placeholder(
 ) -> tuple[dict[str, Array], dict[str, bool]]:
     """Replace absent modalities with a single all-zeros row of the right width.
 
-    Zeros are inert through the mean-pooled projection pipeline. Presence
-    flags are preserved for reporting. All modalities absent is an error.
+    Present blocks are kept as given. The placeholder is a read-only float32
+    row, like a block read from a file. Zeros are inert through the
+    mean-pooled projection pipeline. Presence flags are preserved for
+    reporting. All modalities absent is an error.
     """
     present = {m: features.get(m) is not None for m in MODALITIES}
     if not any(present.values()):
@@ -283,9 +300,10 @@ def apply_placeholder(
     filled: dict[str, Array] = {}
     for m in MODALITIES:
         block = features.get(m)
-        filled[m] = (
-            np.zeros((1, dims[m])) if block is None else as_tensor(block)
-        )
+        if block is None:
+            block = np.zeros((1, dims[m]), dtype=np.float32)
+            block.flags.writeable = False
+        filled[m] = block
     return filled, present
 
 
@@ -367,15 +385,16 @@ def load_split(manifest_path, split: str, dims: dict[str, int]) -> Split:
                     f"{row.id}: {m} feature dim {filled[m].shape[1]} "
                     f"!= configured {dims[m]}"
                 )
+        row.target.flags.writeable = False
         samples.append(
-            Sample(id=row.id, features=filled, target=row.target, present=present)
+            Sample(
+                id=row.id,
+                features=MappingProxyType(filled),
+                target=row.target,
+                present=present,
+            )
         )
     return Split(samples)
-
-
-def placeholder_count(samples: Sequence[Sample]) -> dict[str, int]:
-    """How many samples had each modality absent (placeholder applied)."""
-    return {m: sum(1 for s in samples if not s.present[m]) for m in MODALITIES}
 
 
 # -- batching -----------------------------------------------------------------

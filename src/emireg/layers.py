@@ -136,13 +136,16 @@ class Dropout:
 def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
     """Resample a [L x d] sequence to [target x d] by per-bin averaging.
 
-    Each bin's rows are added in order and the sum divided by the bin width,
-    so every output row is bit-identical to ``x[start:end].mean(axis=0)``.
-    The loop runs over row positions within a bin (at most ceil(L/T) + 1),
-    not over bins. ``out``, if given, is a C-contiguous float64
-    [target x d] array that receives the result.
+    Each bin's rows are added in order in float64 and the sum divided by the
+    bin width, so every output row is bit-identical to
+    ``x[start:end].mean(axis=0)`` of the float64 sequence. ``x`` may be
+    float32 or float64: float32 rows widen, exactly, as they are added, so
+    the whole sequence is never copied. The loop runs over row positions
+    within a bin (at most ceil(L/T) + 1), not over bins. The result is
+    float64; ``out``, if given, is a float64 [target x d] array that
+    receives it.
     """
-    x = as_tensor(x)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError(f"adaptive_avg_pool expects [L x d], got {x.shape}")
     if target < 1:
@@ -156,8 +159,9 @@ def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
     b = np.arange(target)
     starts = (b * length) // target
     widths = ((b + 1) * length + target - 1) // target - starts
-    # "clip" never clips here (starts < length); it lets take write into out unbuffered
-    out = np.take(x, starts, axis=0, out=out, mode="clip")
+    if out is None:
+        out = np.empty((target, x.shape[1]))
+    out[...] = x[starts]
     for j in range(1, int(widths.max())):
         live = widths > j
         if live.all():

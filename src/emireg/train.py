@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,22 @@ CHOICES = {
 }
 
 _SHUFFLE_STREAM = 0x5841
+
+# a field's annotation -> the types its value may have; validation rejects
+# any other type and never coerces, so a valid config keeps its bytes
+_FIELD_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "dict[str, int] | None": (dict, type(None)),
+}
+
+
+def _has_type(value, allowed: tuple) -> bool:
+    """``isinstance``, except that a bool is not a number here."""
+    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
 @dataclass
@@ -76,11 +92,17 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(
+                    f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}"
+                )
         if self.dims is None or set(self.dims) != set(MODALITIES):
             raise ConfigError(f"dims must map {MODALITIES} to positive sizes")
         for m, d in self.dims.items():
-            if int(d) < 1:
-                raise ConfigError(f"{m} feature dim must be positive, got {d}")
+            if not _has_type(d, (int,)) or d < 1:
+                raise ConfigError(f"dims: {m} must be a positive int, got {d!r}")
         positive = {
             "hidden_dim": self.hidden_dim,
             "batch_size": self.batch_size,
@@ -89,7 +111,7 @@ class TrainConfig:
             "align_len": self.align_len,
         }
         for name, value in positive.items():
-            if int(value) < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         nonnegative = {
             "lr": self.lr,
@@ -126,6 +148,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
+        if not isinstance(payload, dict):
+            raise ConfigError(
+                f"config must be a JSON object, got {type(payload).__name__}"
+            )
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -135,7 +161,11 @@ class TrainConfig:
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        return cls.from_dict(payload)
 
     def config_hash(self) -> str:
         # run_dir names the output location, not the experiment
@@ -375,13 +405,19 @@ def load_model_from_checkpoint(
 def _checkpoint_forward(
     config: TrainConfig, ckpt_path, manifest_path, split: str, use_ema: bool
 ) -> tuple[list[str], Array, Array, Array]:
-    """Load a checkpoint and run it over one split in manifest order."""
+    """Load a checkpoint and run it over one split in manifest order.
+
+    No name holds the split: the batches keep only its pooled blocks, so the
+    raw sequences are freed before the forward pass.
+    """
     if split not in data.SPLITS:
         raise ConfigError(f"unknown split {split!r}, expected one of {data.SPLITS}")
     model = load_model_from_checkpoint(config, ckpt_path, use_ema=use_ema)
-    samples = data.load_split(manifest_path, split, config.dims)
     batches = data.make_batches(
-        samples, config.batch_size, config.align_len, shuffle=False
+        data.load_split(manifest_path, split, config.dims),
+        config.batch_size,
+        config.align_len,
+        shuffle=False,
     )
     return _forward_batches(model, batches)
 

@@ -96,12 +96,18 @@ def least_squares_mean_pcc(features_train, targets_train, features_eval, targets
 
 
 def dataset_mean_features(samples):
-    """Temporal mean of each modality's raw sequence, concatenated per sample."""
+    """Temporal mean of each modality's raw sequence, concatenated per sample.
+
+    The mean accumulates in float64 whatever dtype the sequences are stored in.
+    """
     rows = []
     for s in samples:
         rows.append(
             np.concatenate(
-                [s.features[m].mean(axis=0) for m in ("visual", "audio", "text")]
+                [
+                    s.features[m].mean(axis=0, dtype=np.float64)
+                    for m in ("visual", "audio", "text")
+                ]
             )
         )
     return np.stack(rows, axis=0)

@@ -121,6 +121,30 @@ class TestTrain:
     def test_missing_data_is_usage_error(self):
         assert run_cli("train", "--dims", DIMS_FLAG) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"hidden_dim": "abc"}',
+            '{"hidden_dim": 2.5}',
+            '{"lr": "0.1"}',
+            '{"vad_enabled": "false"}',
+            '{"seed": "7"}',
+        ],
+    )
+    def test_malformed_config_is_config_error(self, small_dataset, tmp_path, capsys, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        run_dir = tmp_path / "run"
+        code = run_cli("train", "--config", str(config), "--data", str(small_dataset),
+                       "--run-dir", str(run_dir))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("emireg: config error:")
+        assert "Traceback" not in err
+        assert not run_dir.exists()
+
     def test_nonexistent_config_is_data_error(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -183,6 +207,18 @@ class TestEvaluate:
 
     def test_missing_checkpoint_is_data_error(self, trained_run):
         assert run_cli("evaluate", "--ckpt", str(trained_run / "gone.emic")) == 2
+
+    def test_wrongly_typed_config_is_config_error(self, trained_run, tmp_path, capsys):
+        payload = json.loads((trained_run / "config.json").read_text())
+        payload["hidden_dim"] = str(payload["hidden_dim"])
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(payload))
+        ckpt = ("--ckpt", str(trained_run / "best.emic"), "--config", str(config))
+        assert run_cli("evaluate", *ckpt) == 1
+        assert run_cli("predict", *ckpt, "--out", str(tmp_path / "p.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("emireg: config error: hidden_dim must be int") == 2
+        assert "Traceback" not in err
 
     def test_config_without_dataset_is_config_error(self, trained_run, tmp_path, capsys):
         payload = json.loads((trained_run / "config.json").read_text())

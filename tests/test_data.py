@@ -21,7 +21,6 @@ from emireg.data import (
     load_manifest,
     load_split,
     make_batches,
-    placeholder_count,
     read_feature_file,
     save_checkpoint,
     write_feature_file,
@@ -152,20 +151,10 @@ class TestPlaceholder:
         with pytest.raises(DataError):
             apply_placeholder({m: None for m in MODALITIES}, DIMS)
 
-    def test_placeholder_count(self, rng, tmp_path):
-        root = tmp_path / "ds"
-        root.mkdir()
-        rows = []
-        absent_plan = [(), ("text",), ("text", "audio"), ()]
-        for i, absent in enumerate(absent_plan):
-            rel = f"s{i}.emif"
-            write_feature_file(root / rel, random_blocks(rng, absent=absent))
-            rows.append(
-                ManifestRow(id=f"s{i}", split="train", path=rel, target=np.full(6, 0.5))
-            )
-        write_manifest(root / MANIFEST_NAME, rows)
-        samples = load_split(root / MANIFEST_NAME, "train", DIMS)
-        assert placeholder_count(samples) == {"visual": 0, "audio": 1, "text": 2}
+    def test_placeholder_row_is_read_only_float32(self, rng):
+        filled, _ = apply_placeholder(random_blocks(rng, absent=("audio",)), DIMS)
+        assert filled["audio"].dtype == np.float32
+        assert not filled["audio"].flags.writeable
 
 
 class TestManifest:
@@ -289,6 +278,30 @@ class TestBatching:
         assert isinstance(samples, tuple)
         with pytest.raises(TypeError):
             samples[0] = samples[1]
+
+    def test_loaded_features_stay_float32(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 5)
+        for s in samples:
+            for m in MODALITIES:
+                rows, dim = s.features[m].shape
+                assert s.features[m].dtype == np.float32
+                assert s.features[m].nbytes == rows * dim * 4
+
+    def test_loaded_samples_are_read_only(self, rng, tmp_path):
+        # a write after pooling would leave the cached block stale
+        root = tmp_path / "ds"
+        root.mkdir()
+        write_feature_file(root / "s0.emif", random_blocks(rng, absent=("text",)))
+        row = ManifestRow(id="s0", split="train", path="s0.emif", target=np.full(6, 0.5))
+        write_manifest(root / MANIFEST_NAME, [row])
+        sample = load_split(root / MANIFEST_NAME, "train", DIMS)[0]
+        for m in ("visual", "text"):  # a present block and the placeholder
+            with pytest.raises(ValueError):
+                sample.features[m][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sample.target[0] = 1.0
+        with pytest.raises(TypeError):
+            sample.features["visual"] = np.zeros((1, DIMS["visual"]))
 
     def test_unshuffled_batches_are_read_only_views_of_the_block(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 10)
@@ -661,7 +674,12 @@ class TestSyntheticGenerator:
 
         def embeddings(samples):
             per_modality = [
-                np.stack([projections[m] @ s.features[m].mean(axis=0) for s in samples])
+                np.stack(
+                    [
+                        projections[m] @ s.features[m].mean(axis=0, dtype=np.float64)
+                        for s in samples
+                    ]
+                )
                 for m in MODALITIES
             ]
             concat = np.concatenate(per_modality, axis=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,35 @@ class TestAdaptiveAvgPool:
         same = np.empty((150, 4))
         adaptive_avg_pool(x, 150, out=same)
         assert np.array_equal(same, x)
+
+    @pytest.mark.parametrize(
+        "length, target", [(37, 128), (128, 128), (150, 128), (1, 16), (300, 1)]
+    )
+    @pytest.mark.parametrize("preallocated", [False, True])
+    def test_float32_input_pools_like_its_widened_copy(
+        self, rng, length, target, preallocated
+    ):
+        # widening float32 to float64 is exact, so pooling must not care when it happens
+        x32 = rng.normal(size=(length, 5)).astype(np.float32)
+        out = np.full((target, 5), np.nan) if preallocated else None
+        got = adaptive_avg_pool(x32, target, out=out)
+        expected = adaptive_avg_pool(x32.astype(np.float64), target)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        if preallocated:
+            assert got is out
+
+    def test_float32_input_is_not_copied_whole(self, rng):
+        x = rng.normal(size=(512, 64)).astype(np.float32)
+        out = np.empty((128, 64))
+        tracemalloc.start()
+        try:
+            adaptive_avg_pool(x, 128, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a widened copy of the sequence alone would take 2 * x.nbytes
+        assert peak < x.nbytes
 
     def test_out_shape_checked(self, rng):
         with pytest.raises(ShapeError):

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             train(cfg)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("hidden_dim", "abc"),
+            ("hidden_dim", 2.5),
+            ("epochs", True),
+            ("seed", "7"),
+            ("lr", "0.1"),
+            ("dropout", False),
+            ("vad_enabled", "false"),
+            ("vad_enabled", 1),
+            ("fusion", ["concat"]),
+            ("data_dir", 5),
+            ("dims", ["visual", "audio", "text"]),
+            ("dims", {"visual": 8.0, "audio": 7, "text": 6}),
+            ("dims", {"visual": True, "audio": 7, "text": 6}),
+        ],
+    )
+    def test_wrong_type_rejected_not_coerced(self, tmp_path, field, value):
+        cfg = replace(small_config(tmp_path / "d", tmp_path / "run"), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+    def test_int_for_float_field_keeps_its_bytes(self, tmp_path):
+        cfg = small_config(tmp_path / "d", tmp_path / "run", lr=1, dropout=0)
+        cfg.validate()
+        assert cfg.lr == 1 and type(cfg.lr) is int
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"lr"', "null"])
+    def test_malformed_json_is_config_error(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(path)
+
+    def test_non_utf8_json_is_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"lr": "\xff"}')
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(path)
 
     def test_paper_defaults(self):
         cfg = TrainConfig()
