@@ -141,6 +141,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _sidecar_dims(path: Path):
+    """The ``dims`` entry of a dataset sidecar; a malformed sidecar is a DataError.
+
+    Its value is returned as read: ``TrainConfig.validate`` judges its type.
+    """
+    with open(path) as fh:
+        try:
+            sidecar = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: dataset sidecar is not valid JSON: {exc}") from exc
+    if not isinstance(sidecar, dict) or "dims" not in sidecar:
+        raise DataError(f"{path}: dataset sidecar must be a JSON object with a 'dims' key")
+    return sidecar["dims"]
+
+
 def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
     """Precedence: defaults < config file < sidecar dims < explicit flags."""
     payload = TrainConfig().to_dict()
@@ -156,8 +171,7 @@ def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
     if payload.get("dims") is None and payload.get("data_dir"):
         sidecar = Path(payload["data_dir"]) / data.SIDECAR_NAME
         if sidecar.exists():
-            with open(sidecar) as fh:
-                payload["dims"] = json.load(fh)["dims"]
+            payload["dims"] = _sidecar_dims(sidecar)
     for fieldname in _TRAIN_FLAGS:
         value = getattr(args, fieldname)
         if value is not None:

@@ -16,9 +16,11 @@ Binary layouts (all little-endian):
 
 Readers reject non-finite feature and tensor values, undecodable or repeated
 tensor names and extents that overrun the file with a
-:class:`~emireg.errors.FormatError` carrying the byte offset. Checkpoints are
-written to a temporary file beside the target and renamed over it, so a
-failed write leaves the previous checkpoint intact.
+:class:`~emireg.errors.FormatError` carrying the byte offset. They map a
+file read-only instead of copying its bytes into memory. Feature files and
+checkpoints are written to a temporary file beside the target and renamed
+over it, so a failed write leaves the previous file intact and a mapping of
+the previous file keeps its bytes.
 
 The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
@@ -39,6 +41,7 @@ import csv
 import io
 import json
 import math
+import mmap
 import os
 import struct
 from collections.abc import Mapping, Sequence
@@ -175,7 +178,7 @@ class Batches(Sequence):
 class _Reader:
     """Exact-length reads over a byte buffer, tracking the current offset."""
 
-    def __init__(self, data: bytes, path: str):
+    def __init__(self, data: bytes | mmap.mmap, path: str):
         self.data = data
         self.offset = 0
         self.path = path
@@ -219,6 +222,34 @@ class _Reader:
         return values
 
 
+def _file_bytes(path):
+    """A file's bytes, mapped read-only; read into memory if it cannot be mapped.
+
+    A mapping shares the page cache: nothing is copied, and the cost does not
+    depend on whether the heap has free memory to reuse.
+    """
+    with open(path, "rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # an empty file, or no mapping left
+            return fh.read()
+
+
+def _replace_file(path, payload: bytes) -> None:
+    """Write ``payload`` to a sibling file, then rename it over ``path``.
+
+    A reader never sees a partial file, and a file mapped by
+    :func:`_file_bytes` keeps its old bytes instead of being truncated.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_bytes(payload)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_feature_file(path, features: dict[str, Array | None]) -> None:
     """Write one sample's modality blocks; ``None`` marks an absent modality."""
     buf = io.BytesIO()
@@ -237,16 +268,17 @@ def write_feature_file(path, features: dict[str, Array | None]) -> None:
         rows, dim = block.shape
         buf.write(struct.pack("<BII", 1, rows, dim))
         buf.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    _replace_file(path, buf.getvalue())
 
 
 def read_feature_file(path) -> dict[str, Array | None]:
     """Read modality blocks back; absent stays None.
 
     Each present block is a read-only float32 [rows x dim] view of the
-    file's bytes: neither copied nor widened.
+    file's bytes, which are mapped: neither copied nor widened. The file must
+    be replaced, not rewritten in place, while its blocks are in use.
     """
-    raw = Path(path).read_bytes()
+    raw = _file_bytes(path)
     r = _Reader(raw, str(path))
     magic = r.take(4, "magic")
     if magic != FEATURE_MAGIC:
@@ -452,18 +484,12 @@ def save_checkpoint(path, tensors: dict[str, Array]) -> None:
         for extent in value.shape:
             buf.write(struct.pack("<I", extent))
         buf.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
-    try:
-        partial.write_bytes(buf.getvalue())
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
+    _replace_file(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> dict[str, Array]:
     """Read named tensors until EOF; truncation reports its byte offset."""
-    raw = Path(path).read_bytes()
+    raw = _file_bytes(path)
     r = _Reader(raw, str(path))
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:

@@ -1,4 +1,4 @@
-"""Building blocks: linear projection and dropout, plus adaptive pooling.
+"""Building blocks: parameters and their flat store, linear, dropout, pooling.
 
 Layers follow a layer-local backward convention: ``forward`` caches what it
 needs, ``backward`` takes the upstream gradient, accumulates parameter
@@ -21,20 +21,52 @@ GLOROT_GAIN = 6.0
 
 
 class Param:
-    """A learnable tensor paired with its gradient accumulator."""
+    """A learnable tensor and its gradient accumulator.
+
+    ``grad`` is None until a :class:`ParamStore` takes the Param in and binds
+    it to a slice of the store's flat gradient vector.
+    """
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value: Array):
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad: Array | None = None
 
     @property
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+
+class ParamStore(dict):
+    """Named parameters whose values and grads live in two flat vectors.
+
+    Built from ``name -> Param`` in a fixed order: each value is copied into
+    its slice of ``value``, ``grad`` starts at zero, and each Param's
+    ``value``/``grad`` becomes a reshaped view of its slice. The slices follow
+    the dict order and tile the vectors, so one pass over a flat vector is
+    one pass over every parameter in order.
+    """
+
+    def __init__(self, params: dict[str, Param]):
+        super().__init__(params)
+        self.value = np.empty(sum(p.value.size for p in self.values()))
+        # np.zeros can take fresh zero pages, which a forward-only model never touches
+        self.grad = np.zeros(self.value.size)
+        values, grads = self.views(self.value), self.views(self.grad)
+        for name, p in self.items():
+            # one tensor at a time, so the values are not held twice over
+            values[name][...] = p.value
+            p.value, p.grad = values[name], grads[name]
+
+    def views(self, flat: Array) -> dict[str, Array]:
+        """Named, parameter-shaped views of a vector laid out like ``value``."""
+        out: dict[str, Array] = {}
+        start = 0
+        for name, p in self.items():
+            out[name] = flat[start : start + p.value.size].reshape(p.shape)
+            start += p.value.size
+        return out
 
 
 def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> Array:
@@ -98,6 +130,8 @@ class Linear:
                 f"upstream {upstream.shape} does not match forward batch "
                 f"({self._input.shape[0]} x {self.out_dim})"
             )
+        if self.weight.grad is None:
+            raise StateError("linear backward needs its parameters in a ParamStore")
         self.weight.grad += upstream.T @ self._input
         if self.bias is not None:
             self.bias.grad += upstream.sum(axis=0)

@@ -3,8 +3,10 @@
 The architecture is a fixed DAG, so the backward pass is written as an
 explicit reverse traversal instead of a tape. Parameter initialization is
 keyed by parameter name, which makes shared layers start identically across
-configurations that add or remove the VAD pathway. The fusion modes and the
-activations are defined here, once; the config and the CLI read these tables.
+configurations that add or remove the VAD pathway; then the parameters move
+into one flat store (see the parameter plumbing section). The fusion modes and
+the activations are defined here, once; the config and the CLI read these
+tables.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError
-from .layers import Dropout, Linear, Param
+from .layers import Dropout, Linear, Param, ParamStore
 from .schema import MODALITIES, N_TARGETS, VAD_DIM
 from .tensor import (
     Array,
@@ -155,10 +157,16 @@ class Model:
             N_TARGETS, hidden_dim, rng=_init_rng(seed, "fusion.out")
         )
         self._cache: dict | None = None
+        # after the name-keyed initialization, so every value keeps its bits
+        self._params = ParamStore(self._named_params())
 
     # -- parameter plumbing ------------------------------------------------
+    #
+    # Every Param's value and grad is a view into the model's ParamStore, so
+    # the optimizer, EMA, clipping and zeroing each make one pass over flat
+    # vectors. A Param must be written in place, never rebound.
 
-    def parameters(self) -> dict[str, Param]:
+    def _named_params(self) -> dict[str, Param]:
         """Named parameters in a fixed, reproducible order."""
         out: dict[str, Param] = {}
         for m in MODALITIES:
@@ -177,18 +185,22 @@ class Model:
         out["fusion.out.bias"] = self.fusion_out.bias
         return out
 
-    def zero_grads(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
+    def parameters(self) -> ParamStore:
+        """The named parameters, in ``_named_params`` order, as one flat store."""
+        return self._params
 
-    def get_values(self) -> dict[str, Array]:
-        return {name: p.value.copy() for name, p in self.parameters().items()}
+    def zero_grads(self) -> None:
+        self._params.grad.fill(0.0)
 
     def set_values(self, values: dict[str, Array]) -> None:
-        params = self.parameters()
+        """Copy named tensors in; the names must be exactly the model's own."""
+        params = self._params
         missing = set(params) - set(values)
         if missing:
             raise ConfigError(f"missing parameter values: {sorted(missing)}")
+        unknown = set(values) - set(params)
+        if unknown:
+            raise ConfigError(f"unknown parameter values: {sorted(unknown)}")
         for name, p in params.items():
             incoming = as_tensor(values[name])
             if incoming.shape != p.value.shape:
@@ -197,9 +209,6 @@ class Model:
                     f"!= model shape {p.value.shape}"
                 )
             p.value[...] = incoming
-
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.parameters().values())
 
     # -- forward / backward -------------------------------------------------
 

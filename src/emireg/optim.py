@@ -1,19 +1,26 @@
-"""Decoupled-weight-decay Adam, cosine schedule, norm clipping, EMA shadows."""
+"""Decoupled-weight-decay Adam, cosine schedule, norm clipping, EMA shadows.
+
+Clipping, AdamW and EMA work on a :class:`~emireg.layers.ParamStore`: each
+AdamW step and EMA update is one pass over its flat vectors, made block by
+block, elementwise in the order the per-tensor form used, so the bytes are
+those of a loop over the tensors.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .layers import Param
+from .layers import ParamStore
 from .tensor import Array
 
 
-def clip_global_norm(params: dict[str, Param], max_norm: float) -> tuple[float, float]:
+def clip_global_norm(params: ParamStore, max_norm: float) -> tuple[float, float]:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns ``(scale factor applied, pre-clip norm)``. The factor is 1.0 when
-    no clipping was needed.
+    no clipping was needed. The squared norm is summed tensor by tensor in
+    parameter order, which fixes the bits of the returned norm.
     """
     total = 0.0
     for p in params.values():
@@ -24,8 +31,7 @@ def clip_global_norm(params: dict[str, Param], max_norm: float) -> tuple[float, 
     if norm <= max_norm or norm == 0.0:
         return 1.0, norm
     factor = max_norm / norm
-    for p in params.values():
-        p.grad *= factor
+    params.grad *= factor
     return factor, norm
 
 
@@ -38,16 +44,31 @@ def cosine_lr(t: float, total: int, eta0: float, eta_min: float = 0.0) -> float:
     return eta_min + 0.5 * (eta0 - eta_min) * (1.0 + float(np.cos(np.pi * t / total)))
 
 
+# elements per block of an AdamW step or an EMA update: the block's slices
+# and temporaries (about 2 MB) stay in cache through the update's elementwise
+# passes. At the reference shapes an AdamW step took about 9 ms this way and
+# 14 ms as whole-vector passes, which stream every vector from memory once
+# per pass.
+_BLOCK = 1 << 15
+
+
+def _blocks(size: int):
+    """Slices of ``_BLOCK`` elements that tile a flat vector of ``size``."""
+    return (slice(start, start + _BLOCK) for start in range(0, size, _BLOCK))
+
+
 class AdamW:
-    """Adam with decoupled weight decay over a named parameter dict.
+    """Adam with decoupled weight decay over a parameter store.
 
     The learning rate is supplied per step so the schedule stays outside the
-    optimizer. Moments live per parameter name; the step counter is global.
+    optimizer. The moments ``m`` and ``v`` are flat vectors laid out like
+    ``params.value``; the step counter ``t`` is global. A step runs block by
+    block over the flat vectors.
     """
 
     def __init__(
         self,
-        params: dict[str, Param],
+        params: ParamStore,
         weight_decay: float = 1e-4,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -59,8 +80,8 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
+        self.m = np.zeros_like(params.value)
+        self.v = np.zeros_like(params.value)
 
     def step(self, lr: float) -> None:
         if lr < 0:
@@ -68,40 +89,49 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay != 0.0:
-                update = update + self.weight_decay * p.value
-            p.value -= lr * update
-            if not np.all(np.isfinite(p.value)):
-                raise NumericError(f"non-finite parameter {name!r} after optimizer step")
+        value, grad = self.params.value, self.params.grad
+        for s in _blocks(value.size):
+            self._update(value[s], grad[s], self.m[s], self.v[s], lr, bc1, bc2)
+        if not np.isfinite(value).all():
+            name = next(
+                n for n, p in self.params.items() if not np.isfinite(p.value).all()
+            )
+            raise NumericError(f"non-finite parameter {name!r} after optimizer step")
+
+    def _update(self, value, g, m, v, lr: float, bc1: float, bc2: float) -> None:
+        """Update one block in place, operation for operation as the per-tensor form."""
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay != 0.0:
+            update = update + self.weight_decay * value
+        value -= lr * update
 
 
 class Ema:
     """Exponential moving average of parameter values (shadow weights).
 
-    Shadows start as a copy of the initial parameters and follow
-    ``shadow <- d * shadow + (1 - d) * value`` on every update.
+    The shadow ``value`` is one flat vector laid out like ``params.value``;
+    ``shadows`` names a parameter-shaped view of it per parameter. It starts
+    as a copy of the initial values and follows
+    ``shadow <- d * shadow + (1 - d) * value`` on every update, block by
+    block like an AdamW step.
     """
 
-    def __init__(self, params: dict[str, Param], decay: float):
+    def __init__(self, params: ParamStore, decay: float):
         if not 0.0 <= decay <= 1.0:
             raise ConfigError(f"EMA decay must be in [0, 1], got {decay}")
+        self.params = params
         self.decay = decay
-        self.shadows: dict[str, Array] = {
-            name: p.value.copy() for name, p in params.items()
-        }
+        self.value = params.value.copy()
+        self.shadows: dict[str, Array] = params.views(self.value)
 
-    def update(self, params: dict[str, Param]) -> None:
+    def update(self) -> None:
         d = self.decay
-        for name, p in params.items():
-            shadow = self.shadows[name]
+        value = self.params.value
+        for s in _blocks(value.size):
+            shadow = self.value[s]
             shadow *= d
-            shadow += (1.0 - d) * p.value
+            shadow += (1.0 - d) * value[s]

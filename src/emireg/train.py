@@ -233,16 +233,16 @@ def _score(preds: Array, targets: Array) -> EvalReport:
     return mean_pcc(preds[keep], targets[keep])
 
 
-def _eval_with_values(
-    model: Model, values: dict[str, Array], batches: data.Batches
-) -> EvalReport:
-    saved = model.get_values()
-    model.set_values(values)
+def _eval_with_values(model: Model, values: Array, batches: data.Batches) -> EvalReport:
+    """Score ``batches`` with the flat parameter vector ``values`` swapped in."""
+    flat = model.parameters().value
+    saved = flat.copy()
+    flat[...] = values
     try:
         _, preds, _, targets = _forward_batches(model, batches)
         return _score(preds, targets)
     finally:
-        model.set_values(saved)
+        flat[...] = saved
 
 
 def train(config: TrainConfig) -> RunRecord:
@@ -266,10 +266,9 @@ def train(config: TrainConfig) -> RunRecord:
     )
 
     model = config.build_model()
-    params = model.parameters()
     weights = config.loss_weights()
-    optimizer = AdamW(params, weight_decay=config.weight_decay)
-    ema = Ema(params, config.ema_decay)
+    optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
+    ema = Ema(model.parameters(), config.ema_decay)
     stopper = EarlyStopper(config.patience)
     record = RunRecord(config_hash=config.config_hash(), run_dir=str(run_dir))
 
@@ -310,7 +309,7 @@ def train(config: TrainConfig) -> RunRecord:
                         corr_mode=config.corr_mode,
                     )
                     model.backward(grads.y_hat, grads.aux, grads.v_hat)
-                    factor, norm = clip_global_norm(params, config.clip_norm)
+                    factor, norm = clip_global_norm(model.parameters(), config.clip_norm)
                     optimizer.step(lr)
                 except NumericError as exc:
                     # keep the last-good checkpoints; do not overwrite them
@@ -327,7 +326,7 @@ def train(config: TrainConfig) -> RunRecord:
                     aborted = True
                     break
                 if config.ema_cadence == "step":
-                    ema.update(params)
+                    ema.update()
                 global_step += 1
                 step_payload = {
                     "type": "step",
@@ -344,9 +343,9 @@ def train(config: TrainConfig) -> RunRecord:
             if aborted:
                 break
             if config.ema_cadence == "epoch":
-                ema.update(params)
+                ema.update()
 
-            report = _eval_with_values(model, ema.shadows, val_batches)
+            report = _eval_with_values(model, ema.value, val_batches)
             record.evals.append(report)
             emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
 

@@ -81,6 +81,43 @@ def ema_closed_form(initial, values, decay):
     return out
 
 
+def clip_global_norm_loop(grads, max_norm):
+    """Per-tensor clipping of name -> grad arrays, in place; returns (factor, norm)."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    if norm <= max_norm or norm == 0.0:
+        return 1.0, norm
+    factor = max_norm / norm
+    for g in grads.values():
+        g *= factor
+    return factor, norm
+
+
+def adamw_step_loop(values, grads, m, v, t, lr, weight_decay,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """AdamW step ``t`` (1-based), tensor by tensor, in place on name -> array dicts."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, g in grads.items():
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        if weight_decay != 0.0:
+            update = update + weight_decay * values[name]
+        values[name] -= lr * update
+
+
+def ema_update_loop(shadows, values, decay):
+    """shadow <- d * shadow + (1 - d) * value, tensor by tensor, in place."""
+    for name, value in values.items():
+        shadows[name] *= decay
+        shadows[name] += (1.0 - decay) * value
+
+
 def least_squares_mean_pcc(features_train, targets_train, features_eval, targets_eval):
     """Fit ridge-free linear regression (with intercept) and score mean PCC.
 

@@ -28,43 +28,26 @@ def small_config(data_dir, run_dir, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def flatten_params(params):
-    names = list(params)
-    values = np.concatenate([params[n].value.ravel() for n in names])
-    return names, values
-
-
 def param_loss_fn(model, features, targets, weights):
     """Build f(theta_vec) -> (total loss, grad_vec) over all parameters.
 
-    Forward runs in eval mode so dropout stays out of the picture; gradients
-    still flow through the identity dropout.
+    The vector is the model's flat parameter store. Forward runs in eval mode
+    so dropout stays out of the picture; gradients still flow through the
+    identity dropout.
     """
     params = model.parameters()
-    names = list(params)
-    shapes = [params[n].value.shape for n in names]
-    sizes = [params[n].value.size for n in names]
-
-    def unpack(vec):
-        out, k = {}, 0
-        for n, sh, sz in zip(names, shapes, sizes):
-            out[n] = vec[k : k + sz].reshape(sh)
-            k += sz
-        return out
 
     def f(vec):
-        model.set_values(unpack(vec))
+        params.value[...] = vec
         model.zero_grads()
         out = model.forward(features, train=False)
         breakdown, grads = total_loss(
             out.y_hat, targets, out.aux, out.v_hat, weights
         )
         model.backward(grads.y_hat, grads.aux, grads.v_hat)
-        grad = np.concatenate([params[n].grad.ravel() for n in names])
-        return breakdown.total, grad
+        return breakdown.total, params.grad.copy()
 
-    x0 = np.concatenate([params[n].value.ravel() for n in names])
-    return f, x0
+    return f, params.value.copy()
 
 
 def min_preactivation(model, features):

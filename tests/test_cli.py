@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 import struct
 from pathlib import Path
 
@@ -145,6 +146,27 @@ class TestTrain:
         assert "Traceback" not in err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize(
+        "text,code,label",
+        [
+            ("[]", 2, "data error"),
+            ("{}", 2, "data error"),
+            ("not json", 2, "data error"),
+            ('{"dims": "8:7:6"}', 1, "config error"),
+        ],
+    )
+    def test_malformed_sidecar(self, small_dataset, tmp_path, capsys, text, code, label):
+        data_dir = tmp_path / "ds"
+        shutil.copytree(small_dataset, data_dir)
+        (data_dir / "synth.json").write_text(text)
+        assert run_cli("train", "--data", str(data_dir), "--run-dir", str(tmp_path / "r"),
+                       "--epochs", "1") == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"emireg: {label}:")
+        if code == 2:
+            assert str(data_dir / "synth.json") in err
+        assert "Traceback" not in err
+
     def test_nonexistent_config_is_data_error(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -218,6 +240,19 @@ class TestEvaluate:
         assert run_cli("predict", *ckpt, "--out", str(tmp_path / "p.csv")) == 1
         err = capsys.readouterr().err
         assert err.count("emireg: config error: hidden_dim must be int") == 2
+        assert "Traceback" not in err
+
+    def test_checkpoint_with_extra_tensors_is_config_error(self, trained_run, tmp_path, capsys):
+        # the run has the VAD pathway; a VAD-free model must not drop its tensors
+        payload = json.loads((trained_run / "config.json").read_text())
+        payload["vad_enabled"] = False
+        config = tmp_path / "novad.json"
+        config.write_text(json.dumps(payload))
+        ckpt = ("--ckpt", str(trained_run / "best.emic"), "--config", str(config))
+        assert run_cli("evaluate", *ckpt) == 1
+        assert run_cli("evaluate", *ckpt, "--no-ema") == 1
+        err = capsys.readouterr().err
+        assert err.count("emireg: config error: unknown parameter values: ['vad.") == 2
         assert "Traceback" not in err
 
     def test_config_without_dataset_is_config_error(self, trained_run, tmp_path, capsys):

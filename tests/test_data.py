@@ -132,6 +132,53 @@ class TestFeatureFile:
         assert err.value.offset == audio_payload + 4 * 5
 
 
+    def test_read_maps_the_file_instead_of_copying_it(self, rng, tmp_path):
+        path = tmp_path / "big.emif"
+        write_feature_file(
+            path, {"visual": rng.normal(size=(256, 512)), "audio": None, "text": None}
+        )
+        tracemalloc.start()
+        try:
+            back = read_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finite check's bool mask is a quarter of the payload
+        assert peak < path.stat().st_size // 2
+        assert not back["visual"].flags.writeable
+
+    def test_read_without_a_mapping(self, rng, tmp_path, monkeypatch):
+        blocks = random_blocks(rng, absent=("audio",))
+        path = tmp_path / "s.emif"
+        write_feature_file(path, blocks)
+
+        def no_mapping(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(data_module.mmap, "mmap", no_mapping)
+        back = read_feature_file(path)
+        assert back["audio"] is None
+        for m in ("visual", "text"):
+            assert back[m].tobytes() == blocks[m].astype("<f4").tobytes()
+
+    def test_empty_file_is_format_error(self, tmp_path):
+        path = tmp_path / "empty.emif"
+        path.touch()
+        with pytest.raises(FormatError) as err:
+            read_feature_file(path)
+        assert err.value.offset == 0
+
+    def test_rewrite_leaves_blocks_already_read(self, rng, tmp_path):
+        # the file is replaced, not truncated, so a mapping keeps its bytes
+        path = tmp_path / "s.emif"
+        write_feature_file(path, random_blocks(rng))
+        back = read_feature_file(path)
+        before = {m: back[m].tobytes() for m in MODALITIES}
+        write_feature_file(path, {"visual": np.ones((1, 1)), "audio": None, "text": None})
+        assert {m: back[m].tobytes() for m in MODALITIES} == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 class TestPlaceholder:
     def test_absent_text_gets_zero_row(self, rng):
         blocks = random_blocks(rng, absent=("text",))
@@ -438,6 +485,13 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.emic"
         path.write_bytes(b"EMIF\x01\x00")
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 0
+
+    def test_empty_file_is_format_error(self, tmp_path):
+        path = tmp_path / "m.emic"
+        path.touch()
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset == 0

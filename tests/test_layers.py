@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from emireg.errors import ConfigError, NumericError, ShapeError, StateError
-from emireg.layers import Dropout, Linear, adaptive_avg_pool
+from emireg.layers import Dropout, Linear, ParamStore, adaptive_avg_pool
 from emireg.tensor import grad_check, relu, sigmoid
 
 from oracles import adaptive_avg_pool_loop, matmul_loops
+
+
+def stored(layer: Linear) -> Linear:
+    """Put a standalone layer's parameters in a store, which gives them grads."""
+    ParamStore({"weight": layer.weight, "bias": layer.bias})
+    return layer
 
 
 class TestLinear:
@@ -39,7 +45,7 @@ class TestLinear:
         np.testing.assert_allclose(layer.forward(x), expected, rtol=1e-13, atol=1e-15)
 
     def test_zero_upstream_zero_grads(self, rng):
-        layer = Linear(2, 3, rng=rng)
+        layer = stored(Linear(2, 3, rng=rng))
         layer.forward(rng.normal(size=(4, 3)))
         grad_in = layer.backward(np.zeros((4, 2)))
         assert np.array_equal(grad_in, np.zeros((4, 3)))
@@ -48,7 +54,7 @@ class TestLinear:
 
     def test_scalar_chain_rule(self):
         # batch 1, 1-in 1-out: dL/dw = u*x, dL/db = u, dL/dx = u*w
-        layer = Linear(1, 1)
+        layer = stored(Linear(1, 1))
         layer.weight.value[...] = [[2.0]]
         layer.bias.value[...] = [0.5]
         layer.forward(np.array([[3.0]]))
@@ -58,7 +64,7 @@ class TestLinear:
         assert grad_in[0, 0] == 10.0
 
     def test_grad_accumulates_across_backwards(self, rng):
-        layer = Linear(2, 3, rng=rng)
+        layer = stored(Linear(2, 3, rng=rng))
         x = rng.normal(size=(4, 3))
         up = rng.normal(size=(4, 2))
         layer.forward(x)
@@ -71,7 +77,7 @@ class TestLinear:
     def test_backward_without_input_grad(self, rng):
         x = rng.normal(size=(6, 4))
         up = rng.normal(size=(6, 3))
-        full, lean = (Linear(3, 4, rng=np.random.default_rng(5)) for _ in range(2))
+        full, lean = (stored(Linear(3, 4, rng=np.random.default_rng(5))) for _ in range(2))
         full.forward(x)
         lean.forward(x)
         assert full.backward(up).shape == x.shape
@@ -83,6 +89,12 @@ class TestLinear:
         with pytest.raises(StateError):
             Linear(2, 3).backward(np.zeros((1, 2)))
 
+    def test_backward_outside_a_store(self, rng):
+        layer = Linear(2, 3, rng=rng)
+        layer.forward(np.zeros((4, 3)))
+        with pytest.raises(StateError, match="ParamStore"):
+            layer.backward(np.zeros((4, 2)))
+
     def test_shape_errors(self, rng):
         layer = Linear(2, 3, rng=rng)
         with pytest.raises(ShapeError):
@@ -93,7 +105,7 @@ class TestLinear:
 
     def test_gradient_check_weights(self, rng):
         # treat the weight matrix as the variable of a scalar loss sum(c * y)
-        layer = Linear(3, 4, rng=rng)
+        layer = stored(Linear(3, 4, rng=rng))
         x = rng.normal(size=(5, 4))
         c = rng.normal(size=(5, 3))
 
@@ -107,7 +119,7 @@ class TestLinear:
         assert grad_check(f, layer.weight.value.copy()) < 1e-6
 
     def test_gradient_check_input(self, rng):
-        layer = Linear(3, 4, rng=rng)
+        layer = stored(Linear(3, 4, rng=rng))
         c = rng.normal(size=(2, 3))
 
         def f(x):

@@ -16,6 +16,11 @@ def tiny_model(seed=0, **kwargs):
     return Model(**defaults)
 
 
+def param_values(model):
+    """A copy of every parameter value, by name."""
+    return {name: p.value.copy() for name, p in model.parameters().items()}
+
+
 def tiny_features(rng, batch=4, align=8):
     return {m: rng.normal(size=(batch, align, d)) for m, d in TINY_DIMS.items()}
 
@@ -138,7 +143,7 @@ class TestVadPathway:
         with_vad = tiny_model(seed=5)
         without = tiny_model(seed=5, vad_enabled=False)
         # name-keyed init makes the shared parameters identical already
-        shared = without.get_values()
+        shared = param_values(without)
         for name, value in shared.items():
             np.testing.assert_array_equal(with_vad.parameters()[name].value, value)
         feats = tiny_features(rng)
@@ -302,11 +307,11 @@ class TestParameterPlumbing:
             + (3 * h + 3) + (h * 3)  # vad head + injection
             + (h * 3 * h + h) + (6 * h + 6)  # fusion head
         )
-        assert model.param_count() == expected
+        assert model.parameters().value.size == expected
 
     def test_get_set_roundtrip(self, rng):
         model = tiny_model(seed=1)
-        values = model.get_values()
+        values = param_values(model)
         other = tiny_model(seed=9)
         other.set_values(values)
         feats = tiny_features(rng)
@@ -316,20 +321,59 @@ class TestParameterPlumbing:
 
     def test_set_values_rejects_missing(self):
         model = tiny_model()
-        values = model.get_values()
+        values = param_values(model)
         values.pop("fusion.out.bias")
         with pytest.raises(ConfigError):
             model.set_values(values)
 
+    def test_set_values_rejects_unknown(self):
+        # a checkpoint of a VAD model must not load silently into a VAD-free one
+        model = tiny_model(vad_enabled=False)
+        values = param_values(tiny_model(vad_enabled=True))
+        before = model.parameters().value.copy()
+        with pytest.raises(ConfigError, match=r"unknown parameter values: \['vad.head.bias'"):
+            model.set_values(values)
+        assert model.parameters().value.tobytes() == before.tobytes()
+
     def test_set_values_rejects_bad_shape(self):
         model = tiny_model()
-        values = model.get_values()
+        values = param_values(model)
         values["fusion.out.bias"] = np.zeros(7)
         with pytest.raises(ShapeError):
             model.set_values(values)
 
     def test_init_is_seed_deterministic(self, rng):
-        a = tiny_model(seed=21).get_values()
-        b = tiny_model(seed=21).get_values()
+        a = param_values(tiny_model(seed=21))
+        b = param_values(tiny_model(seed=21))
         for name in a:
             assert np.array_equal(a[name], b[name])
+
+
+class TestParamStore:
+    @pytest.mark.parametrize("vad", [True, False])
+    def test_params_are_views_tiling_the_store_in_order(self, vad):
+        def address(a):
+            return a.__array_interface__["data"][0]
+
+        store = tiny_model(vad_enabled=vad).parameters()
+        start = 0
+        for name, p in store.items():
+            for flat, view in ((store.value, p.value), (store.grad, p.grad)):
+                assert view.flags.c_contiguous, name
+                assert address(view) == address(flat) + flat.itemsize * start, name
+                assert np.shares_memory(view, flat), name
+            start += p.value.size
+        assert start == store.value.size == store.grad.size
+
+    def test_zero_grads_clears_every_grad(self, rng):
+        model = tiny_model(seed=4)
+        model.forward(tiny_features(rng), train=False)
+        model.backward(
+            rng.normal(size=(4, 6)),
+            {m: rng.normal(size=(4, 6)) for m in MODALITIES},
+            rng.normal(size=(4, 3)),
+        )
+        assert all(np.any(p.grad != 0.0) for p in model.parameters().values())
+        model.zero_grads()
+        for p in model.parameters().values():
+            assert np.all(p.grad == 0.0)

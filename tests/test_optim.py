@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from emireg.errors import ConfigError, NumericError
-from emireg.layers import Param
+from emireg.layers import Param, ParamStore
+from emireg import optim
+from emireg.model import Model
 from emireg.optim import AdamW, Ema, clip_global_norm, cosine_lr
 
-from oracles import ema_closed_form
+from oracles import adamw_step_loop, clip_global_norm_loop, ema_closed_form, ema_update_loop
+from support import SMALL_DIMS
 
 
 def _params(rng, shapes=((3, 4), (5,))):
-    return {f"p{i}": Param(rng.normal(size=s)) for i, s in enumerate(shapes)}
+    return ParamStore({f"p{i}": Param(rng.normal(size=s)) for i, s in enumerate(shapes)})
 
 
 class TestClipGlobalNorm:
@@ -26,8 +29,9 @@ class TestClipGlobalNorm:
 
     def test_factor_half(self):
         p = Param(np.zeros(4))
+        params = ParamStore({"p": p})
         p.grad[...] = 1.0  # norm 2.0
-        factor, norm = clip_global_norm({"p": p}, 1.0)
+        factor, norm = clip_global_norm(params, 1.0)
         assert norm == 2.0
         assert factor == 0.5
         assert np.all(p.grad == 0.5)
@@ -43,9 +47,10 @@ class TestClipGlobalNorm:
 
     def test_non_finite_norm(self):
         p = Param(np.zeros(2))
+        params = ParamStore({"p": p})
         p.grad[...] = np.inf
         with pytest.raises(NumericError):
-            clip_global_norm({"p": p}, 1.0)
+            clip_global_norm(params, 1.0)
 
 
 class TestAdamW:
@@ -61,14 +66,14 @@ class TestAdamW:
     def test_hand_evaluated_first_step(self):
         # theta=0, g=1, wd=0, lr=0.1: bias-corrected m=1, v=1 -> theta ~ -0.1
         p = Param(np.zeros(1))
+        opt = AdamW(ParamStore({"p": p}), weight_decay=0.0)
         p.grad[...] = 1.0
-        opt = AdamW({"p": p}, weight_decay=0.0)
         opt.step(0.1)
         assert p.value[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_decay_only_shrinks_geometrically(self):
         p = Param(np.full(3, 2.0))
-        opt = AdamW({"p": p}, weight_decay=0.01)
+        opt = AdamW(ParamStore({"p": p}), weight_decay=0.01)
         for _ in range(4):
             opt.step(0.5)
         expected = 2.0 * (1 - 0.5 * 0.01) ** 4
@@ -84,10 +89,19 @@ class TestAdamW:
     def test_decoupled_decay_ignores_gradient_scaling(self, rng):
         # with g=0 the update reduces to pure decay regardless of moments
         p = Param(np.array([4.0]))
-        opt = AdamW({"p": p}, weight_decay=0.1)
+        opt = AdamW(ParamStore({"p": p}), weight_decay=0.1)
         p.grad[...] = 0.0
         opt.step(0.2)
         assert p.value[0] == pytest.approx(4.0 * (1 - 0.2 * 0.1), rel=1e-12)
+
+    def test_non_finite_step_names_the_first_bad_tensor(self, rng):
+        params = _params(rng, shapes=((3, 4), (5,), (2, 2)))
+        params["p1"].grad[2] = np.nan
+        params["p2"].grad[0, 1] = np.nan
+        with pytest.raises(
+            NumericError, match=r"^non-finite parameter 'p1' after optimizer step$"
+        ):
+            AdamW(params).step(1e-3)
 
     def test_negative_lr_rejected(self, rng):
         opt = AdamW(_params(rng))
@@ -122,9 +136,9 @@ class TestCosineLr:
 class TestEma:
     def test_paper_decay_single_update(self):
         p = Param(np.array([0.0]))
-        ema = Ema({"p": p}, decay=0.999)
+        ema = Ema(ParamStore({"p": p}), decay=0.999)
         ema.shadows["p"][...] = 1.0
-        ema.update({"p": p})
+        ema.update()
         assert ema.shadows["p"][0] == pytest.approx(0.999, abs=1e-15)
 
     def test_decay_zero_tracks_params(self, rng):
@@ -132,7 +146,7 @@ class TestEma:
         ema = Ema(params, decay=0.0)
         for p in params.values():
             p.value[...] = rng.normal(size=p.value.shape)
-        ema.update(params)
+        ema.update()
         for k, p in params.items():
             assert np.array_equal(ema.shadows[k], p.value)
 
@@ -143,19 +157,19 @@ class TestEma:
         for _ in range(3):
             for p in params.values():
                 p.value[...] += 1.0
-            ema.update(params)
+            ema.update()
         for k in params:
             assert np.array_equal(ema.shadows[k], initial[k])
 
     def test_matches_closed_form_recursion(self, rng):
         p = Param(rng.normal(size=(4, 3)))
         initial = p.value.copy()
-        ema = Ema({"p": p}, decay=0.9)
+        ema = Ema(ParamStore({"p": p}), decay=0.9)
         history = []
         for _ in range(50):
             p.value[...] = rng.normal(size=(4, 3))
             history.append(p.value.copy())
-            ema.update({"p": p})
+            ema.update()
         expected = ema_closed_form(initial, history, 0.9)
         np.testing.assert_allclose(ema.shadows["p"], expected, atol=1e-12)
 
@@ -169,3 +183,49 @@ class TestEma:
     def test_invalid_decay(self, rng):
         with pytest.raises(ConfigError):
             Ema(_params(rng), decay=1.5)
+
+
+class TestFlatUpdatesMatchPerTensorLoops:
+    @pytest.mark.parametrize("vad", [True, False])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_byte_equal_over_steps(self, vad, weight_decay, block, monkeypatch):
+        if block is not None:
+            # AdamW blocks that cut across tensors, with a short last block
+            monkeypatch.setattr(optim, "_BLOCK", block)
+        rng = np.random.default_rng(77)
+        model = Model(SMALL_DIMS, hidden_dim=8, align_len=16, vad_enabled=vad, seed=3)
+        store = model.parameters()
+        opt = AdamW(store, weight_decay=weight_decay)
+        ema = Ema(store, decay=0.9)
+        values = {n: p.value.copy() for n, p in store.items()}
+        shadows = {n: p.value.copy() for n, p in store.items()}
+        m = {n: np.zeros(p.shape) for n, p in store.items()}
+        v = {n: np.zeros(p.shape) for n, p in store.items()}
+        for t in range(1, 7):
+            # large grads on even steps make the clip fire
+            scale = 10.0 if t % 2 == 0 else 1e-3
+            grads = {n: rng.normal(size=p.shape) * scale for n, p in store.items()}
+            model.zero_grads()
+            for n, p in store.items():
+                p.grad += grads[n]
+            factor, norm = clip_global_norm(store, 1.0)
+            assert (factor, norm) == clip_global_norm_loop(grads, 1.0)
+            assert (factor != 1.0) == (t % 2 == 0)
+            opt.step(1e-2)
+            adamw_step_loop(values, grads, m, v, t, 1e-2, weight_decay)
+            ema.update()
+            ema_update_loop(shadows, values, 0.9)
+            for flat, want in (
+                (store.value, values),
+                (store.grad, grads),
+                (opt.m, m),
+                (opt.v, v),
+                (ema.value, shadows),
+            ):
+                got = store.views(flat)
+                assert list(got) == list(want)
+                for n in want:
+                    assert got[n].tobytes() == want[n].tobytes(), (t, n)
+            for n in shadows:
+                assert ema.shadows[n].tobytes() == shadows[n].tobytes(), (t, n)

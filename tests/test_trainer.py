@@ -11,10 +11,14 @@ from emireg.data import MANIFEST_NAME, ManifestRow, write_feature_file, write_ma
 from emireg.cli import main
 from emireg.errors import ConfigError, DataError, NumericError
 from emireg.optim import cosine_lr
+from emireg import data
 from emireg.train import (
     ABLATION_CELLS,
     RunRecord,
     TrainConfig,
+    _eval_with_values,
+    _forward_batches,
+    _score,
     ablate,
     cell_config,
     evaluate_checkpoint,
@@ -142,6 +146,23 @@ class TestTrainLoop:
         assert np.mean(last_epoch) < np.mean(first_epoch)
         assert record.stop_reason == "completed"
         assert len(record.evals) == 10
+
+    def test_eval_with_values_restores_raw_values(self, small_dataset, tmp_path, rng):
+        cfg = small_config(small_dataset, tmp_path / "run")
+        batches = data.make_batches(
+            data.load_split(Path(small_dataset) / MANIFEST_NAME, "val", cfg.dims),
+            cfg.batch_size, cfg.align_len, shuffle=False,
+        )
+        model = cfg.build_model()
+        raw = model.parameters().value.copy()
+        shadow = raw + rng.normal(0.0, 0.1, raw.shape)
+        report = _eval_with_values(model, shadow, batches)
+        assert model.parameters().value.tobytes() == raw.tobytes()
+        # the report is that of a model that holds the swapped-in values
+        other = cfg.build_model()
+        other.parameters().value[...] = shadow
+        _, preds, _, targets = _forward_batches(other, batches)
+        assert report.to_dict() == _score(preds, targets).to_dict()
 
     def test_determinism_bit_identical(self, small_dataset, tmp_path):
         runs = []
