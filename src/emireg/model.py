@@ -1,12 +1,14 @@
 """The full network: three modality branches, VAD audio pathway, fusion, head.
 
 The architecture is a fixed DAG, so the backward pass is written as an
-explicit reverse traversal instead of a tape. Parameter initialization is
-keyed by parameter name, which makes shared layers start identically across
-configurations that add or remove the VAD pathway; then the parameters move
-into one flat store (see the parameter plumbing section). The fusion modes and
-the activations are defined here, once; the config and the CLI read these
-tables.
+explicit reverse traversal instead of a tape. Each layer is named once, where
+it is built: the name keys its initialization stream, which makes shared
+layers start identically across configurations that add or remove the VAD
+pathway, and it prefixes the layer's entries in the one flat parameter store,
+whose order is construction order. Only a training forward keeps a record of
+its activations for ``backward``; an eval forward keeps none. The fusion
+modes and the activations are defined here, once; the config and the CLI read
+these tables.
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ class ForwardOutputs:
     z: dict[str, Array]
     z_audio_main: Array
     z_fus: Array
+
+
+@dataclass
+class _TrainRecord:
+    """What a training forward keeps for ``backward``: its outputs and activations."""
+
+    out: ForwardOutputs
+    pre: dict[str, Array]  # per branch, [batch x align x hidden]
+    act: dict[str, Array]
+    h_pre: Array
+    h_act: Array
+    aux_logits: dict[str, Array]
 
 
 def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
@@ -132,33 +146,37 @@ class Model:
         self.align_len = align_len
         self.fused_dim = 3 * hidden_dim if fusion == "concat" else hidden_dim
 
+        named: dict[str, Param] = {}
+
+        def linear(name: str, out_dim: int, in_dim: int, zero: bool = False) -> Linear:
+            """A Linear whose params enter the store as ``name.weight``/``name.bias``."""
+            if zero:
+                layer = Linear(out_dim, in_dim, bias=False)
+            else:
+                layer = Linear(out_dim, in_dim, rng=_init_rng(seed, name))
+            named[f"{name}.weight"] = layer.weight
+            if layer.bias is not None:
+                named[f"{name}.bias"] = layer.bias
+            return layer
+
         dropout_rng = seeded_rng(seed, _DROPOUT_STREAM)
-        self.proj = {
-            m: Linear(hidden_dim, dims[m], rng=_init_rng(seed, f"{m}.proj"))
-            for m in MODALITIES
-        }
+        self.proj = {m: linear(f"{m}.proj", hidden_dim, dims[m]) for m in MODALITIES}
         self.drop = {m: Dropout(dropout, dropout_rng) for m in MODALITIES}
-        self.aux_head = {
-            m: Linear(N_TARGETS, hidden_dim, rng=_init_rng(seed, f"{m}.aux"))
-            for m in MODALITIES
-        }
+        self.aux_head = {m: linear(f"{m}.aux", N_TARGETS, hidden_dim) for m in MODALITIES}
         if vad_enabled:
-            self.vad_head = Linear(VAD_DIM, hidden_dim, rng=_init_rng(seed, "vad.head"))
+            self.vad_head = linear("vad.head", VAD_DIM, hidden_dim)
             # zero start keeps the injection inert until training engages it
-            self.inj = Linear(hidden_dim, VAD_DIM, bias=False)
+            self.inj = linear("vad.inj", hidden_dim, VAD_DIM, zero=True)
         else:
             self.vad_head = None
             self.inj = None
-        self.fusion_hidden = Linear(
-            hidden_dim, self.fused_dim, rng=_init_rng(seed, "fusion.hidden")
-        )
+        self.fusion_hidden = linear("fusion.hidden", hidden_dim, self.fused_dim)
         self.fusion_drop = Dropout(dropout, dropout_rng)
-        self.fusion_out = Linear(
-            N_TARGETS, hidden_dim, rng=_init_rng(seed, "fusion.out")
-        )
-        self._cache: dict | None = None
+        self.fusion_out = linear("fusion.out", N_TARGETS, hidden_dim)
+        # the last training forward's record, or None
+        self._cache: _TrainRecord | None = None
         # after the name-keyed initialization, so every value keeps its bits
-        self._params = ParamStore(self._named_params())
+        self._params = ParamStore(named)
 
     # -- parameter plumbing ------------------------------------------------
     #
@@ -166,27 +184,8 @@ class Model:
     # the optimizer, EMA, clipping and zeroing each make one pass over flat
     # vectors. A Param must be written in place, never rebound.
 
-    def _named_params(self) -> dict[str, Param]:
-        """Named parameters in a fixed, reproducible order."""
-        out: dict[str, Param] = {}
-        for m in MODALITIES:
-            out[f"{m}.proj.weight"] = self.proj[m].weight
-            out[f"{m}.proj.bias"] = self.proj[m].bias
-        for m in MODALITIES:
-            out[f"{m}.aux.weight"] = self.aux_head[m].weight
-            out[f"{m}.aux.bias"] = self.aux_head[m].bias
-        if self.vad_enabled:
-            out["vad.head.weight"] = self.vad_head.weight
-            out["vad.head.bias"] = self.vad_head.bias
-            out["vad.inj.weight"] = self.inj.weight
-        out["fusion.hidden.weight"] = self.fusion_hidden.weight
-        out["fusion.hidden.bias"] = self.fusion_hidden.bias
-        out["fusion.out.weight"] = self.fusion_out.weight
-        out["fusion.out.bias"] = self.fusion_out.bias
-        return out
-
     def parameters(self) -> ParamStore:
-        """The named parameters, in ``_named_params`` order, as one flat store."""
+        """The named parameters, in construction order, as one flat store."""
         return self._params
 
     def zero_grads(self) -> None:
@@ -213,9 +212,15 @@ class Model:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, features: dict[str, Array], train: bool) -> ForwardOutputs:
-        """Run the whole network on pooled features [batch x align x dim]."""
-        cache: dict = {"train": train}
+        """Run the whole network on pooled features [batch x align x dim].
+
+        Only with ``train`` does the model keep a record of the pass for
+        ``backward``; any other forward drops the record it held.
+        """
+        self._cache = None
         batch = None
+        pre: dict[str, Array] = {}
+        act: dict[str, Array] = {}
         z: dict[str, Array] = {}
         for m in MODALITIES:
             x = as_tensor(features[m])
@@ -235,58 +240,37 @@ class Model:
             elif x.shape[0] != batch:
                 raise ShapeError(f"modalities disagree on batch size at {m}")
             flat = x.reshape(batch * self.align_len, self.dims[m])
-            pre = self.proj[m].forward(flat).reshape(
+            pre[m] = self.proj[m].forward(flat).reshape(
                 batch, self.align_len, self.hidden_dim
             )
-            act = self._act(pre)
-            dropped = self.drop[m].forward(act, train)
-            z[m] = dropped.mean(axis=1)
-            cache[m] = {"pre": pre, "act": act}
+            act[m] = self._act(pre[m])
+            z[m] = self.drop[m].forward(act[m], train).mean(axis=1)
 
         z_audio_main = z["audio"]
+        v_hat = None
         if self.vad_enabled:
-            a_mean = cache["audio"]["pre"].mean(axis=1)
-            v_logits = self.vad_head.forward(a_mean)
-            v_hat = sigmoid(v_logits)
+            v_hat = sigmoid(self.vad_head.forward(pre["audio"].mean(axis=1)))
             z["audio"] = z_audio_main + self.inj.forward(v_hat)
-            cache["vad"] = {"v_hat": v_hat}
-        else:
-            v_hat = None
 
         z_fus = fuse(z["visual"], z["audio"], z["text"], self.fusion)
         h_pre = self.fusion_hidden.forward(z_fus)
         h_act = self._act(h_pre)
-        h_drop = self.fusion_drop.forward(h_act, train)
-        y_logits = self.fusion_out.forward(h_drop)
+        y_logits = self.fusion_out.forward(self.fusion_drop.forward(h_act, train))
         y_hat = self._out_act(y_logits)
+        aux_logits = {m: self.aux_head[m].forward(z[m]) for m in MODALITIES}
 
-        aux: dict[str, Array] = {}
-        aux_logits: dict[str, Array] = {}
-        for m in MODALITIES:
-            aux_logits[m] = self.aux_head[m].forward(z[m])
-            aux[m] = self._out_act(aux_logits[m])
-
-        cache.update(
-            batch=batch,
-            z=z,
-            z_audio_main=z_audio_main,
-            h_pre=h_pre,
-            h_act=h_act,
-            y_logits=y_logits,
-            y_hat=y_hat,
-            aux_logits=aux_logits,
-            aux=aux,
-        )
-        self._cache = cache
-        return ForwardOutputs(
+        out = ForwardOutputs(
             y_hat=y_hat,
             y_logits=y_logits,
-            aux=aux,
+            aux={m: self._out_act(aux_logits[m]) for m in MODALITIES},
             v_hat=v_hat,
-            z=dict(z),
+            z=z,
             z_audio_main=z_audio_main,
             z_fus=z_fus,
         )
+        if train:
+            self._cache = _TrainRecord(out, pre, act, h_pre, h_act, aux_logits)
+        return out
 
     def backward(
         self,
@@ -294,21 +278,22 @@ class Model:
         d_aux: dict[str, Array],
         d_v_hat: Array | None = None,
     ) -> None:
-        """Reverse traversal of the forward DAG; accumulates parameter grads.
+        """Reverse traversal of the last training forward; accumulates parameter grads.
 
         Returns None: the pooled input features are not learned, so the
         projections form no input gradient. ``d_v_hat`` carries the direct
         regularizer gradient on the latent VAD vector.
         """
-        if self._cache is None:
-            raise StateError("model backward called before forward")
-        c = self._cache
-        batch = c["batch"]
+        rec = self._cache
+        if rec is None:
+            raise StateError("model backward needs a training forward first")
+        out = rec.out
+        batch = out.y_hat.shape[0]
 
-        d_y_logits = self._out_act_grad(c["y_logits"], c["y_hat"], as_tensor(d_y_hat))
+        d_y_logits = self._out_act_grad(out.y_logits, out.y_hat, as_tensor(d_y_hat))
         d_h_drop = self.fusion_out.backward(d_y_logits)
         d_h_act = self.fusion_drop.backward(d_h_drop)
-        d_h_pre = self._act_grad(c["h_pre"], c["h_act"], d_h_act)
+        d_h_pre = self._act_grad(rec.h_pre, rec.h_act, d_h_act)
         d_z = unfuse_grad(
             self.fusion_hidden.backward(d_h_pre), self.hidden_dim, self.fusion
         )
@@ -317,27 +302,26 @@ class Model:
             up = d_aux.get(m) if d_aux else None
             if up is None:
                 continue
-            d_logits = self._out_act_grad(c["aux_logits"][m], c["aux"][m], as_tensor(up))
+            d_logits = self._out_act_grad(rec.aux_logits[m], out.aux[m], as_tensor(up))
             d_z[m] = d_z[m] + self.aux_head[m].backward(d_logits)
 
         d_a_rows = None
         if self.vad_enabled:
-            v_hat = c["vad"]["v_hat"]
             d_v_total = self.inj.backward(d_z["audio"])
             if d_v_hat is not None:
                 d_v_total = d_v_total + as_tensor(d_v_hat)
-            d_v_logits = d_v_total * sigmoid_grad_from_output(v_hat)
+            d_v_logits = d_v_total * sigmoid_grad_from_output(out.v_hat)
             # mean over time: every projected row shares the pooled gradient
             d_a_rows = (self.vad_head.backward(d_v_logits) / self.align_len)[:, None, :]
 
         for m in MODALITIES:
-            # [batch x 1 x h] broadcasts over time against the cached [batch x T x h]
+            # [batch x 1 x h] broadcasts over time against the recorded [batch x T x h]
             d_act = self.drop[m].backward(d_z[m][:, None, :] / self.align_len)
-            d_pre = self._act_grad(c[m]["pre"], c[m]["act"], d_act)
+            d_pre = self._act_grad(rec.pre[m], rec.act[m], d_act)
             if m == "audio" and d_a_rows is not None:
                 d_pre = d_pre + d_a_rows
             # still [batch x 1 x h] after the identity activation without dropout
-            d_pre = np.broadcast_to(d_pre, c[m]["pre"].shape)
+            d_pre = np.broadcast_to(d_pre, rec.pre[m].shape)
             self.proj[m].backward(
                 d_pre.reshape(batch * self.align_len, self.hidden_dim), input_grad=False
             )

@@ -51,6 +51,11 @@ def cosine_lr(t: float, total: int, eta0: float, eta_min: float = 0.0) -> float:
 # per pass.
 _BLOCK = 1 << 15
 
+# Adam's moment decays and denominator guard (Kingma and Ba's defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 def _blocks(size: int):
     """Slices of ``_BLOCK`` elements that tile a flat vector of ``size``."""
@@ -66,19 +71,9 @@ class AdamW:
     block over the flat vectors.
     """
 
-    def __init__(
-        self,
-        params: ParamStore,
-        weight_decay: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: ParamStore, weight_decay: float = 1e-4):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params.value)
         self.v = np.zeros_like(params.value)
@@ -87,8 +82,8 @@ class AdamW:
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         value, grad = self.params.value, self.params.grad
         for s in _blocks(value.size):
             self._update(value[s], grad[s], self.m[s], self.v[s], lr, bc1, bc2)
@@ -100,11 +95,11 @@ class AdamW:
 
     def _update(self, value, g, m, v, lr: float, bc1: float, bc2: float) -> None:
         """Update one block in place, operation for operation as the per-tensor form."""
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         if self.weight_decay != 0.0:
             update = update + self.weight_decay * value
         value -= lr * update

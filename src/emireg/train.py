@@ -228,8 +228,12 @@ def _forward_batches(
 def _score(preds: Array, targets: Array) -> EvalReport:
     """The metric over the rows whose targets are not the all -1 sentinel."""
     keep = ~np.all(targets == -1.0, axis=1)
-    if not np.any(keep):
-        raise DataError("evaluation split has only sentinel targets")
+    scored = int(np.count_nonzero(keep))
+    if scored < 2:
+        raise DataError(
+            f"evaluation split has {scored} row(s) without sentinel targets; "
+            "the metric needs at least 2"
+        )
     return mean_pcc(preds[keep], targets[keep])
 
 
@@ -261,6 +265,10 @@ def train(config: TrainConfig) -> RunRecord:
     manifest = Path(config.data_dir) / data.MANIFEST_NAME
     train_samples = data.load_split(manifest, "train", config.dims)
     val_samples = data.load_split(manifest, "val", config.dims)
+    if len(val_samples) < 2:
+        raise DataError(
+            f"val split has {len(val_samples)} row(s); the metric needs at least 2"
+        )
     val_batches = data.make_batches(
         val_samples, config.batch_size, config.align_len, shuffle=False
     )
@@ -485,7 +493,9 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
     base.validate()
     if base.run_dir is None:
         raise ConfigError("config.run_dir is required for the ablation grid")
-    seeds = list(seeds) if seeds else [base.seed]
+    seeds = [base.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ConfigError("ablate needs at least one seed")
     grid_dir = Path(base.run_dir)
     grid_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []

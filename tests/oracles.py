@@ -153,13 +153,14 @@ def dataset_mean_features(samples):
 def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
     """Parameter gradients of a model's last forward, by explicit row gradients.
 
-    Reverses the forward from its cache and dropout masks (hidden relu or
-    identity, sigmoid outputs). Each branch's time-mean adjoint is built as
-    an explicit [B*T x h] array with ``np.repeat``. Grads start at zero and
-    receive one sum each, as the model's accumulators do.
+    Reverses the forward from its training record and dropout masks (hidden
+    relu or identity, sigmoid outputs). Each branch's time-mean adjoint is
+    built as an explicit [B*T x h] array with ``np.repeat``. Grads start at
+    zero and receive one sum each, as the model's accumulators do.
     """
-    c = model._cache
-    rows = (c["batch"] * model.align_len, model.hidden_dim)
+    rec = model._cache
+    out = rec.out
+    rows = (out.y_hat.shape[0] * model.align_len, model.hidden_dim)
     grads = {}
 
     def act_back(pre, up):
@@ -184,9 +185,9 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
             d_mean[:, None, :] / model.align_len, model.align_len, axis=1
         ).reshape(rows)
 
-    d_y_logits = sigmoid_back(c["y_hat"], d_y_hat)
+    d_y_logits = sigmoid_back(out.y_hat, d_y_hat)
     d_h_drop = linear_back("fusion.out", model.fusion_out, d_y_logits)
-    d_h_pre = act_back(c["h_pre"], drop_back(model.fusion_drop, d_h_drop))
+    d_h_pre = act_back(rec.h_pre, drop_back(model.fusion_drop, d_h_drop))
     d_fused = linear_back("fusion.hidden", model.fusion_hidden, d_h_pre)
     h = model.hidden_dim
     d_z = {}
@@ -196,17 +197,17 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
         else:
             d_z[m] = d_fused / 3.0
         if m in d_aux:
-            d_logits = sigmoid_back(c["aux"][m], d_aux[m])
+            d_logits = sigmoid_back(out.aux[m], d_aux[m])
             d_z[m] = d_z[m] + linear_back(f"{m}.aux", model.aux_head[m], d_logits)
     if model.vad_enabled:
         d_v = linear_back("vad.inj", model.inj, d_z["audio"])
         if d_v_hat is not None:
             d_v = d_v + d_v_hat
-        d_v_logits = sigmoid_back(c["vad"]["v_hat"], d_v)
+        d_v_logits = sigmoid_back(out.v_hat, d_v)
         d_a_mean = linear_back("vad.head", model.vad_head, d_v_logits)
     for m in ("visual", "audio", "text"):
         d_act = drop_back(model.drop[m], time_mean_back(d_z[m]))
-        d_pre = act_back(c[m]["pre"].reshape(rows), d_act)
+        d_pre = act_back(rec.pre[m].reshape(rows), d_act)
         if m == "audio" and model.vad_enabled:
             d_pre = d_pre + time_mean_back(d_a_mean)
         linear_back(f"{m}.proj", model.proj[m], d_pre)

@@ -31,16 +31,17 @@ def small_config(data_dir, run_dir, **overrides) -> TrainConfig:
 def param_loss_fn(model, features, targets, weights):
     """Build f(theta_vec) -> (total loss, grad_vec) over all parameters.
 
-    The vector is the model's flat parameter store. Forward runs in eval mode
-    so dropout stays out of the picture; gradients still flow through the
-    identity dropout.
+    The vector is the model's flat parameter store. Forward runs in training
+    mode, which keeps the record ``backward`` reads; the models here have
+    dropout 0, so the pass is the eval-mode one and gradients flow through
+    the identity dropout.
     """
     params = model.parameters()
 
     def f(vec):
         params.value[...] = vec
         model.zero_grads()
-        out = model.forward(features, train=False)
+        out = model.forward(features, train=True)
         breakdown, grads = total_loss(
             out.y_hat, targets, out.aux, out.v_hat, weights
         )
@@ -52,9 +53,9 @@ def param_loss_fn(model, features, targets, weights):
 
 def min_preactivation(model, features):
     """Smallest |pre-activation| the relu layers saw on this input."""
-    model.forward(features, train=False)
-    cache = model._cache
-    pres = [cache[m]["pre"] for m in TINY_DIMS] + [cache["h_pre"]]
+    model.forward(features, train=True)
+    rec = model._cache
+    pres = [rec.pre[m] for m in TINY_DIMS] + [rec.h_pre]
     return min(float(np.min(np.abs(p))) for p in pres)
 
 

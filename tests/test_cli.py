@@ -24,6 +24,15 @@ def run_cli(*argv):
 
 
 @pytest.fixture()
+def one_row_val(tmp_path):
+    """A dataset whose val split holds one row, too few for the metric."""
+    out = tmp_path / "one-row-val"
+    assert run_cli("gen-synth", "--n", "7", "--dims", DIMS_FLAG, "--out", str(out)) == 0
+    assert sum(r.split == "val" for r in load_manifest(out / MANIFEST_NAME)) == 1
+    return out
+
+
+@pytest.fixture()
 def trained_run(small_dataset, tmp_path):
     run_dir = tmp_path / "run"
     code = run_cli(
@@ -205,6 +214,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "data error" in err and "non-finite value in visual" in err
 
+    def test_one_row_val_split_is_data_error(self, one_row_val, tmp_path, capsys):
+        run_dir = tmp_path / "r"
+        code = run_cli(
+            "train", "--data", str(one_row_val), "--run-dir", str(run_dir),
+            "--epochs", "2", "--hidden-dim", "8", "--align-len", "16",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "emireg: data error: val split has 1 row(s)" in err
+        assert not (run_dir / "log.jsonl").exists()
+
     def test_help_lists_paper_defaults(self, capsys):
         assert run_cli("train", "--help") == 0
         text = capsys.readouterr().out
@@ -270,6 +290,16 @@ class TestEvaluate:
         # predict needs only a manifest
         assert run_cli("predict", *ckpt, *out, "--manifest", manifest) == 0
 
+    def test_one_row_split_is_data_error(self, trained_run, one_row_val, capsys):
+        code = run_cli(
+            "evaluate", "--ckpt", str(trained_run / "best.emic"),
+            "--data", str(one_row_val), "--split", "val",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "emireg: data error: evaluation split has 1 row(s)" in err
+        assert "Traceback" not in err
+
     def test_non_finite_checkpoint_is_data_error(self, trained_run, capsys):
         ckpt = trained_run / "best.emic"
         raw = bytearray(ckpt.read_bytes())
@@ -323,6 +353,18 @@ class TestAblate:
         assert stdout_lines[0].startswith("fusion,objective,vad")
         assert len(list(grid_dir.glob("*/log.jsonl"))) == 8
 
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_is_usage_error(self, small_dataset, tmp_path, capsys, seeds):
+        grid_dir = tmp_path / "grid"
+        code = run_cli(
+            "ablate", "--data", str(small_dataset), "--run-dir", str(grid_dir),
+            "--hidden-dim", "8", "--epochs", "1", "--align-len", "16",
+            "--seeds", seeds,
+        )
+        assert code == 1
+        assert "emireg: config error: ablate needs at least one seed" in capsys.readouterr().err
+        assert not grid_dir.exists()
 
 class TestInspect:
     def test_feature_file_header(self, small_dataset, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,8 @@ class TestVadPathway:
         model = tiny_model()
         model.inj.weight.value[...] = rng.normal(size=(6, 3)) * 0.3
         feats = tiny_features(rng)
-        out = model.forward(feats, train=False)
-        pre = model._cache["audio"]["pre"].reshape(4, 8, 6)
+        out = model.forward(feats, train=True)  # dropout 0: the eval pass, recorded
+        pre = model._cache.pre["audio"].reshape(4, 8, 6)
         a_mean = pre.mean(axis=1)
         v_expected = sigmoid(a_mean @ model.vad_head.weight.value.T + model.vad_head.bias.value)
         np.testing.assert_allclose(out.v_hat, v_expected, atol=1e-12)
@@ -190,6 +192,24 @@ class TestModelForward:
         assert np.array_equal(a.y_hat, b.y_hat)
         assert np.array_equal(a.v_hat, b.v_hat)
 
+    def test_eval_forward_keeps_nothing(self, rng):
+        batch, align, hidden = 4, 64, 32
+        model = tiny_model(hidden_dim=hidden, align_len=align)
+        feats = tiny_features(rng, batch=batch, align=align)
+        model.forward(feats, train=True)
+        model.forward(feats, train=False)  # warm numpy's own caches
+        tracemalloc.start()
+        try:
+            out = model.forward(feats, train=False)
+            assert out.z["visual"].shape == (batch, hidden)
+            del out
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        branch_activation = batch * align * hidden * 8
+        assert kept < branch_activation, kept
+        assert model._cache is None
+
     def test_train_dropout_changes_outputs(self, rng):
         model = tiny_model(seed=2, dropout=0.5)
         feats = tiny_features(rng)
@@ -230,9 +250,23 @@ class TestModelBackward:
         with pytest.raises(StateError):
             model.backward(np.zeros((4, 6)), {}, None)
 
+    def test_backward_after_eval_forward_raises(self, rng):
+        model = tiny_model(seed=4)
+        feats = tiny_features(rng)
+        model.forward(feats, train=False)
+        with pytest.raises(StateError):
+            model.backward(np.zeros((4, 6)), {}, None)
+        # an eval forward also drops the record of an earlier training forward
+        model.forward(feats, train=True)
+        model.forward(feats, train=False)
+        model.zero_grads()
+        with pytest.raises(StateError):
+            model.backward(np.ones((4, 6)), {}, None)
+        assert np.all(model.parameters().grad == 0.0)
+
     def test_zero_upstream_zero_grads(self, rng):
         model = tiny_model()
-        model.forward(tiny_features(rng), train=False)
+        model.forward(tiny_features(rng), train=True)
         model.zero_grads()
         model.backward(
             np.zeros((4, 6)),
@@ -244,7 +278,7 @@ class TestModelBackward:
 
     def test_no_aux_upstream_zeroes_aux_grads(self, rng):
         model = tiny_model(seed=4)
-        model.forward(tiny_features(rng), train=False)
+        model.forward(tiny_features(rng), train=True)
         model.zero_grads()
         model.backward(rng.normal(size=(4, 6)), {}, None)
         for m in MODALITIES:
@@ -253,20 +287,26 @@ class TestModelBackward:
 
     @pytest.mark.parametrize("fusion", ["concat", "average"])
     @pytest.mark.parametrize("vad", [True, False])
+    # each id says whether dropout is active
     @pytest.mark.parametrize(
-        "train,activation", [(True, "relu"), (False, "relu"), (False, "identity")]
+        "dropout,activation",
+        [
+            pytest.param(0.2, "relu", id="True-relu"),
+            pytest.param(0.0, "relu", id="False-relu"),
+            pytest.param(0.0, "identity", id="False-identity"),
+        ],
     )
-    def test_param_grads_match_repeated_rows(self, rng, fusion, vad, train, activation):
+    def test_param_grads_match_repeated_rows(self, rng, fusion, vad, dropout, activation):
         model = tiny_model(
             seed=3,
-            dropout=0.2,
+            dropout=dropout,
             vad_enabled=vad,
             fusion=fusion,
             hidden_activation=activation,
         )
         if vad:  # engage the injection path, which starts at zero
             model.inj.weight.value[...] = rng.normal(0.0, 0.3, model.inj.weight.shape)
-        model.forward(tiny_features(rng), train=train)
+        model.forward(tiny_features(rng), train=True)
         d_y_hat = rng.normal(size=(4, 6))
         d_aux = {m: rng.normal(size=(4, 6)) for m in MODALITIES}
         d_v_hat = rng.normal(size=(4, 3)) if vad else None
@@ -365,9 +405,28 @@ class TestParamStore:
             start += p.value.size
         assert start == store.value.size == store.grad.size
 
+    @pytest.mark.parametrize("vad", [True, False])
+    def test_parameter_order_is_the_checkpoint_order(self, vad):
+        # the checkpoint's tensor order
+        names = [
+            "visual.proj.weight", "visual.proj.bias",
+            "audio.proj.weight", "audio.proj.bias",
+            "text.proj.weight", "text.proj.bias",
+            "visual.aux.weight", "visual.aux.bias",
+            "audio.aux.weight", "audio.aux.bias",
+            "text.aux.weight", "text.aux.bias",
+        ]
+        if vad:
+            names += ["vad.head.weight", "vad.head.bias", "vad.inj.weight"]
+        names += [
+            "fusion.hidden.weight", "fusion.hidden.bias",
+            "fusion.out.weight", "fusion.out.bias",
+        ]
+        assert list(tiny_model(vad_enabled=vad).parameters()) == names
+
     def test_zero_grads_clears_every_grad(self, rng):
         model = tiny_model(seed=4)
-        model.forward(tiny_features(rng), train=False)
+        model.forward(tiny_features(rng), train=True)
         model.backward(
             rng.normal(size=(4, 6)),
             {m: rng.normal(size=(4, 6)) for m in MODALITIES},
