@@ -33,6 +33,14 @@ targets into ``[N x 6]``. ``make_batches`` returns a :class:`Batches`
 sequence that builds each batch when it is indexed: a slice of those blocks
 (views, in manifest order) or one gather per modality (a copy, shuffled), so
 a shuffled epoch holds one batch's copy, not a second copy of the split.
+
+The pooled blocks are held by every :class:`Batches` made from them (and by
+the split's cache while the split lives); no :class:`Batches` refers to the
+split or its samples. A caller that keeps only the manifest-order
+:class:`Batches` lets the raw sequences and their file mappings go once the
+split is pooled, and draws each epoch's order from it with
+:meth:`Batches.shuffled`: one ``rng.permutation`` over the rows, the same
+one ``make_batches(shuffle=True)`` draws.
 """
 
 from __future__ import annotations
@@ -149,7 +157,8 @@ class Batches(Sequence):
     ``rows[i]`` selects batch ``i``'s samples: a slice, which gives views of
     the pooled blocks, or an index array, which gives one gather per block.
     Indexing again rebuilds the same batch, so the sequence can be iterated
-    any number of times.
+    any number of times. The pooled blocks, ids and targets are the only
+    data held; :meth:`shuffled` shares them with the sequence it returns.
     """
 
     def __init__(
@@ -162,6 +171,21 @@ class Batches(Sequence):
 
     def __len__(self) -> int:
         return len(self._rows)
+
+    @property
+    def n_samples(self) -> int:
+        """How many samples the batches cover, over all of them."""
+        return len(self._ids)
+
+    def shuffled(self, rng: np.random.Generator) -> "Batches":
+        """The same batch sizes over rows in the order of one ``rng.permutation``.
+
+        Batch ``i`` takes the permuted positions that ``rows[i]`` selects, so
+        on a manifest-order sequence it takes ``order[start:start + size]``.
+        """
+        order = rng.permutation(self.n_samples)
+        rows = [order[r] for r in self._rows]
+        return Batches(self._ids, self._features, self._targets, rows)
 
     def __getitem__(self, i: int) -> Batch:
         rows = self._rows[i]
@@ -441,10 +465,10 @@ def make_batches(
 ) -> Batches:
     """Partition samples into batches; the final short batch is kept.
 
-    With ``shuffle`` the order comes from ``rng`` (one permutation per call);
-    otherwise manifest order is preserved. Pooling, validation and the
-    permutation happen here; each batch is built when the returned
-    :class:`Batches` is indexed. A :class:`Split` is pooled once per
+    With ``shuffle`` the order comes from ``rng`` (one permutation per call,
+    drawn by :meth:`Batches.shuffled`); otherwise manifest order is
+    preserved. Pooling, validation and the permutation happen here; each
+    batch is built when the returned :class:`Batches` is indexed. A :class:`Split` is pooled once per
     alignment length and reused; any other sequence is pooled per call.
     """
     if not samples:
@@ -459,12 +483,9 @@ def make_batches(
         features, targets = _pool_samples(samples, align_len)
     ids = np.array([s.id for s in samples], dtype=object)
     starts = range(0, len(samples), batch_size)
-    if shuffle:
-        order = rng.permutation(len(samples))
-        rows = [order[start : start + batch_size] for start in starts]
-    else:
-        rows = [slice(start, start + batch_size) for start in starts]
-    return Batches(ids, features, targets, rows)
+    rows = [slice(start, start + batch_size) for start in starts]
+    batches = Batches(ids, features, targets, rows)
+    return batches.shuffled(rng) if shuffle else batches
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -142,29 +142,38 @@ class Dropout:
     """Inverted dropout: kept elements scale by 1/(1-p); eval mode is identity.
 
     Masks come from the generator handed in at construction (the seeded run
-    PRNG), so a fixed draw order keeps training reproducible.
+    PRNG), so a fixed draw order keeps training reproducible; a Dropout
+    without one (``rng=None``) serves eval-mode forwards only. A training
+    forward keeps a boolean keep-mask, one byte per element. Forward and
+    backward multiply by the scale, then by the mask: ``(x * s) * 1`` is
+    ``x * s`` and ``(x * s) * 0`` has the sign of ``x * 0``, so the result
+    has the bits of ``x`` times a float mask of ``s`` and 0.
     """
 
-    def __init__(self, rate: float, rng: np.random.Generator):
+    def __init__(self, rate: float, rng: np.random.Generator | None):
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.rng = rng
-        self._mask: Array | None = None
+        self._scale = 1.0 / (1.0 - rate)
+        self._keep: Array | None = None
 
     def forward(self, x, train: bool) -> Array:
         x = as_tensor(x)
         if not train or self.rate == 0.0:
-            self._mask = None
+            self._keep = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * self._mask
+        if self.rng is None:
+            raise StateError("a training forward needs a dropout generator")
+        self._keep = self.rng.random(x.shape) < 1.0 - self.rate
+        out = x * self._scale
+        out *= self._keep
+        return out
 
     def backward(self, upstream) -> Array:
-        if self._mask is None:
+        if self._keep is None:
             return as_tensor(upstream)
-        return as_tensor(upstream) * self._mask
+        return as_tensor(upstream) * self._scale * self._keep
 
 
 def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:

@@ -5,9 +5,12 @@ explicit reverse traversal instead of a tape. Each layer is named once, where
 it is built: the name keys its initialization stream, which makes shared
 layers start identically across configurations that add or remove the VAD
 pathway, and it prefixes the layer's entries in the one flat parameter store,
-whose order is construction order. Only a training forward keeps a record of
-its activations for ``backward``; an eval forward keeps none. The fusion
-modes and the activations are defined here, once; the config and the CLI read
+whose order is construction order. Only a training forward keeps a record for
+``backward``, and per branch it holds one ``[batch x align x hidden]``
+array: the one its hidden activation's gradient reads. An eval forward keeps
+nothing. A model built without a seed draws nothing: every parameter starts
+at zero for the caller to set, as a checkpoint load does. The fusion modes
+and the activations are defined here, once; the config and the CLI read
 these tables.
 """
 
@@ -33,13 +36,15 @@ from .tensor import (
 
 FUSION_MODES = ("concat", "average")
 
-# name -> (forward, gradient): the gradient maps (pre-activation, output,
-# upstream) to the gradient w.r.t. the pre-activation
+# name -> (forward, gradient, what the gradient reads): the gradient maps the
+# array it reads, the pre-activation ("pre") or the output ("out"), and the
+# upstream gradient to the gradient w.r.t. the pre-activation
 ACTIVATIONS = {
-    "relu": (relu, lambda pre, out, up: up * relu_grad_mask(pre)),
-    "sigmoid": (sigmoid, lambda pre, out, up: up * sigmoid_grad_from_output(out)),
-    "identity": (lambda x: x, lambda pre, out, up: up),
+    "relu": (relu, lambda pre, up: up * relu_grad_mask(pre), "pre"),
+    "sigmoid": (sigmoid, lambda out, up: up * sigmoid_grad_from_output(out), "out"),
+    "identity": (lambda x: x, lambda _, up: up, "out"),
 }
+# each one's gradient reads its output, which ForwardOutputs holds
 OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
 
 _INIT_STREAM = 0x1217
@@ -65,14 +70,16 @@ class ForwardOutputs:
 
 @dataclass
 class _TrainRecord:
-    """What a training forward keeps for ``backward``: its outputs and activations."""
+    """What a training forward keeps for ``backward``.
+
+    Its outputs, and for each hidden activation only the array its gradient
+    reads (see ``ACTIVATIONS``): the pre-activation for relu, the output
+    otherwise, which for identity is the pre-activation itself.
+    """
 
     out: ForwardOutputs
-    pre: dict[str, Array]  # per branch, [batch x align x hidden]
-    act: dict[str, Array]
-    h_pre: Array
-    h_act: Array
-    aux_logits: dict[str, Array]
+    kept: dict[str, Array]  # per branch, [batch x align x hidden]
+    h_kept: Array  # the fusion hidden layer's, [batch x hidden]
 
 
 def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
@@ -125,7 +132,7 @@ class Model:
         hidden_activation: str = "relu",
         output_activation: str = "sigmoid",
         align_len: int = 128,
-        seed: int = 0,
+        seed: int | None = 0,
     ):
         if set(dims) != set(MODALITIES):
             raise ConfigError(f"dims must cover {MODALITIES}, got {sorted(dims)}")
@@ -141,8 +148,8 @@ class Model:
         self.vad_enabled = vad_enabled
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
-        self._act, self._act_grad = ACTIVATIONS[hidden_activation]
-        self._out_act, self._out_act_grad = ACTIVATIONS[output_activation]
+        self._act, self._act_grad, self._act_reads = ACTIVATIONS[hidden_activation]
+        self._out_act, self._out_act_grad, _ = ACTIVATIONS[output_activation]
         self.align_len = align_len
         self.fused_dim = 3 * hidden_dim if fusion == "concat" else hidden_dim
 
@@ -150,16 +157,14 @@ class Model:
 
         def linear(name: str, out_dim: int, in_dim: int, zero: bool = False) -> Linear:
             """A Linear whose params enter the store as ``name.weight``/``name.bias``."""
-            if zero:
-                layer = Linear(out_dim, in_dim, bias=False)
-            else:
-                layer = Linear(out_dim, in_dim, rng=_init_rng(seed, name))
+            rng = None if zero or seed is None else _init_rng(seed, name)
+            layer = Linear(out_dim, in_dim, rng=rng, bias=not zero)
             named[f"{name}.weight"] = layer.weight
             if layer.bias is not None:
                 named[f"{name}.bias"] = layer.bias
             return layer
 
-        dropout_rng = seeded_rng(seed, _DROPOUT_STREAM)
+        dropout_rng = None if seed is None else seeded_rng(seed, _DROPOUT_STREAM)
         self.proj = {m: linear(f"{m}.proj", hidden_dim, dims[m]) for m in MODALITIES}
         self.drop = {m: Dropout(dropout, dropout_rng) for m in MODALITIES}
         self.aux_head = {m: linear(f"{m}.aux", N_TARGETS, hidden_dim) for m in MODALITIES}
@@ -219,8 +224,7 @@ class Model:
         """
         self._cache = None
         batch = None
-        pre: dict[str, Array] = {}
-        act: dict[str, Array] = {}
+        kept: dict[str, Array] = {}
         z: dict[str, Array] = {}
         for m in MODALITIES:
             x = as_tensor(features[m])
@@ -240,16 +244,20 @@ class Model:
             elif x.shape[0] != batch:
                 raise ShapeError(f"modalities disagree on batch size at {m}")
             flat = x.reshape(batch * self.align_len, self.dims[m])
-            pre[m] = self.proj[m].forward(flat).reshape(
-                batch, self.align_len, self.hidden_dim
-            )
-            act[m] = self._act(pre[m])
-            z[m] = self.drop[m].forward(act[m], train).mean(axis=1)
+            pre = self.proj[m].forward(flat).reshape(batch, self.align_len, self.hidden_dim)
+            act = self._act(pre)
+            z[m] = self.drop[m].forward(act, train).mean(axis=1)
+            if m == "audio":
+                a_mean = pre.mean(axis=1)
+            if train:
+                kept[m] = pre if self._act_reads == "pre" else act
+            # free this branch's other array before the next branch allocates
+            del pre, act
 
         z_audio_main = z["audio"]
         v_hat = None
         if self.vad_enabled:
-            v_hat = sigmoid(self.vad_head.forward(pre["audio"].mean(axis=1)))
+            v_hat = sigmoid(self.vad_head.forward(a_mean))
             z["audio"] = z_audio_main + self.inj.forward(v_hat)
 
         z_fus = fuse(z["visual"], z["audio"], z["text"], self.fusion)
@@ -269,7 +277,8 @@ class Model:
             z_fus=z_fus,
         )
         if train:
-            self._cache = _TrainRecord(out, pre, act, h_pre, h_act, aux_logits)
+            h_kept = h_pre if self._act_reads == "pre" else h_act
+            self._cache = _TrainRecord(out, kept, h_kept)
         return out
 
     def backward(
@@ -290,10 +299,10 @@ class Model:
         out = rec.out
         batch = out.y_hat.shape[0]
 
-        d_y_logits = self._out_act_grad(out.y_logits, out.y_hat, as_tensor(d_y_hat))
+        d_y_logits = self._out_act_grad(out.y_hat, as_tensor(d_y_hat))
         d_h_drop = self.fusion_out.backward(d_y_logits)
         d_h_act = self.fusion_drop.backward(d_h_drop)
-        d_h_pre = self._act_grad(rec.h_pre, rec.h_act, d_h_act)
+        d_h_pre = self._act_grad(rec.h_kept, d_h_act)
         d_z = unfuse_grad(
             self.fusion_hidden.backward(d_h_pre), self.hidden_dim, self.fusion
         )
@@ -302,7 +311,7 @@ class Model:
             up = d_aux.get(m) if d_aux else None
             if up is None:
                 continue
-            d_logits = self._out_act_grad(rec.aux_logits[m], out.aux[m], as_tensor(up))
+            d_logits = self._out_act_grad(out.aux[m], as_tensor(up))
             d_z[m] = d_z[m] + self.aux_head[m].backward(d_logits)
 
         d_a_rows = None
@@ -317,11 +326,11 @@ class Model:
         for m in MODALITIES:
             # [batch x 1 x h] broadcasts over time against the recorded [batch x T x h]
             d_act = self.drop[m].backward(d_z[m][:, None, :] / self.align_len)
-            d_pre = self._act_grad(rec.pre[m], rec.act[m], d_act)
+            d_pre = self._act_grad(rec.kept[m], d_act)
             if m == "audio" and d_a_rows is not None:
                 d_pre = d_pre + d_a_rows
             # still [batch x 1 x h] after the identity activation without dropout
-            d_pre = np.broadcast_to(d_pre, rec.pre[m].shape)
+            d_pre = np.broadcast_to(d_pre, rec.kept[m].shape)
             self.proj[m].backward(
                 d_pre.reshape(batch * self.align_len, self.hidden_dim), input_grad=False
             )

@@ -4,6 +4,14 @@ A run is fully determined by (config, seed, dataset): batch order, dropout
 masks, and initialization all derive from the config seed, logs carry no
 timestamps, and checkpoints serialize in a fixed order, so two runs of the
 same config are bit-identical.
+
+What a run keeps resident: each split's pooled blocks and targets, held by
+its manifest-order batches (the raw sequences are freed once pooled, before
+the run directory is made), the model's flat parameter and gradient vectors,
+the AdamW moments and the EMA shadows, one shuffled batch at a time, and
+between a training forward and its backward one record of the pass: its
+outputs, one ``[batch x align x hidden]`` array per branch and the dropout
+layers' one-byte keep-masks.
 """
 
 from __future__ import annotations
@@ -174,7 +182,12 @@ class TrainConfig:
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def build_model(self) -> Model:
+    def build_model(self, init: bool = True) -> Model:
+        """The configured model; without ``init`` it draws nothing.
+
+        Then every parameter starts at zero and the caller must set every
+        value, as a checkpoint load does.
+        """
         return Model(
             dims=self.dims,
             hidden_dim=self.hidden_dim,
@@ -184,7 +197,7 @@ class TrainConfig:
             hidden_activation=self.hidden_activation,
             output_activation=self.output_activation,
             align_len=self.align_len,
-            seed=self.seed,
+            seed=self.seed if init else None,
         )
 
 
@@ -249,6 +262,20 @@ def _eval_with_values(model: Model, values: Array, batches: data.Batches) -> Eva
         flat[...] = saved
 
 
+def _split_batches(config: TrainConfig, manifest_path, split: str) -> data.Batches:
+    """One split's batches in manifest order.
+
+    No name holds the split: the batches keep only its pooled blocks, so the
+    raw sequences and their file mappings are freed once it is pooled.
+    """
+    return data.make_batches(
+        data.load_split(manifest_path, split, config.dims),
+        config.batch_size,
+        config.align_len,
+        shuffle=False,
+    )
+
+
 def train(config: TrainConfig) -> RunRecord:
     """Run the full recipe; writes config.json, log.jsonl, best/last checkpoints."""
     config.validate()
@@ -256,22 +283,19 @@ def train(config: TrainConfig) -> RunRecord:
         raise ConfigError("config.data_dir is required for training")
     if config.run_dir is None:
         raise ConfigError("config.run_dir is required for training")
+    manifest = Path(config.data_dir) / data.MANIFEST_NAME
+    train_batches = _split_batches(config, manifest, "train")
+    val_batches = _split_batches(config, manifest, "val")
+    if val_batches.n_samples < 2:
+        raise DataError(
+            f"val split has {val_batches.n_samples} row(s); the metric needs at least 2"
+        )
+    # only a run whose data loaded gets a directory
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    manifest = Path(config.data_dir) / data.MANIFEST_NAME
-    train_samples = data.load_split(manifest, "train", config.dims)
-    val_samples = data.load_split(manifest, "val", config.dims)
-    if len(val_samples) < 2:
-        raise DataError(
-            f"val split has {len(val_samples)} row(s); the metric needs at least 2"
-        )
-    val_batches = data.make_batches(
-        val_samples, config.batch_size, config.align_len, shuffle=False
-    )
 
     model = config.build_model()
     weights = config.loss_weights()
@@ -280,8 +304,7 @@ def train(config: TrainConfig) -> RunRecord:
     stopper = EarlyStopper(config.patience)
     record = RunRecord(config_hash=config.config_hash(), run_dir=str(run_dir))
 
-    steps_per_epoch = (len(train_samples) + config.batch_size - 1) // config.batch_size
-    total_steps = steps_per_epoch * config.epochs
+    total_steps = len(train_batches) * config.epochs
     global_step = 0
     log_path = run_dir / "log.jsonl"
     with open(log_path, "w") as log:
@@ -293,13 +316,7 @@ def train(config: TrainConfig) -> RunRecord:
         record.stop_reason = "completed"
         for epoch in range(1, config.epochs + 1):
             lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
-            batches = data.make_batches(
-                train_samples,
-                config.batch_size,
-                config.align_len,
-                shuffle=True,
-                rng=seeded_rng(config.seed, _SHUFFLE_STREAM, epoch),
-            )
+            batches = train_batches.shuffled(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
             aborted = False
             for batch in batches:
                 if config.lr_cadence == "step":
@@ -399,7 +416,8 @@ def load_model_from_checkpoint(
 ) -> Model:
     tensors = data.load_checkpoint(ckpt_path)
     raw, shadows = split_checkpoint(tensors)
-    model = config.build_model()
+    # set_values below writes every parameter and rejects a missing one
+    model = config.build_model(init=False)
     if use_ema:
         if not shadows:
             raise DataError(f"{ckpt_path}: checkpoint carries no EMA shadows")
@@ -414,19 +432,12 @@ def _checkpoint_forward(
 ) -> tuple[list[str], Array, Array, Array]:
     """Load a checkpoint and run it over one split in manifest order.
 
-    No name holds the split: the batches keep only its pooled blocks, so the
-    raw sequences are freed before the forward pass.
+    The raw sequences are freed before the forward pass (see ``_split_batches``).
     """
     if split not in data.SPLITS:
         raise ConfigError(f"unknown split {split!r}, expected one of {data.SPLITS}")
     model = load_model_from_checkpoint(config, ckpt_path, use_ema=use_ema)
-    batches = data.make_batches(
-        data.load_split(manifest_path, split, config.dims),
-        config.batch_size,
-        config.align_len,
-        shuffle=False,
-    )
-    return _forward_batches(model, batches)
+    return _forward_batches(model, _split_batches(config, manifest_path, split))
 
 
 def evaluate_checkpoint(

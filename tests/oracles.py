@@ -150,11 +150,21 @@ def dataset_mean_features(samples):
     return np.stack(rows, axis=0)
 
 
+def dropout_float_mask(keep, rate):
+    """Inverted dropout as one float64 mask: 1/(1-rate) where kept, else 0.
+
+    ``keep`` is a boolean keep-mask. Dropout's forward is ``x * mask`` and
+    its backward ``upstream * mask``.
+    """
+    return keep.astype(np.float64) / (1.0 - rate)
+
+
 def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
     """Parameter gradients of a model's last forward, by explicit row gradients.
 
-    Reverses the forward from its training record and dropout masks (hidden
-    relu or identity, sigmoid outputs). Each branch's time-mean adjoint is
+    Reverses the forward from its training record, which for relu keeps the
+    pre-activations, and the dropout keep-masks as float masks (hidden relu
+    or identity, sigmoid outputs). Each branch's time-mean adjoint is
     built as an explicit [B*T x h] array with ``np.repeat``. Grads start at
     zero and receive one sum each, as the model's accumulators do.
     """
@@ -172,7 +182,9 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
         return up * (y * (1.0 - y))
 
     def drop_back(layer, up):
-        return up if layer._mask is None else up * layer._mask.reshape(up.shape)
+        if layer._keep is None:
+            return up
+        return up * dropout_float_mask(layer._keep, layer.rate).reshape(up.shape)
 
     def linear_back(name, layer, up):
         grads[f"{name}.weight"] = np.zeros(layer.weight.shape) + up.T @ layer._input
@@ -187,7 +199,7 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
 
     d_y_logits = sigmoid_back(out.y_hat, d_y_hat)
     d_h_drop = linear_back("fusion.out", model.fusion_out, d_y_logits)
-    d_h_pre = act_back(rec.h_pre, drop_back(model.fusion_drop, d_h_drop))
+    d_h_pre = act_back(rec.h_kept, drop_back(model.fusion_drop, d_h_drop))
     d_fused = linear_back("fusion.hidden", model.fusion_hidden, d_h_pre)
     h = model.hidden_dim
     d_z = {}
@@ -207,7 +219,7 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
         d_a_mean = linear_back("vad.head", model.vad_head, d_v_logits)
     for m in ("visual", "audio", "text"):
         d_act = drop_back(model.drop[m], time_mean_back(d_z[m]))
-        d_pre = act_back(rec.pre[m].reshape(rows), d_act)
+        d_pre = act_back(rec.kept[m].reshape(rows), d_act)
         if m == "audio" and model.vad_enabled:
             d_pre = d_pre + time_mean_back(d_a_mean)
         linear_back(f"{m}.proj", model.proj[m], d_pre)

@@ -53,9 +53,10 @@ def param_loss_fn(model, features, targets, weights):
 
 def min_preactivation(model, features):
     """Smallest |pre-activation| the relu layers saw on this input."""
+    assert model.hidden_activation == "relu"  # so the record keeps pre-activations
     model.forward(features, train=True)
     rec = model._cache
-    pres = [rec.pre[m] for m in TINY_DIMS] + [rec.h_pre]
+    pres = [rec.kept[m] for m in TINY_DIMS] + [rec.h_kept]
     return min(float(np.min(np.abs(p))) for p in pres)
 
 

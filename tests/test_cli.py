@@ -224,6 +224,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "emireg: data error: val split has 1 row(s)" in err
         assert not (run_dir / "log.jsonl").exists()
+        assert not run_dir.exists()  # data is checked before the run directory is made
 
     def test_help_lists_paper_defaults(self, capsys):
         assert run_cli("train", "--help") == 0

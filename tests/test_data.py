@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import struct
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +383,34 @@ class TestBatching:
                 for m in MODALITIES:
                     assert batch.features[m][i].tobytes() == features[m].tobytes()
                 assert batch.targets[i].tobytes() == target.tobytes()
+
+    def test_shuffled_draws_the_order_of_a_shuffled_call(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 23)
+        plain = make_batches(samples, 5, align_len=16)
+        drawn = plain.shuffled(np.random.default_rng(8))
+        called = make_batches(
+            samples, 5, align_len=16, shuffle=True, rng=np.random.default_rng(8)
+        )
+        assert [b.ids for b in drawn] == [b.ids for b in called]
+        for a, b in zip(drawn, called):
+            for m in MODALITIES:
+                assert a.features[m].tobytes() == b.features[m].tobytes()
+            assert a.targets.tobytes() == b.targets.tobytes()
+        # the manifest-order sequence is unchanged
+        assert [i for b in plain for i in b.ids] == [s.id for s in samples]
+
+    def test_batches_hold_no_sample(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 9)
+        refs = [weakref.ref(s) for s in samples]
+        blocks, _ = samples.pooled(16)
+        batches = make_batches(samples, 4, align_len=16)
+        del samples
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        shuffled = batches.shuffled(np.random.default_rng(0))
+        assert len(shuffled) == len(batches) == 3 and shuffled.n_samples == 9
+        for m in MODALITIES:
+            assert np.shares_memory(batches[0].features[m], blocks[m])
 
     def test_split_is_pooled_once(self, rng, tmp_path, monkeypatch):
         samples = _make_dataset(rng, tmp_path / "ds", 7)

@@ -7,7 +7,7 @@ from emireg.errors import ConfigError, NumericError, ShapeError, StateError
 from emireg.layers import Dropout, Linear, ParamStore, adaptive_avg_pool
 from emireg.tensor import grad_check, relu, sigmoid
 
-from oracles import adaptive_avg_pool_loop, matmul_loops
+from oracles import adaptive_avg_pool_loop, dropout_float_mask, matmul_loops
 
 
 def stored(layer: Linear) -> Linear:
@@ -160,6 +160,27 @@ class TestDropout:
         out = layer.forward(x, train=True)
         grad = layer.backward(np.ones_like(x))
         assert np.array_equal(grad, out)
+
+    def test_bool_mask_gives_the_float_mask_bytes(self, rng):
+        rate = 0.3
+        layer = Dropout(rate, np.random.default_rng(5))
+        x = rng.normal(size=(4, 6, 5))  # negatives: dropped ones become -0.0
+        out = layer.forward(x, train=True)
+        assert layer._keep.dtype == np.bool_ and layer._keep.nbytes == x.size
+        keep = np.random.default_rng(5).random(x.shape) < 1.0 - rate
+        assert np.array_equal(layer._keep, keep)
+        mask = dropout_float_mask(keep, rate)
+        assert out.tobytes() == (x * mask).tobytes()
+        # [B x 1 x h] broadcasts over time, as the model's branches send it
+        for up in (rng.normal(size=x.shape), rng.normal(size=(4, 1, 5))):
+            assert layer.backward(up).tobytes() == (up * mask).tobytes()
+
+    def test_training_forward_needs_a_generator(self):
+        layer = Dropout(0.5, None)
+        x = np.ones((2, 3))
+        assert layer.forward(x, train=False) is x
+        with pytest.raises(StateError):
+            layer.forward(x, train=True)
 
     def test_eval_backward_is_identity(self, rng):
         layer = Dropout(0.5, np.random.default_rng(3))

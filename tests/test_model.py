@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from emireg.errors import ConfigError, ShapeError, StateError
 from emireg.layers import adaptive_avg_pool
-from emireg.model import MODALITIES, Model, fuse, unfuse_grad
+from emireg.model import ACTIVATIONS, MODALITIES, Model, fuse, unfuse_grad
 from emireg.tensor import grad_check, relu, sigmoid
 
 from oracles import column_means_loop, model_param_grads_repeated
@@ -25,6 +26,18 @@ def param_values(model):
 
 def tiny_features(rng, batch=4, align=8):
     return {m: rng.normal(size=(batch, align, d)) for m, d in TINY_DIMS.items()}
+
+
+def record_arrays(obj):
+    """Every array a training record reaches through its fields and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from record_arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from record_arrays(getattr(obj, f.name))
 
 
 class TestFuse:
@@ -134,7 +147,7 @@ class TestVadPathway:
         model.inj.weight.value[...] = rng.normal(size=(6, 3)) * 0.3
         feats = tiny_features(rng)
         out = model.forward(feats, train=True)  # dropout 0: the eval pass, recorded
-        pre = model._cache.pre["audio"].reshape(4, 8, 6)
+        pre = model._cache.kept["audio"].reshape(4, 8, 6)  # relu keeps the pre-activation
         a_mean = pre.mean(axis=1)
         v_expected = sigmoid(a_mean @ model.vad_head.weight.value.T + model.vad_head.bias.value)
         np.testing.assert_allclose(out.v_hat, v_expected, atol=1e-12)
@@ -209,6 +222,41 @@ class TestModelForward:
         branch_activation = batch * align * hidden * 8
         assert kept < branch_activation, kept
         assert model._cache is None
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_training_record_keeps_one_array_per_branch(self, rng, activation):
+        model = tiny_model(dropout=0.2, hidden_activation=activation)
+        feats = tiny_features(rng)
+        model.forward(feats, train=True)
+        rec = model._cache
+        distinct = []  # the [B x T x h] arrays, one per block of memory
+        for a in record_arrays(rec):
+            if a.shape == (4, 8, 6) and not any(np.shares_memory(a, b) for b in distinct):
+                distinct.append(a)
+        assert len(distinct) == len(MODALITIES)
+        act, _, reads = ACTIVATIONS[activation]
+        for m in MODALITIES:
+            layer = model.proj[m]
+            flat = feats[m].reshape(32, TINY_DIMS[m])
+            pre = (flat @ layer.weight.value.T + layer.bias.value).reshape(4, 8, 6)
+            expected = pre if reads == "pre" else act(pre)
+            np.testing.assert_allclose(rec.kept[m], expected, rtol=0, atol=1e-12)
+
+    def test_training_forward_keeps_one_array_and_byte_masks(self, rng):
+        batch, align, hidden = 4, 64, 32
+        model = tiny_model(hidden_dim=hidden, align_len=align, dropout=0.2)
+        feats = tiny_features(rng, batch=batch, align=align)
+        model.forward(feats, train=True)  # warm numpy's own caches
+        model._cache = None
+        tracemalloc.start()
+        try:
+            model.forward(feats, train=True)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # three float64 branch arrays and three one-byte masks, plus small ones
+        branch_activation = batch * align * hidden * 8
+        assert kept < 4 * branch_activation, kept
 
     def test_train_dropout_changes_outputs(self, rng):
         model = tiny_model(seed=2, dropout=0.5)

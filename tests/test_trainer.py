@@ -1,6 +1,9 @@
 import csv
+import gc
+import hashlib
 import json
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from emireg.data import MANIFEST_NAME, ManifestRow, write_feature_file, write_ma
 from emireg.cli import main
 from emireg.errors import ConfigError, DataError, NumericError
 from emireg.optim import cosine_lr
-from emireg import data
+from emireg import data, layers
+from emireg.model import Model
 from emireg.train import (
     ABLATION_CELLS,
     RunRecord,
@@ -23,10 +27,15 @@ from emireg.train import (
     cell_config,
     evaluate_checkpoint,
     predict_checkpoint,
+    split_checkpoint,
     train,
 )
 
 from support import SMALL_DIMS, small_config
+
+
+# best.emic = last.emic of config (a); see test_golden_checkpoint_bytes
+GOLDEN_A = "f9a92f264738cffdf9580f0cca03b69c3c25bef0d3e7b08117f170b068977346"
 
 
 def read_log(run_dir):
@@ -180,6 +189,61 @@ class TestTrainLoop:
             r.to_dict() for r in runs[1].evals
         ]
 
+    def test_golden_checkpoint_bytes(self, tmp_path):
+        """Config (a) from the CLI reproduces its recorded checkpoint bytes.
+
+        Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. The hash
+        covers no path; ``log.jsonl`` is not pinned, because ``config_hash``
+        covers ``data_dir``. Another numpy or BLAS may round differently.
+        """
+        data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+        gen = ["--n", "120", "--dims", "8:7:6", "--seed", "11", "--out", str(data_dir)]
+        assert main(["gen-synth", *gen]) == 0
+        assert main([
+            "train", "--data", str(data_dir), "--run-dir", str(run_dir),
+            "--hidden-dim", "8", "--align-len", "16", "--batch-size", "16",
+            "--epochs", "3", "--lr", "1e-3", "--seed", "11",
+        ]) == 0
+        for ckpt in ("best.emic", "last.emic"):
+            digest = hashlib.sha256((run_dir / ckpt).read_bytes()).hexdigest()
+            assert digest == GOLDEN_A, ckpt
+
+    def test_no_raw_sample_alive_during_training(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # a run keeps each split's pooled batches, never its raw samples
+        loaded = []
+        real_load = data.load_split
+
+        def recording_load(*args, **kwargs):
+            split = real_load(*args, **kwargs)
+            loaded.extend(weakref.ref(s) for s in split)
+            return split
+
+        alive_per_step = []
+        real_forward = Model.forward
+
+        def checking_forward(self, features, train):
+            if train:
+                gc.collect()
+                alive_per_step.append(sum(ref() is not None for ref in loaded))
+            return real_forward(self, features, train)
+
+        monkeypatch.setattr(data, "load_split", recording_load)
+        monkeypatch.setattr(Model, "forward", checking_forward)
+        record = train(small_config(small_dataset, tmp_path / "run", epochs=2))
+        assert len(loaded) == 102  # the 84 train and 18 val samples
+        assert len(alive_per_step) == len(record.steps) > 0
+        assert alive_per_step == [0] * len(record.steps)
+
+    def test_data_failure_leaves_no_run_directory(self, tmp_path):
+        data_dir = tmp_path / "data"
+        data.generate_synthetic(data_dir, n=7, dims=SMALL_DIMS, seed=0)
+        run_dir = tmp_path / "run"
+        with pytest.raises(DataError, match="val split has 1 row"):
+            train(small_config(data_dir, run_dir))
+        assert not run_dir.exists()
+
     def test_best_epoch_is_argmax(self, small_dataset, tmp_path):
         cfg = small_config(small_dataset, tmp_path / "run", epochs=5)
         record = train(cfg)
@@ -276,6 +340,39 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("use_ema", [True, False])
+    def test_checkpoint_load_draws_nothing(
+        self, small_dataset, tmp_path, monkeypatch, use_ema
+    ):
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=2)
+        train(cfg)
+        ckpt = tmp_path / "run" / "best.emic"
+        manifest = Path(small_dataset) / MANIFEST_NAME
+        # the outputs of a model built with initialization draws
+        raw, shadows = split_checkpoint(data.load_checkpoint(ckpt))
+        drawn = cfg.build_model()
+        drawn.set_values(shadows if use_ema else raw)
+        batches = data.make_batches(
+            data.load_split(manifest, "val", cfg.dims), cfg.batch_size, cfg.align_len
+        )
+        ids, preds, logits, targets = _forward_batches(drawn, batches)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("glorot_uniform called")
+
+        monkeypatch.setattr(layers, "glorot_uniform", no_draws)
+        with pytest.raises(AssertionError):
+            cfg.build_model()  # the patch is on the path a drawing build takes
+        assert not cfg.build_model(init=False).parameters().value.any()
+        report = evaluate_checkpoint(cfg, ckpt, "val", use_ema=use_ema)
+        assert report.to_dict() == _score(preds, targets).to_dict()
+        got_ids, got = predict_checkpoint(cfg, ckpt, manifest, "val", use_ema=use_ema)
+        assert got_ids == ids and got.tobytes() == preds.tobytes()
+        _, got = predict_checkpoint(
+            cfg, ckpt, manifest, "val", use_ema=use_ema, raw_logits=True
+        )
+        assert got.tobytes() == logits.tobytes()
+
     def test_repeatable(self, small_dataset, tmp_path):
         cfg = small_config(small_dataset, tmp_path / "run", epochs=2)
         record = train(cfg)
