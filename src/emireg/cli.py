@@ -9,6 +9,7 @@ error. Diagnostics go to stderr; machine-readable results
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -312,10 +313,11 @@ def _cmd_predict(args) -> int:
     )
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        fh.write("id," + ",".join(TARGET_COLUMNS) + "\n")
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", *TARGET_COLUMNS])
         for sample_id, row in zip(ids, values):
-            fh.write(sample_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            writer.writerow([sample_id, *(repr(float(v)) for v in row)])
     print(f"wrote {len(ids)} predictions to {out_path}", file=sys.stderr)
     return EXIT_OK
 

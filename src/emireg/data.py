@@ -26,19 +26,18 @@ The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
 the sentinel target -1 in all six columns, marking them metric-excluded.
 
-Batching pools each split once: the first ``make_batches`` call on a
-:class:`Split` resamples every sample to the alignment length into one
-read-only float64 ``[N x align x d]`` block per modality and stacks the
-targets into ``[N x 6]``. ``make_batches`` returns a :class:`Batches`
-sequence that builds each batch when it is indexed: a slice of those blocks
-(views, in manifest order) or one gather per modality (a copy, shuffled), so
-a shuffled epoch holds one batch's copy, not a second copy of the split.
+Batching pools once per call: ``make_batches`` resamples every sample to the
+alignment length into one read-only float64 ``[N x align x d]`` block per
+modality and stacks the targets into ``[N x 6]``. It returns a
+:class:`Batches` sequence that builds each batch when it is indexed: a slice
+of those blocks (views, in manifest order) or one gather per modality (a
+copy, shuffled), so a shuffled epoch holds one batch's copy, not a second
+copy of the split.
 
-The pooled blocks are held by every :class:`Batches` made from them (and by
-the split's cache while the split lives); no :class:`Batches` refers to the
-split or its samples. A caller that keeps only the manifest-order
-:class:`Batches` lets the raw sequences and their file mappings go once the
-split is pooled, and draws each epoch's order from it with
+The pooled blocks are held only by the :class:`Batches` made from them, which
+refer to no sample. A caller that keeps only the manifest-order
+:class:`Batches` lets the raw sequences and their file mappings go once they
+are pooled, and draws each epoch's order from it with
 :meth:`Batches.shuffled`: one ``rng.permutation`` over the rows, the same
 one ``make_batches(shuffle=True)`` draws.
 """
@@ -82,7 +81,7 @@ class Sample:
 
     ``features`` holds each modality's [L x d] sequence as read (placeholder
     applied): read-only float32 when loaded from an EMIF file. Pooling to
-    the alignment length happens per split, in :func:`make_batches`.
+    the alignment length happens in :func:`make_batches`.
     """
 
     id: str
@@ -91,56 +90,13 @@ class Sample:
     present: dict[str, bool]
 
 
-class Split(tuple):
-    """The samples of one :func:`load_split` call, in manifest order.
-
-    Immutable: a tuple of frozen samples whose feature mappings, feature
-    arrays and targets are read-only, so the pooled blocks cached on it
-    always belong to exactly these samples. The cache is keyed by alignment
-    length.
-    """
-
-    def __new__(cls, samples):
-        self = super().__new__(cls, samples)
-        self._pooled = {}
-        return self
-
-    def pooled(self, align_len: int) -> tuple[dict[str, Array], Array]:
-        """This split's read-only pooled feature blocks and stacked targets."""
-        cached = self._pooled.get(align_len)
-        if cached is None:
-            cached = self._pooled[align_len] = _pool_samples(self, align_len)
-        return cached
-
-
-def _pool_samples(
-    samples: Sequence[Sample], align_len: int
-) -> tuple[dict[str, Array], Array]:
-    """Pool every sample into one [N x align x d] block per modality.
-
-    Also stacks the targets into [N x 6]. All arrays are marked read-only,
-    so a write through a batch view raises instead of changing later epochs.
-    """
-    features: dict[str, Array] = {}
-    for m in MODALITIES:
-        dim = samples[0].features[m].shape[1]
-        block = np.empty((len(samples), align_len, dim))
-        for i, s in enumerate(samples):
-            adaptive_avg_pool(s.features[m], align_len, out=block[i])
-        block.flags.writeable = False
-        features[m] = block
-    targets = as_tensor(np.stack([s.target for s in samples]))
-    targets.flags.writeable = False
-    return features, targets
-
-
 @dataclass
 class Batch:
     """Aligned samples ready for the model.
 
-    In manifest order the arrays are read-only views of the split's pooled
-    block; shuffled, they are fresh copies, made when :class:`Batches`
-    builds the batch.
+    In manifest order the arrays are read-only views of the pooled blocks;
+    shuffled, they are fresh copies, made when :class:`Batches` builds the
+    batch.
     """
 
     ids: list[str]
@@ -287,11 +243,13 @@ def write_feature_file(path, features: dict[str, Array | None]) -> None:
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[0] < 1:
             raise DataError(f"{m} block must be a non-empty [rows x dim] array")
-        if not np.all(np.isfinite(block)):
-            raise DataError(f"{m} block contains non-finite values")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            payload = np.ascontiguousarray(block, dtype="<f4")
+        if not np.all(np.isfinite(payload)):
+            raise DataError(f"{m} block has values that are not finite as float32")
         rows, dim = block.shape
         buf.write(struct.pack("<BII", 1, rows, dim))
-        buf.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
+        buf.write(payload.tobytes())
     _replace_file(path, buf.getvalue())
 
 
@@ -421,7 +379,9 @@ def load_manifest(path) -> list[ManifestRow]:
     return rows
 
 
-def load_split(manifest_path, split: str, dims: dict[str, int]) -> Split:
+def load_split(
+    manifest_path, split: str, dims: dict[str, int]
+) -> tuple[Sample, ...]:
     """Load one split's samples in manifest order, applying the placeholder rule."""
     manifest_path = Path(manifest_path)
     rows = [r for r in load_manifest(manifest_path) if r.split == split]
@@ -450,7 +410,7 @@ def load_split(manifest_path, split: str, dims: dict[str, int]) -> Split:
                 present=present,
             )
         )
-    return Split(samples)
+    return tuple(samples)
 
 
 # -- batching -----------------------------------------------------------------
@@ -463,13 +423,14 @@ def make_batches(
     shuffle: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Batches:
-    """Partition samples into batches; the final short batch is kept.
+    """Pool samples and partition them into batches; the final short batch is kept.
 
-    With ``shuffle`` the order comes from ``rng`` (one permutation per call,
-    drawn by :meth:`Batches.shuffled`); otherwise manifest order is
-    preserved. Pooling, validation and the permutation happen here; each
-    batch is built when the returned :class:`Batches` is indexed. A :class:`Split` is pooled once per
-    alignment length and reused; any other sequence is pooled per call.
+    Every sample is pooled once per modality into one [N x align x d] block,
+    and the targets are stacked into [N x 6]. All are marked read-only, so a
+    write through a batch view raises instead of changing later epochs. With
+    ``shuffle`` the order comes from ``rng`` (one permutation per call, drawn
+    by :meth:`Batches.shuffled`); otherwise manifest order is preserved. Each
+    batch is built when the returned :class:`Batches` is indexed.
     """
     if not samples:
         raise DataError("cannot batch an empty split")
@@ -477,10 +438,16 @@ def make_batches(
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     if shuffle and rng is None:
         raise ConfigError("shuffle requested without a generator")
-    if isinstance(samples, Split):
-        features, targets = samples.pooled(align_len)
-    else:
-        features, targets = _pool_samples(samples, align_len)
+    features: dict[str, Array] = {}
+    for m in MODALITIES:
+        dim = samples[0].features[m].shape[1]
+        block = np.empty((len(samples), align_len, dim))
+        for i, s in enumerate(samples):
+            adaptive_avg_pool(s.features[m], align_len, out=block[i])
+        block.flags.writeable = False
+        features[m] = block
+    targets = as_tensor(np.stack([s.target for s in samples]))
+    targets.flags.writeable = False
     ids = np.array([s.id for s in samples], dtype=object)
     starts = range(0, len(samples), batch_size)
     rows = [slice(start, start + batch_size) for start in starts]
@@ -583,6 +550,8 @@ def generate_synthetic(
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     if set(dims) != set(MODALITIES):
         raise ConfigError(f"dims must cover {MODALITIES}, got {sorted(dims)}")
     assignment = _modality_latents(mode)

@@ -7,11 +7,11 @@ layers start identically across configurations that add or remove the VAD
 pathway, and it prefixes the layer's entries in the one flat parameter store,
 whose order is construction order. Only a training forward keeps a record for
 ``backward``, and per branch it holds one ``[batch x align x hidden]``
-array: the one its hidden activation's gradient reads. An eval forward keeps
-nothing. A model built without a seed draws nothing: every parameter starts
-at zero for the caller to set, as a checkpoint load does. The fusion modes
-and the activations are defined here, once; the config and the CLI read
-these tables.
+array: the hidden activation's output, which its gradient reads. An eval
+forward keeps nothing. A model built without a seed draws nothing: every
+parameter starts at zero for the caller to set, as a checkpoint load does.
+The fusion modes and the activations are defined here, once; the config and
+the CLI read these tables.
 """
 
 from __future__ import annotations
@@ -36,15 +36,14 @@ from .tensor import (
 
 FUSION_MODES = ("concat", "average")
 
-# name -> (forward, gradient, what the gradient reads): the gradient maps the
-# array it reads, the pre-activation ("pre") or the output ("out"), and the
-# upstream gradient to the gradient w.r.t. the pre-activation
+# name -> (forward, gradient): the gradient maps the activation's output and
+# the upstream gradient to the gradient w.r.t. the pre-activation
 ACTIVATIONS = {
-    "relu": (relu, lambda pre, up: up * relu_grad_mask(pre), "pre"),
-    "sigmoid": (sigmoid, lambda out, up: up * sigmoid_grad_from_output(out), "out"),
-    "identity": (lambda x: x, lambda _, up: up, "out"),
+    "relu": (relu, lambda out, up: up * relu_grad_mask(out)),
+    "sigmoid": (sigmoid, lambda out, up: up * sigmoid_grad_from_output(out)),
+    "identity": (lambda x: x, lambda _, up: up),
 }
-# each one's gradient reads its output, which ForwardOutputs holds
+# the activations an output head may use; ForwardOutputs holds their outputs
 OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
 
 _INIT_STREAM = 0x1217
@@ -72,9 +71,8 @@ class ForwardOutputs:
 class _TrainRecord:
     """What a training forward keeps for ``backward``.
 
-    Its outputs, and for each hidden activation only the array its gradient
-    reads (see ``ACTIVATIONS``): the pre-activation for relu, the output
-    otherwise, which for identity is the pre-activation itself.
+    Its outputs, and each hidden activation's output, which is all its
+    gradient reads (see ``ACTIVATIONS``).
     """
 
     out: ForwardOutputs
@@ -148,8 +146,8 @@ class Model:
         self.vad_enabled = vad_enabled
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
-        self._act, self._act_grad, self._act_reads = ACTIVATIONS[hidden_activation]
-        self._out_act, self._out_act_grad, _ = ACTIVATIONS[output_activation]
+        self._act, self._act_grad = ACTIVATIONS[hidden_activation]
+        self._out_act, self._out_act_grad = ACTIVATIONS[output_activation]
         self.align_len = align_len
         self.fused_dim = 3 * hidden_dim if fusion == "concat" else hidden_dim
 
@@ -250,7 +248,7 @@ class Model:
             if m == "audio":
                 a_mean = pre.mean(axis=1)
             if train:
-                kept[m] = pre if self._act_reads == "pre" else act
+                kept[m] = act
             # free this branch's other array before the next branch allocates
             del pre, act
 
@@ -277,8 +275,7 @@ class Model:
             z_fus=z_fus,
         )
         if train:
-            h_kept = h_pre if self._act_reads == "pre" else h_act
-            self._cache = _TrainRecord(out, kept, h_kept)
+            self._cache = _TrainRecord(out, kept, h_act)
         return out
 
     def backward(

@@ -56,9 +56,13 @@ def relu(x) -> Array:
     return np.maximum(as_tensor(x), 0.0)
 
 
-def relu_grad_mask(x: Array) -> Array:
-    """Derivative of relu at the pre-activation x (0 at the kink itself)."""
-    return (x > 0).astype(np.float64)
+def relu_grad_mask(y: Array) -> Array:
+    """Derivative of relu expressed through its output y = relu(x) (0 at the kink).
+
+    ``y > 0`` exactly where ``x > 0``, so the mask equals the one the
+    pre-activation would give.
+    """
+    return (y > 0).astype(np.float64)
 
 
 def grad_check(

@@ -162,9 +162,11 @@ def dropout_float_mask(keep, rate):
 def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
     """Parameter gradients of a model's last forward, by explicit row gradients.
 
-    Reverses the forward from its training record, which for relu keeps the
-    pre-activations, and the dropout keep-masks as float masks (hidden relu
-    or identity, sigmoid outputs). Each branch's time-mean adjoint is
+    Reverses the forward from its training record, which keeps each hidden
+    activation's output, and the dropout keep-masks as float masks (hidden
+    relu, sigmoid or identity, sigmoid outputs). Each hidden derivative is
+    formed here from that output: relu's as ``out > 0``, sigmoid's as
+    ``out * (1 - out)``. Each branch's time-mean adjoint is
     built as an explicit [B*T x h] array with ``np.repeat``. Grads start at
     zero and receive one sum each, as the model's accumulators do.
     """
@@ -173,13 +175,15 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
     rows = (out.y_hat.shape[0] * model.align_len, model.hidden_dim)
     grads = {}
 
-    def act_back(pre, up):
-        if model.hidden_activation == "identity":
-            return up
-        return up * (pre > 0).astype(np.float64)
-
     def sigmoid_back(y, up):
         return up * (y * (1.0 - y))
+
+    def act_back(out, up):
+        if model.hidden_activation == "identity":
+            return up
+        if model.hidden_activation == "sigmoid":
+            return sigmoid_back(out, up)
+        return up * (out > 0).astype(np.float64)
 
     def drop_back(layer, up):
         if layer._keep is None:

@@ -52,11 +52,16 @@ def param_loss_fn(model, features, targets, weights):
 
 
 def min_preactivation(model, features):
-    """Smallest |pre-activation| the relu layers saw on this input."""
-    assert model.hidden_activation == "relu"  # so the record keeps pre-activations
-    model.forward(features, train=True)
-    rec = model._cache
-    pres = [rec.kept[m] for m in TINY_DIMS] + [rec.h_kept]
+    """Smallest |pre-activation| the hidden layers form on this input.
+
+    Recomputed from the layers themselves: the projections on each
+    modality's rows, and the fusion hidden layer on the fused embedding.
+    """
+    out = model.forward(features, train=True)
+    pres = [
+        model.proj[m].forward(x.reshape(-1, x.shape[-1])) for m, x in features.items()
+    ]
+    pres.append(model.fusion_hidden.forward(out.z_fus))
     return min(float(np.min(np.abs(p))) for p in pres)
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 
 from emireg.cli import main
-from emireg.data import MANIFEST_NAME, SPLITS, SYNTHETIC_MODES, generate_synthetic, load_manifest
+from emireg.data import (
+    MANIFEST_NAME,
+    SPLITS,
+    SYNTHETIC_MODES,
+    generate_synthetic,
+    load_manifest,
+    write_manifest,
+)
 from emireg.losses import CORR_MODES
 from emireg.model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS
 from emireg.train import CADENCES, TrainConfig
@@ -82,6 +90,15 @@ class TestGenSynth:
                 "--out", str(out))
         sidecar = json.loads((out / "synth.json").read_text())
         assert sidecar["latent_assignment"]["audio"] == [2, 3]
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_noise_must_be_finite_and_non_negative(self, tmp_path, capsys, noise):
+        out = tmp_path / "ds"
+        code = run_cli("gen-synth", "--n", "10", "--dims", DIMS_FLAG,
+                       "--noise", noise, "--out", str(out))
+        assert code == 1
+        assert "noise must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_dims_is_usage_error(self, tmp_path):
         assert run_cli("gen-synth", "--n", "10", "--dims", "8x7x6",
@@ -330,6 +347,31 @@ class TestPredict:
             [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
         )
         assert np.all(values > 0.0) and np.all(values < 1.0)
+
+    def test_ids_are_csv_quoted(self, trained_run, small_dataset, tmp_path):
+        # a manifest is read as CSV, so an id may hold a comma, a quote or a newline
+        odd_ids = ['a,"b', 'line\nbreak', '"quoted"', "plain"]
+        rows = [r for r in load_manifest(small_dataset / MANIFEST_NAME) if r.split == "test"]
+        rows = rows[: len(odd_ids)]
+        for row, new_id in zip(rows, odd_ids):
+            row.id = new_id
+            row.path = str(small_dataset / row.path)
+        manifest = tmp_path / "odd" / MANIFEST_NAME
+        manifest.parent.mkdir()
+        write_manifest(manifest, rows)
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        ckpt = str(trained_run / "best.emic")
+        assert run_cli("predict", "--ckpt", ckpt, "--out", str(plain)) == 0
+        assert run_cli("predict", "--ckpt", ckpt, "--manifest", str(manifest),
+                       "--out", str(odd)) == 0
+        with open(odd, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == ["id", "adm", "amu", "det", "emp", "exc", "joy"]
+        assert [r[0] for r in records[1:]] == odd_ids
+        assert all(len(r) == 7 for r in records)
+        # the values are those of the same samples under their plain ids
+        expected = [line.split(",")[1:] for line in plain.read_text().splitlines()[1:]]
+        assert [r[1:] for r in records[1:]] == expected[: len(odd_ids)]
 
     def test_raw_flag_emits_logits(self, trained_run, tmp_path):
         bounded = tmp_path / "p.csv"

@@ -118,6 +118,19 @@ class TestFeatureFile:
         with pytest.raises(DataError):
             write_feature_file(tmp_path / "n.emif", blocks)
 
+    @pytest.mark.parametrize("bad", [1e39, -1e39])
+    def test_rejects_values_beyond_float32(self, tmp_path, bad):
+        path = tmp_path / "n.emif"
+        blocks = {"visual": np.ones((2, 3)), "audio": np.ones((4, 2)), "text": None}
+        blocks["audio"][1, 1] = bad
+        with pytest.raises(DataError, match="audio block"):
+            write_feature_file(path, blocks)
+        assert not path.exists()
+        # the largest float32 is finite and round-trips
+        blocks["audio"][1, 1] = np.finfo(np.float32).max
+        write_feature_file(path, blocks)
+        assert read_feature_file(path)["audio"][1, 1] == np.finfo(np.float32).max
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_reader_rejects_non_finite_payload(self, tmp_path, bad):
         path = tmp_path / "n.emif"
@@ -337,7 +350,7 @@ class TestBatching:
                 assert s.features[m].nbytes == rows * dim * 4
 
     def test_loaded_samples_are_read_only(self, rng, tmp_path):
-        # a write after pooling would leave the cached block stale
+        # a write would change the samples under a caller that pools them later
         root = tmp_path / "ds"
         root.mkdir()
         write_feature_file(root / "s0.emif", random_blocks(rng, absent=("text",)))
@@ -354,8 +367,13 @@ class TestBatching:
 
     def test_unshuffled_batches_are_read_only_views_of_the_block(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 10)
-        blocks, targets = samples.pooled(16)
-        for batch in make_batches(samples, 4, align_len=16):
+        batches = make_batches(samples, 4, align_len=16)
+        blocks = {m: batches[0].features[m].base for m in MODALITIES}
+        targets = batches[0].targets.base
+        for m in MODALITIES:
+            assert blocks[m].shape == (10, 16, DIMS[m])
+        assert targets.shape == (10, 6)
+        for batch in batches:
             for m in MODALITIES:
                 assert np.shares_memory(batch.features[m], blocks[m])
                 assert not batch.features[m].flags.writeable
@@ -402,8 +420,8 @@ class TestBatching:
     def test_batches_hold_no_sample(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 9)
         refs = [weakref.ref(s) for s in samples]
-        blocks, _ = samples.pooled(16)
         batches = make_batches(samples, 4, align_len=16)
+        blocks = {m: batches[0].features[m].base for m in MODALITIES}
         del samples
         gc.collect()
         assert all(ref() is None for ref in refs)
@@ -412,27 +430,14 @@ class TestBatching:
         for m in MODALITIES:
             assert np.shares_memory(batches[0].features[m], blocks[m])
 
-    def test_split_is_pooled_once(self, rng, tmp_path, monkeypatch):
-        samples = _make_dataset(rng, tmp_path / "ds", 7)
-        calls = []
-        real_pool = data_module.adaptive_avg_pool
-
-        def counting_pool(*args, **kwargs):
-            calls.append(1)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(data_module, "adaptive_avg_pool", counting_pool)
-        make_batches(samples, 3, align_len=16)
-        assert len(calls) == 7 * len(MODALITIES)
-        make_batches(samples, 3, 16, shuffle=True, rng=np.random.default_rng(1))
-        make_batches(samples, 4, align_len=16)
-        assert len(calls) == 7 * len(MODALITIES)
-        make_batches(samples, 3, align_len=12)  # a new length pools again
-        assert len(calls) == 14 * len(MODALITIES)
-
     def test_plain_list_batches_uncached(self, rng, tmp_path, monkeypatch):
-        samples = _make_dataset(rng, tmp_path / "ds", 9)
-        expected = make_batches(samples, 4, align_len=16)
+        """Every call pools each sample once per modality, on a tuple or a list.
+
+        ``load_split`` gives a tuple; a list of the same samples batches to
+        the same bytes, and neither is pooled from an earlier call's blocks.
+        """
+        split = _make_dataset(rng, tmp_path / "ds", 9)
+        expected = make_batches(split, 4, align_len=16)
         calls = []
         real_pool = data_module.adaptive_avg_pool
 
@@ -441,14 +446,18 @@ class TestBatching:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(data_module, "adaptive_avg_pool", counting_pool)
-        for _ in range(2):
-            got = make_batches(list(samples), 4, align_len=16)
+        for n_calls, samples in enumerate([split, list(split), split], start=1):
+            got = make_batches(samples, 4, align_len=16)
+            assert len(calls) == n_calls * 9 * len(MODALITIES)
             assert [b.ids for b in got] == [b.ids for b in expected]
             for a, b in zip(got, expected):
                 for m in MODALITIES:
                     assert a.features[m].tobytes() == b.features[m].tobytes()
                 assert a.targets.tobytes() == b.targets.tobytes()
-        assert len(calls) == 2 * 9 * len(MODALITIES)
+        make_batches(split, 4, 16, shuffle=True, rng=np.random.default_rng(1))
+        assert len(calls) == 4 * 9 * len(MODALITIES)
+        make_batches(split, 4, align_len=12)  # another length pools the same way
+        assert len(calls) == 5 * 9 * len(MODALITIES)
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_batches_index_and_iterate_again_alike(self, rng, tmp_path, shuffle):
@@ -472,8 +481,10 @@ class TestBatching:
 
     def test_shuffled_call_gathers_no_batch_up_front(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 40)
-        make_batches(samples, 8, align_len=16)  # pool the split first
+        make_batches(samples, 8, align_len=16)  # warm numpy's own caches
         batch_bytes = sum(8 * 16 * d * 8 for d in DIMS.values())
+        # the call pools: one float64 block per modality and the stacked targets
+        pooled_bytes = 5 * batch_bytes + 40 * 6 * 8
         tracemalloc.start()
         try:
             batches = make_batches(
@@ -483,7 +494,7 @@ class TestBatching:
         finally:
             tracemalloc.stop()
         assert len(batches) == 5
-        assert peak < batch_bytes
+        assert peak < pooled_bytes + batch_bytes, peak
 
     def test_batch_features_match_per_sample_pooling(self, rng, tmp_path):
         from emireg.layers import adaptive_avg_pool

@@ -146,8 +146,9 @@ class TestVadPathway:
         model = tiny_model()
         model.inj.weight.value[...] = rng.normal(size=(6, 3)) * 0.3
         feats = tiny_features(rng)
-        out = model.forward(feats, train=True)  # dropout 0: the eval pass, recorded
-        pre = model._cache.kept["audio"].reshape(4, 8, 6)  # relu keeps the pre-activation
+        out = model.forward(feats, train=False)
+        proj = model.proj["audio"]
+        pre = feats["audio"] @ proj.weight.value.T + proj.bias.value  # [4 x 8 x 6]
         a_mean = pre.mean(axis=1)
         v_expected = sigmoid(a_mean @ model.vad_head.weight.value.T + model.vad_head.bias.value)
         np.testing.assert_allclose(out.v_hat, v_expected, atol=1e-12)
@@ -234,13 +235,12 @@ class TestModelForward:
             if a.shape == (4, 8, 6) and not any(np.shares_memory(a, b) for b in distinct):
                 distinct.append(a)
         assert len(distinct) == len(MODALITIES)
-        act, _, reads = ACTIVATIONS[activation]
+        act, _ = ACTIVATIONS[activation]
         for m in MODALITIES:
             layer = model.proj[m]
             flat = feats[m].reshape(32, TINY_DIMS[m])
             pre = (flat @ layer.weight.value.T + layer.bias.value).reshape(4, 8, 6)
-            expected = pre if reads == "pre" else act(pre)
-            np.testing.assert_allclose(rec.kept[m], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rec.kept[m], act(pre), rtol=0, atol=1e-12)
 
     def test_training_forward_keeps_one_array_and_byte_masks(self, rng):
         batch, align, hidden = 4, 64, 32
@@ -342,6 +342,8 @@ class TestModelBackward:
             pytest.param(0.2, "relu", id="True-relu"),
             pytest.param(0.0, "relu", id="False-relu"),
             pytest.param(0.0, "identity", id="False-identity"),
+            pytest.param(0.2, "sigmoid", id="True-sigmoid"),
+            pytest.param(0.0, "sigmoid", id="False-sigmoid"),
         ],
     )
     def test_param_grads_match_repeated_rows(self, rng, fusion, vad, dropout, activation):

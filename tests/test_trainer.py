@@ -36,6 +36,27 @@ from support import SMALL_DIMS, small_config
 
 # best.emic = last.emic of config (a); see test_golden_checkpoint_bytes
 GOLDEN_A = "f9a92f264738cffdf9580f0cca03b69c3c25bef0d3e7b08117f170b068977346"
+# the same for config (a) with another --hidden-activation
+GOLDEN_A_ACTIVATION = {
+    "sigmoid": "118f42b9deb594da6e1a75a353790129214455418458f943b123e0abdf568d9d",
+    "identity": "9be67a917df03fc313a645928544d48803276d1b55cbe650d18fcfa8d8a9b9ea",
+}
+
+
+def train_config_a(tmp_path, *flags):
+    """Train config (a) from the CLI; return the sha256 of best.emic and last.emic."""
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    gen = ["--n", "120", "--dims", "8:7:6", "--seed", "11", "--out", str(data_dir)]
+    assert main(["gen-synth", *gen]) == 0
+    assert main([
+        "train", "--data", str(data_dir), "--run-dir", str(run_dir),
+        "--hidden-dim", "8", "--align-len", "16", "--batch-size", "16",
+        "--epochs", "3", "--lr", "1e-3", "--seed", "11", *flags,
+    ]) == 0
+    return [
+        hashlib.sha256((run_dir / ckpt).read_bytes()).hexdigest()
+        for ckpt in ("best.emic", "last.emic")
+    ]
 
 
 def read_log(run_dir):
@@ -196,17 +217,14 @@ class TestTrainLoop:
         covers no path; ``log.jsonl`` is not pinned, because ``config_hash``
         covers ``data_dir``. Another numpy or BLAS may round differently.
         """
-        data_dir, run_dir = tmp_path / "data", tmp_path / "run"
-        gen = ["--n", "120", "--dims", "8:7:6", "--seed", "11", "--out", str(data_dir)]
-        assert main(["gen-synth", *gen]) == 0
-        assert main([
-            "train", "--data", str(data_dir), "--run-dir", str(run_dir),
-            "--hidden-dim", "8", "--align-len", "16", "--batch-size", "16",
-            "--epochs", "3", "--lr", "1e-3", "--seed", "11",
-        ]) == 0
-        for ckpt in ("best.emic", "last.emic"):
-            digest = hashlib.sha256((run_dir / ckpt).read_bytes()).hexdigest()
-            assert digest == GOLDEN_A, ckpt
+        assert train_config_a(tmp_path) == [GOLDEN_A, GOLDEN_A]
+
+    @pytest.mark.parametrize("activation", sorted(GOLDEN_A_ACTIVATION))
+    def test_golden_checkpoint_bytes_other_activations(self, tmp_path, activation):
+        """Config (a) with ``--hidden-activation`` sigmoid or identity, pinned alike."""
+        golden = GOLDEN_A_ACTIVATION[activation]
+        digests = train_config_a(tmp_path, "--hidden-activation", activation)
+        assert digests == [golden, golden]
 
     def test_no_raw_sample_alive_during_training(
         self, small_dataset, tmp_path, monkeypatch
