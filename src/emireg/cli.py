@@ -1,9 +1,10 @@
 """Command-line entry point: gen-synth, train, evaluate, predict, ablate, inspect.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or file-format error,
-3 numeric failure; ``ablate`` exits with the code of its first failed cell's
-error. Diagnostics go to stderr; machine-readable results
-(resolved config, eval reports) go to stdout.
+3 numeric failure (NaN/Inf in a training step or an EMA evaluation, which
+ends ``train`` after its log is closed); ``ablate`` exits with the code of
+its first failed cell's error. Diagnostics go to stderr; machine-readable
+results (resolved config, eval reports) go to stdout.
 """
 
 from __future__ import annotations
@@ -282,8 +283,6 @@ def _cmd_train(args) -> int:
         f"p_mean {record.best_p_mean:.6f} ({record.stop_reason}) -> {record.run_dir}",
         file=sys.stderr,
     )
-    if record.stop_reason == "non_finite_loss":
-        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -351,31 +351,36 @@ def load_manifest(path) -> list[ManifestRow]:
     seen: set[str] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["id", "split", "path", *TARGET_COLUMNS]
-        if header != expected:
-            raise DataError(f"{path}: bad manifest header {header}")
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} columns")
-            sample_id, split, rel = record[0], record[1], record[2]
-            if sample_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {sample_id!r}")
-            seen.add(sample_id)
-            if split not in SPLITS:
-                raise DataError(f"{path}:{lineno}: unknown split {split!r}")
-            try:
-                target = np.array([float(v) for v in record[3:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad target value: {exc}") from exc
-            sentinel = bool(np.all(target == -1.0))
-            in_range = bool(np.all((target >= 0.0) & (target <= 1.0)))
-            if not in_range and not (sentinel and split == "test"):
-                raise DataError(
-                    f"{path}:{lineno}: targets must lie in [0,1] "
-                    "(all -1 allowed on test rows only)"
-                )
-            rows.append(ManifestRow(id=sample_id, split=split, path=rel, target=target))
+        try:
+            header = next(reader, None)
+            expected = ["id", "split", "path", *TARGET_COLUMNS]
+            if header != expected:
+                raise DataError(f"{path}: bad manifest header {header}")
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) != len(expected):
+                    raise DataError(f"{path}:{lineno}: expected {len(expected)} columns")
+                sample_id, split, rel = record[0], record[1], record[2]
+                if sample_id in seen:
+                    raise DataError(f"{path}:{lineno}: duplicate id {sample_id!r}")
+                seen.add(sample_id)
+                if split not in SPLITS:
+                    raise DataError(f"{path}:{lineno}: unknown split {split!r}")
+                try:
+                    target = np.array([float(v) for v in record[3:]])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad target value: {exc}") from exc
+                sentinel = bool(np.all(target == -1.0))
+                in_range = bool(np.all((target >= 0.0) & (target <= 1.0)))
+                if not in_range and not (sentinel and split == "test"):
+                    raise DataError(
+                        f"{path}:{lineno}: targets must lie in [0,1] "
+                        "(all -1 allowed on test rows only)"
+                    )
+                rows.append(ManifestRow(id=sample_id, split=split, path=rel, target=target))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: manifest is not valid text: {exc}") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc
     return rows
 
 

@@ -195,7 +195,7 @@ class Model:
         self._params.grad.fill(0.0)
 
     def set_values(self, values: dict[str, Array]) -> None:
-        """Copy named tensors in; the names must be exactly the model's own."""
+        """Copy named tensors in; a name or shape not the model's own is a ConfigError."""
         params = self._params
         missing = set(params) - set(values)
         if missing:
@@ -206,7 +206,7 @@ class Model:
         for name, p in params.items():
             incoming = as_tensor(values[name])
             if incoming.shape != p.value.shape:
-                raise ShapeError(
+                raise ConfigError(
                     f"parameter {name!r}: stored shape {incoming.shape} "
                     f"!= model shape {p.value.shape}"
                 )
@@ -282,13 +282,15 @@ class Model:
         self,
         d_y_hat: Array,
         d_aux: dict[str, Array],
-        d_v_hat: Array | None = None,
+        d_v_hat: Array | None,
     ) -> None:
         """Reverse traversal of the last training forward; accumulates parameter grads.
 
         Returns None: the pooled input features are not learned, so the
-        projections form no input gradient. ``d_v_hat`` carries the direct
-        regularizer gradient on the latent VAD vector.
+        projections form no input gradient. The gradients are the full set
+        ``losses.total_loss`` returns: every branch's in ``d_aux``, and in
+        ``d_v_hat`` the regularizer's on the latent VAD vector (None without
+        the VAD pathway).
         """
         rec = self._cache
         if rec is None:
@@ -305,17 +307,12 @@ class Model:
         )
 
         for m in MODALITIES:
-            up = d_aux.get(m) if d_aux else None
-            if up is None:
-                continue
-            d_logits = self._out_act_grad(out.aux[m], as_tensor(up))
+            d_logits = self._out_act_grad(out.aux[m], as_tensor(d_aux[m]))
             d_z[m] = d_z[m] + self.aux_head[m].backward(d_logits)
 
         d_a_rows = None
         if self.vad_enabled:
-            d_v_total = self.inj.backward(d_z["audio"])
-            if d_v_hat is not None:
-                d_v_total = d_v_total + as_tensor(d_v_hat)
+            d_v_total = self.inj.backward(d_z["audio"]) + as_tensor(d_v_hat)
             d_v_logits = d_v_total * sigmoid_grad_from_output(out.v_hat)
             # mean over time: every projected row shares the pooled gradient
             d_a_rows = (self.vad_head.backward(d_v_logits) / self.align_len)[:, None, :]

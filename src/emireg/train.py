@@ -203,7 +203,11 @@ class TrainConfig:
 
 @dataclass
 class RunRecord:
-    """What one training run produced, step by step."""
+    """What one training run produced, step by step.
+
+    Its ``stop_reason`` is ``completed`` or ``early_stopping``: ``train``
+    raises a numeric failure instead of returning a record.
+    """
 
     config_hash: str
     run_dir: str
@@ -212,7 +216,6 @@ class RunRecord:
     best_epoch: int = 0
     best_p_mean: float = float("-inf")
     stop_reason: str = ""
-    abort_error: str = ""  # the NumericError message behind a non_finite_loss stop
 
 
 def _checkpoint_tensors(model: Model, ema: Ema) -> dict[str, Array]:
@@ -277,7 +280,12 @@ def _split_batches(config: TrainConfig, manifest_path, split: str) -> data.Batch
 
 
 def train(config: TrainConfig) -> RunRecord:
-    """Run the full recipe; writes config.json, log.jsonl, best/last checkpoints."""
+    """Run the full recipe; writes config.json, log.jsonl, best/last checkpoints.
+
+    A ``NumericError`` from a training step or an EMA evaluation is logged as
+    an ``abort`` record, then the ``end`` record (``non_finite_loss``), and is
+    raised once the log is closed; best/last stay the last completed epoch's.
+    """
     config.validate()
     if config.data_dir is None:
         raise ConfigError("config.data_dir is required for training")
@@ -314,15 +322,15 @@ def train(config: TrainConfig) -> RunRecord:
             log.flush()
 
         record.stop_reason = "completed"
-        for epoch in range(1, config.epochs + 1):
-            lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
-            batches = train_batches.shuffled(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
-            aborted = False
-            for batch in batches:
-                if config.lr_cadence == "step":
-                    lr = cosine_lr(global_step, total_steps, config.lr, config.eta_min)
-                model.zero_grads()
-                try:
+        failure = None
+        try:
+            for epoch in range(1, config.epochs + 1):
+                lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
+                batches = train_batches.shuffled(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
+                for batch in batches:
+                    if config.lr_cadence == "step":
+                        lr = cosine_lr(global_step, total_steps, config.lr, config.eta_min)
+                    model.zero_grads()
                     outputs = model.forward(batch.features, train=True)
                     breakdown, grads = total_loss(
                         outputs.y_hat,
@@ -336,53 +344,42 @@ def train(config: TrainConfig) -> RunRecord:
                     model.backward(grads.y_hat, grads.aux, grads.v_hat)
                     factor, norm = clip_global_norm(model.parameters(), config.clip_norm)
                     optimizer.step(lr)
-                except NumericError as exc:
-                    # keep the last-good checkpoints; do not overwrite them
-                    record.stop_reason = "non_finite_loss"
-                    record.abort_error = str(exc)
-                    emit(
-                        {
-                            "type": "abort",
-                            "epoch": epoch,
-                            "step": global_step,
-                            "error": str(exc),
-                        }
-                    )
-                    aborted = True
-                    break
-                if config.ema_cadence == "step":
+                    if config.ema_cadence == "step":
+                        ema.update()
+                    global_step += 1
+                    step_payload = {
+                        "type": "step",
+                        "epoch": epoch,
+                        "step": global_step,
+                        "lr": lr,
+                        "batch": len(batch),
+                        "grad_norm": norm,
+                        "clip_factor": factor,
+                        **breakdown.to_dict(),
+                    }
+                    record.steps.append(step_payload)
+                    emit(step_payload)
+                if config.ema_cadence == "epoch":
                     ema.update()
-                global_step += 1
-                step_payload = {
-                    "type": "step",
-                    "epoch": epoch,
-                    "step": global_step,
-                    "lr": lr,
-                    "batch": len(batch),
-                    "grad_norm": norm,
-                    "clip_factor": factor,
-                    **breakdown.to_dict(),
-                }
-                record.steps.append(step_payload)
-                emit(step_payload)
-            if aborted:
-                break
-            if config.ema_cadence == "epoch":
-                ema.update()
 
-            report = _eval_with_values(model, ema.value, val_batches)
-            record.evals.append(report)
-            emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
+                report = _eval_with_values(model, ema.value, val_batches)
+                record.evals.append(report)
+                emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
 
-            data.save_checkpoint(run_dir / "last.emic", _checkpoint_tensors(model, ema))
-            improved, stop = stopper.update(report.p_mean)
-            if improved:
-                data.save_checkpoint(
-                    run_dir / "best.emic", _checkpoint_tensors(model, ema)
-                )
-            if stop:
-                record.stop_reason = "early_stopping"
-                break
+                data.save_checkpoint(run_dir / "last.emic", _checkpoint_tensors(model, ema))
+                improved, stop = stopper.update(report.p_mean)
+                if improved:
+                    data.save_checkpoint(
+                        run_dir / "best.emic", _checkpoint_tensors(model, ema)
+                    )
+                if stop:
+                    record.stop_reason = "early_stopping"
+                    break
+        except NumericError as exc:
+            # keep the last-good checkpoints; raise once the log is closed
+            failure = exc
+            record.stop_reason = "non_finite_loss"
+            emit({"type": "abort", "epoch": epoch, "step": global_step, "error": str(exc)})
 
         record.best_epoch = stopper.best_epoch
         record.best_p_mean = stopper.best
@@ -396,6 +393,8 @@ def train(config: TrainConfig) -> RunRecord:
                 "config_hash": record.config_hash,
             }
         )
+    if failure is not None:
+        raise failure
     return record
 
 
@@ -497,9 +496,8 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
     All cells share the base seed(s) so differences reflect configuration.
     Failed cells are marked rather than sinking the whole grid; only package
     errors (EmiregError) mark a cell, any other exception propagates. A
-    cell's ``error`` is the exception that failed it (a non_finite_loss stop
-    counts as a NumericError), or None; the CSV writes it as
-    ``ErrorClass: message``.
+    cell's ``error`` is the exception that failed it, or None; the CSV
+    writes it as ``ErrorClass: message``.
     """
     base.validate()
     if base.run_dir is None:
@@ -526,9 +524,6 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
                 record = train(cfg)
             except EmiregError as exc:
                 error = exc
-                break
-            if record.stop_reason == "non_finite_loss":
-                error = NumericError(record.abort_error)
                 break
             scores.append(record.best_p_mean)
             best_epochs.append(record.best_epoch)

@@ -205,13 +205,43 @@ class TestTrain:
         assert echoed["run_dir"].startswith(str(tmp_path / "root"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numeric_failure_exit_code(self, small_dataset, tmp_path):
+    def test_numeric_failure_exit_code(self, small_dataset, tmp_path, capsys):
         code = run_cli(
             "train", "--data", str(small_dataset), "--run-dir", str(tmp_path / "r"),
             "--hidden-dim", "8", "--batch-size", "16", "--epochs", "30",
             "--align-len", "16", "--lr", "1e12", "--patience", "30",
         )
         assert code == 3
+        err = capsys.readouterr().err
+        assert "emireg: numeric failure: non-finite values produced by" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line,needle",
+        [
+            (b"\xffbad,train,x.emif" + b",0.5" * 6, "manifest is not valid text"),
+            (b"a" * 200_000 + b",train,x.emif" + b",0.5" * 6, ":3: malformed CSV: field larger"),
+        ],
+        ids=["undecodable-id", "oversized-field"],
+    )
+    def test_unreadable_manifest_is_data_error(
+        self, small_dataset, tmp_path, capsys, line, needle
+    ):
+        data_dir = tmp_path / "ds"
+        shutil.copytree(small_dataset, data_dir)
+        manifest = data_dir / MANIFEST_NAME
+        lines = manifest.read_bytes().split(b"\n")
+        lines.insert(2, line)
+        manifest.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--data", str(data_dir), "--run-dir", str(tmp_path / "r"),
+            "--hidden-dim", "8", "--epochs", "1", "--align-len", "16",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"emireg: data error: {manifest}" in err and needle in err
+        assert "Traceback" not in err
 
     def test_non_finite_feature_is_data_error(self, tmp_path, capsys):
         data_dir = tmp_path / "ds"
@@ -291,6 +321,18 @@ class TestEvaluate:
         assert run_cli("evaluate", *ckpt, "--no-ema") == 1
         err = capsys.readouterr().err
         assert err.count("emireg: config error: unknown parameter values: ['vad.") == 2
+        assert "Traceback" not in err
+
+    def test_checkpoint_of_another_shape_is_config_error(self, trained_run, tmp_path, capsys):
+        payload = json.loads((trained_run / "config.json").read_text())
+        payload["hidden_dim"] = 16  # the run was trained with hidden 8
+        config = tmp_path / "hidden16.json"
+        config.write_text(json.dumps(payload))
+        ckpt = ("--ckpt", str(trained_run / "best.emic"), "--config", str(config))
+        assert run_cli("evaluate", *ckpt) == 1
+        assert run_cli("predict", *ckpt, "--out", str(tmp_path / "p.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("emireg: config error: parameter 'visual.proj.weight': stored shape") == 2
         assert "Traceback" not in err
 
     def test_config_without_dataset_is_config_error(self, trained_run, tmp_path, capsys):

@@ -704,6 +704,46 @@ class TestReaderFuzz:
         _parses_or_format_error(kind, tmp_path / f"fuzz.{kind}", bytes(raw))
 
 
+def _manifest_bytes(tmp_path: Path) -> bytes:
+    """A valid three-row manifest, one row per split."""
+    path = tmp_path / "valid.csv"
+    write_manifest(
+        path,
+        [
+            ManifestRow(id=f"s{i}", split=split, path=f"s{i}.emif", target=np.full(6, 0.25))
+            for i, split in enumerate(("train", "val", "test"))
+        ],
+    )
+    return path.read_bytes()
+
+
+def _parses_or_data_error(path: Path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        load_manifest(path)
+    except DataError:
+        pass
+
+
+class TestManifestFuzz:
+    """Any manifest either parses or raises DataError; nothing else escapes."""
+
+    @_FUZZ
+    @given(tail=st.binary(max_size=300))
+    def test_arbitrary_bytes_after_the_header(self, tmp_path, tail):
+        valid = _manifest_bytes(tmp_path)
+        header = valid[: valid.index(b"\n") + 1]
+        _parses_or_data_error(tmp_path / MANIFEST_NAME, header + tail)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_one_byte_changed(self, tmp_path, data):
+        valid = _manifest_bytes(tmp_path)
+        raw = bytearray(valid)
+        raw[data.draw(st.integers(0, len(valid) - 1))] = data.draw(st.integers(0, 255))
+        _parses_or_data_error(tmp_path / MANIFEST_NAME, bytes(raw))
+
+
 def _tree_digest(root: Path) -> dict:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()

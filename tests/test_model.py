@@ -328,7 +328,11 @@ class TestModelBackward:
         model = tiny_model(seed=4)
         model.forward(tiny_features(rng), train=True)
         model.zero_grads()
-        model.backward(rng.normal(size=(4, 6)), {}, None)
+        model.backward(
+            rng.normal(size=(4, 6)),
+            {m: np.zeros((4, 6)) for m in MODALITIES},
+            np.zeros((4, 3)),
+        )
         for m in MODALITIES:
             assert np.all(model.aux_head[m].weight.grad == 0.0)
             assert np.all(model.aux_head[m].bias.grad == 0.0)
@@ -429,7 +433,7 @@ class TestParameterPlumbing:
         model = tiny_model()
         values = param_values(model)
         values["fusion.out.bias"] = np.zeros(7)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"'fusion.out.bias': stored shape \(7,\)"):
             model.set_values(values)
 
     def test_init_is_seed_deterministic(self, rng):

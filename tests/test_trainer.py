@@ -63,6 +63,32 @@ def read_log(run_dir):
     return [json.loads(line) for line in (Path(run_dir) / "log.jsonl").read_text().splitlines()]
 
 
+def record_checkpoint_saves(monkeypatch):
+    """Patch ``data.save_checkpoint`` to log each save: file name -> bytes per save."""
+    saves: dict[str, list[bytes]] = {"best.emic": [], "last.emic": []}
+    real_save = data.save_checkpoint
+
+    def recording_save(path, tensors):
+        real_save(path, tensors)
+        saves[Path(path).name].append(Path(path).read_bytes())
+
+    monkeypatch.setattr(data, "save_checkpoint", recording_save)
+    return saves
+
+
+def assert_numeric_abort(run_dir, saves, message, epoch, step):
+    """The log ends ``abort`` then ``end``; the checkpoints are the last saves."""
+    log = read_log(run_dir)
+    assert log[-2] == {"type": "abort", "epoch": epoch, "step": step, "error": message}
+    assert log[-1]["type"] == "end"
+    assert log[-1]["stop_reason"] == "non_finite_loss"
+    assert [r["type"] for r in log].count("eval") == epoch - 1
+    for name in ("best.emic", "last.emic"):
+        assert saves[name], f"no completed epoch saved {name}"
+        assert (Path(run_dir) / name).read_bytes() == saves[name][-1]
+    data.load_checkpoint(Path(run_dir) / "last.emic")
+
+
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path / "d", tmp_path / "r", seed=5)
@@ -321,19 +347,52 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_aborts_with_last_good_checkpoint(
-        self, small_dataset, tmp_path
+        self, small_dataset, tmp_path, monkeypatch
     ):
         # an absurd learning rate with weight decay compounds multiplicatively
         # until parameters overflow; the run must stop, not mask it
+        saves = record_checkpoint_saves(monkeypatch)
         cfg = small_config(
             small_dataset, tmp_path / "run", epochs=30, lr=1e12, patience=30
         )
-        record = train(cfg)
-        assert record.stop_reason == "non_finite_loss"
-        log = read_log(record.run_dir)
-        assert log[-2]["type"] == "abort"
-        assert record.abort_error == log[-2]["error"] != ""
-        assert log[-1]["type"] == "end"
+        with pytest.raises(NumericError) as caught:
+            train(cfg)
+        assert str(caught.value) != ""
+        log = read_log(cfg.run_dir)
+        steps = [r for r in log if r["type"] == "step"]
+        epoch = log[-2]["epoch"]
+        assert epoch > 1
+        assert_numeric_abort(
+            cfg.run_dir, saves, str(caught.value), epoch, steps[-1]["step"]
+        )
+
+    def test_numeric_error_in_ema_evaluation_aborts_the_same_way(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # `emireg.train` as an attribute path resolves to the re-exported
+        # function, so the trainer module is patched through sys.modules
+        trainer = sys.modules["emireg.train"]
+        real_eval = trainer._eval_with_values
+        calls = []
+
+        def failing_on_epoch_two(model, values, batches):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericError("non-finite values produced by linear forward")
+            return real_eval(model, values, batches)
+
+        monkeypatch.setattr(trainer, "_eval_with_values", failing_on_epoch_two)
+        saves = record_checkpoint_saves(monkeypatch)
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=3)
+        with pytest.raises(NumericError, match="produced by linear forward"):
+            train(cfg)
+        steps = [r for r in read_log(cfg.run_dir) if r["type"] == "step"]
+        assert {r["epoch"] for r in steps} == {1, 2}
+        assert len(saves["last.emic"]) == 1  # epoch 1's save only
+        assert_numeric_abort(
+            cfg.run_dir, saves, "non-finite values produced by linear forward",
+            2, steps[-1]["step"],
+        )
 
     def test_zero_weights_match_mse_cell_config(self, small_dataset, tmp_path):
         # the ablation's 'mse' objective must be exactly the zero-weight run
@@ -517,10 +576,7 @@ class TestAblate:
         def three_cells_fail(cfg):
             name = Path(cfg.run_dir).name
             if name == "mse_novad_concat":
-                return RunRecord(
-                    config_hash="", run_dir=cfg.run_dir, stop_reason="non_finite_loss",
-                    abort_error="non-finite values produced by linear forward",
-                )
+                raise NumericError("non-finite values produced by linear forward")
             if name == "mse_vad_average":
                 raise DataError("features/s3.emif: truncated")
             if name == "multi_vad_concat":
