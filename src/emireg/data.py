@@ -365,6 +365,8 @@ def load_manifest(path) -> list[ManifestRow]:
                 seen.add(sample_id)
                 if split not in SPLITS:
                     raise DataError(f"{path}:{lineno}: unknown split {split!r}")
+                if "\0" in rel:
+                    raise DataError(f"{path}:{lineno}: path holds a NUL byte: {rel!r}")
                 try:
                     target = np.array([float(v) for v in record[3:]])
                 except ValueError as exc:
@@ -555,6 +557,8 @@ def generate_synthetic(
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(noise) and noise >= 0):
         raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     if set(dims) != set(MODALITIES):

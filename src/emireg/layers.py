@@ -1,13 +1,14 @@
 """Building blocks: parameters and their flat store, linear, dropout, pooling.
 
-Layers follow a layer-local backward convention: ``forward`` caches what it
-needs, ``backward`` takes the upstream gradient, accumulates parameter
-gradients in place and returns the gradient with respect to the layer
-input. ``Linear.backward(..., input_grad=False)`` skips that input gradient
-and returns None, for layers whose input is not learned (the projections of
-frozen features). A layer instance belongs to one training thread. Pooling
-runs when batches are built, on features that are not learned, so it has no
-backward.
+Layers keep no per-call state: a layer holds its parameters and settings,
+and whatever a backward reads from its forward is handed back to it by the
+caller. ``Linear.backward(x, upstream)`` takes the forward's input ``x``,
+accumulates the parameter gradients in place and returns the gradient with
+respect to ``x``; with ``input_grad=False`` it skips that product and
+returns None, for layers whose input is not learned (the projections of
+frozen features). ``Dropout.forward`` returns its keep-mask beside its
+output, and ``Dropout.backward`` takes that mask. Pooling runs when batches
+are built, on features that are not learned, so it has no backward.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class Linear:
     """Affine map ``y = x @ W.T + b`` over a batch of row vectors.
 
     ``weight`` is [out x in], Glorot-initialized from ``rng``, or zero
-    without one. The input is cached by ``forward`` so that ``backward`` can
-    form the parameter gradients.
+    without one.
     """
 
     def __init__(
@@ -101,7 +101,6 @@ class Linear:
         self.bias = Param(np.zeros(out_dim)) if bias else None
         self.out_dim = out_dim
         self.in_dim = in_dim
-        self._input: Array | None = None
 
     def forward(self, x) -> Array:
         x = as_tensor(x)
@@ -110,29 +109,27 @@ class Linear:
                 f"linear expects [batch x {self.in_dim}], got {x.shape} "
                 f"against weight {self.weight.shape}"
             )
-        self._input = x
         y = x @ self.weight.value.T
         if self.bias is not None:
             y += self.bias.value
         return ensure_finite(y, "linear forward")
 
-    def backward(self, upstream, input_grad: bool = True) -> Array | None:
-        """Accumulate weight/bias grads; return the gradient w.r.t. the input.
+    def backward(self, x, upstream, input_grad: bool = True) -> Array | None:
+        """Accumulate weight/bias grads; return the gradient w.r.t. the input ``x``.
 
-        With ``input_grad=False`` the ``upstream @ W`` product is skipped and
-        None is returned; the parameter grads are the same either way.
+        ``x`` is the input the forward was given. With ``input_grad=False``
+        the ``upstream @ W`` product is skipped and None is returned; the
+        parameter grads are the same either way.
         """
-        if self._input is None:
-            raise StateError("linear backward called before forward")
-        upstream = as_tensor(upstream)
-        if upstream.shape != (self._input.shape[0], self.out_dim):
+        x, upstream = as_tensor(x), as_tensor(upstream)
+        if x.shape[1:] != (self.in_dim,) or upstream.shape != (x.shape[0], self.out_dim):
             raise ShapeError(
-                f"upstream {upstream.shape} does not match forward batch "
-                f"({self._input.shape[0]} x {self.out_dim})"
+                f"linear backward expects input [batch x {self.in_dim}] and upstream "
+                f"[batch x {self.out_dim}], got {x.shape} and {upstream.shape}"
             )
         if self.weight.grad is None:
             raise StateError("linear backward needs its parameters in a ParamStore")
-        self.weight.grad += upstream.T @ self._input
+        self.weight.grad += upstream.T @ x
         if self.bias is not None:
             self.bias.grad += upstream.sum(axis=0)
         return upstream @ self.weight.value if input_grad else None
@@ -144,7 +141,9 @@ class Dropout:
     Masks come from the generator handed in at construction (the seeded run
     PRNG), so a fixed draw order keeps training reproducible; a Dropout
     without one (``rng=None``) serves eval-mode forwards only. A training
-    forward keeps a boolean keep-mask, one byte per element. Forward and
+    forward returns its output and a boolean keep-mask, one byte per
+    element; any other forward returns its input and None. ``backward``
+    takes that mask, and None passes the gradient through. Forward and
     backward multiply by the scale, then by the mask: ``(x * s) * 1`` is
     ``x * s`` and ``(x * s) * 0`` has the sign of ``x * 0``, so the result
     has the bits of ``x`` times a float mask of ``s`` and 0.
@@ -156,24 +155,22 @@ class Dropout:
         self.rate = rate
         self.rng = rng
         self._scale = 1.0 / (1.0 - rate)
-        self._keep: Array | None = None
 
-    def forward(self, x, train: bool) -> Array:
+    def forward(self, x, train: bool) -> tuple[Array, Array | None]:
         x = as_tensor(x)
         if not train or self.rate == 0.0:
-            self._keep = None
-            return x
+            return x, None
         if self.rng is None:
             raise StateError("a training forward needs a dropout generator")
-        self._keep = self.rng.random(x.shape) < 1.0 - self.rate
+        keep = self.rng.random(x.shape) < 1.0 - self.rate
         out = x * self._scale
-        out *= self._keep
-        return out
+        out *= keep
+        return out, keep
 
-    def backward(self, upstream) -> Array:
-        if self._keep is None:
+    def backward(self, keep: Array | None, upstream) -> Array:
+        if keep is None:
             return as_tensor(upstream)
-        return as_tensor(upstream) * self._scale * self._keep
+        return as_tensor(upstream) * self._scale * keep
 
 
 def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:

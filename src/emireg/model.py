@@ -5,10 +5,12 @@ explicit reverse traversal instead of a tape. Each layer is named once, where
 it is built: the name keys its initialization stream, which makes shared
 layers start identically across configurations that add or remove the VAD
 pathway, and it prefixes the layer's entries in the one flat parameter store,
-whose order is construction order. Only a training forward keeps a record for
-``backward``, and per branch it holds one ``[batch x align x hidden]``
-array: the hidden activation's output, which its gradient reads. An eval
-forward keeps nothing. A model built without a seed draws nothing: every
+whose order is construction order. Layers keep no per-call state, so the
+only thing a forward leaves behind is the record a training forward keeps
+for ``backward`` (see ``_TrainRecord``): every layer input and activation
+output the gradients read. An eval forward keeps nothing, and any forward
+drops the record it finds. One ``Dropout``, on one generator, serves every
+branch and the fusion head. A model built without a seed draws nothing: every
 parameter starts at zero for the caller to set, as a checkpoint load does.
 The fusion modes and the activations are defined here, once; the config and
 the CLI read these tables.
@@ -63,21 +65,28 @@ class ForwardOutputs:
     aux: dict[str, Array]
     v_hat: Array | None
     z: dict[str, Array]
-    z_audio_main: Array
     z_fus: Array
 
 
 @dataclass
 class _TrainRecord:
-    """What a training forward keeps for ``backward``.
+    """What a training forward keeps for ``backward``: the inputs it reads.
 
-    Its outputs, and each hidden activation's output, which is all its
-    gradient reads (see ``ACTIVATIONS``).
+    Its outputs hold the inputs of the aux heads (``z``), of the fusion
+    hidden layer (``z_fus``) and of the VAD injection (``v_hat``); the rest
+    is here. Each hidden activation's gradient reads its output (see
+    ``ACTIVATIONS``). The projection inputs are views of the caller's
+    float64 features, so per branch the record owns one
+    ``[batch x align x hidden]`` array and one byte mask, plus small ones.
     """
 
     out: ForwardOutputs
-    kept: dict[str, Array]  # per branch, [batch x align x hidden]
-    h_kept: Array  # the fusion hidden layer's, [batch x hidden]
+    rows: dict[str, Array]  # per branch, the projection input [batch*align x dim]
+    kept: dict[str, Array]  # per branch, the activation output [batch x align x hidden]
+    a_mean: Array  # the audio pre-activation's time mean, the VAD head's input
+    h_kept: Array  # the fusion hidden activation's output, [batch x hidden]
+    h_drop: Array  # h_kept after dropout, the fusion output layer's input
+    keep: dict[str, Array | None]  # keep-masks per branch and "fusion", or None
 
 
 def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
@@ -163,8 +172,9 @@ class Model:
             return layer
 
         dropout_rng = None if seed is None else seeded_rng(seed, _DROPOUT_STREAM)
+        # one mask stream, drawn in the order visual, audio, text, fusion
+        self.drop = Dropout(dropout, dropout_rng)
         self.proj = {m: linear(f"{m}.proj", hidden_dim, dims[m]) for m in MODALITIES}
-        self.drop = {m: Dropout(dropout, dropout_rng) for m in MODALITIES}
         self.aux_head = {m: linear(f"{m}.aux", N_TARGETS, hidden_dim) for m in MODALITIES}
         if vad_enabled:
             self.vad_head = linear("vad.head", VAD_DIM, hidden_dim)
@@ -174,7 +184,6 @@ class Model:
             self.vad_head = None
             self.inj = None
         self.fusion_hidden = linear("fusion.hidden", hidden_dim, self.fused_dim)
-        self.fusion_drop = Dropout(dropout, dropout_rng)
         self.fusion_out = linear("fusion.out", N_TARGETS, hidden_dim)
         # the last training forward's record, or None
         self._cache: _TrainRecord | None = None
@@ -222,7 +231,9 @@ class Model:
         """
         self._cache = None
         batch = None
+        rows: dict[str, Array] = {}
         kept: dict[str, Array] = {}
+        keep: dict[str, Array | None] = {}
         z: dict[str, Array] = {}
         for m in MODALITIES:
             x = as_tensor(features[m])
@@ -244,24 +255,24 @@ class Model:
             flat = x.reshape(batch * self.align_len, self.dims[m])
             pre = self.proj[m].forward(flat).reshape(batch, self.align_len, self.hidden_dim)
             act = self._act(pre)
-            z[m] = self.drop[m].forward(act, train).mean(axis=1)
+            dropped, keep[m] = self.drop.forward(act, train)
+            z[m] = dropped.mean(axis=1)
             if m == "audio":
                 a_mean = pre.mean(axis=1)
             if train:
-                kept[m] = act
-            # free this branch's other array before the next branch allocates
-            del pre, act
+                rows[m], kept[m] = flat, act
+            # free this branch's other arrays before the next branch allocates
+            del pre, act, dropped
 
-        z_audio_main = z["audio"]
         v_hat = None
         if self.vad_enabled:
             v_hat = sigmoid(self.vad_head.forward(a_mean))
-            z["audio"] = z_audio_main + self.inj.forward(v_hat)
+            z["audio"] = z["audio"] + self.inj.forward(v_hat)
 
         z_fus = fuse(z["visual"], z["audio"], z["text"], self.fusion)
-        h_pre = self.fusion_hidden.forward(z_fus)
-        h_act = self._act(h_pre)
-        y_logits = self.fusion_out.forward(self.fusion_drop.forward(h_act, train))
+        h_act = self._act(self.fusion_hidden.forward(z_fus))
+        h_drop, keep["fusion"] = self.drop.forward(h_act, train)
+        y_logits = self.fusion_out.forward(h_drop)
         y_hat = self._out_act(y_logits)
         aux_logits = {m: self.aux_head[m].forward(z[m]) for m in MODALITIES}
 
@@ -271,11 +282,10 @@ class Model:
             aux={m: self._out_act(aux_logits[m]) for m in MODALITIES},
             v_hat=v_hat,
             z=z,
-            z_audio_main=z_audio_main,
             z_fus=z_fus,
         )
         if train:
-            self._cache = _TrainRecord(out, kept, h_act)
+            self._cache = _TrainRecord(out, rows, kept, a_mean, h_act, h_drop, keep)
         return out
 
     def backward(
@@ -299,32 +309,35 @@ class Model:
         batch = out.y_hat.shape[0]
 
         d_y_logits = self._out_act_grad(out.y_hat, as_tensor(d_y_hat))
-        d_h_drop = self.fusion_out.backward(d_y_logits)
-        d_h_act = self.fusion_drop.backward(d_h_drop)
+        d_h_drop = self.fusion_out.backward(rec.h_drop, d_y_logits)
+        d_h_act = self.drop.backward(rec.keep["fusion"], d_h_drop)
         d_h_pre = self._act_grad(rec.h_kept, d_h_act)
         d_z = unfuse_grad(
-            self.fusion_hidden.backward(d_h_pre), self.hidden_dim, self.fusion
+            self.fusion_hidden.backward(out.z_fus, d_h_pre), self.hidden_dim, self.fusion
         )
 
         for m in MODALITIES:
             d_logits = self._out_act_grad(out.aux[m], as_tensor(d_aux[m]))
-            d_z[m] = d_z[m] + self.aux_head[m].backward(d_logits)
+            d_z[m] = d_z[m] + self.aux_head[m].backward(out.z[m], d_logits)
 
         d_a_rows = None
         if self.vad_enabled:
-            d_v_total = self.inj.backward(d_z["audio"]) + as_tensor(d_v_hat)
+            d_v_total = self.inj.backward(out.v_hat, d_z["audio"]) + as_tensor(d_v_hat)
             d_v_logits = d_v_total * sigmoid_grad_from_output(out.v_hat)
             # mean over time: every projected row shares the pooled gradient
-            d_a_rows = (self.vad_head.backward(d_v_logits) / self.align_len)[:, None, :]
+            d_a_mean = self.vad_head.backward(rec.a_mean, d_v_logits)
+            d_a_rows = (d_a_mean / self.align_len)[:, None, :]
 
         for m in MODALITIES:
             # [batch x 1 x h] broadcasts over time against the recorded [batch x T x h]
-            d_act = self.drop[m].backward(d_z[m][:, None, :] / self.align_len)
+            d_act = self.drop.backward(rec.keep[m], d_z[m][:, None, :] / self.align_len)
             d_pre = self._act_grad(rec.kept[m], d_act)
             if m == "audio" and d_a_rows is not None:
                 d_pre = d_pre + d_a_rows
             # still [batch x 1 x h] after the identity activation without dropout
             d_pre = np.broadcast_to(d_pre, rec.kept[m].shape)
             self.proj[m].backward(
-                d_pre.reshape(batch * self.align_len, self.hidden_dim), input_grad=False
+                rec.rows[m],
+                d_pre.reshape(batch * self.align_len, self.hidden_dim),
+                input_grad=False,
             )

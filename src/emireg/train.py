@@ -9,9 +9,9 @@ What a run keeps resident: each split's pooled blocks and targets, held by
 its manifest-order batches (the raw sequences are freed once pooled, before
 the run directory is made), the model's flat parameter and gradient vectors,
 the AdamW moments and the EMA shadows, one shuffled batch at a time, and
-between a training forward and its backward one record of the pass: its
-outputs, one ``[batch x align x hidden]`` array per branch and the dropout
-layers' one-byte keep-masks.
+between a training forward and its backward one record of the pass, the
+model's only per-call state: its outputs, and per branch one
+``[batch x align x hidden]`` array and a one-byte keep-mask.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ class TrainConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         nonnegative = {
             "lr": self.lr,
             "weight_decay": self.weight_decay,

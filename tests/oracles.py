@@ -162,13 +162,14 @@ def dropout_float_mask(keep, rate):
 def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
     """Parameter gradients of a model's last forward, by explicit row gradients.
 
-    Reverses the forward from its training record, which keeps each hidden
-    activation's output, and the dropout keep-masks as float masks (hidden
-    relu, sigmoid or identity, sigmoid outputs). Each hidden derivative is
-    formed here from that output: relu's as ``out > 0``, sigmoid's as
-    ``out * (1 - out)``. Each branch's time-mean adjoint is
-    built as an explicit [B*T x h] array with ``np.repeat``. Grads start at
-    zero and receive one sum each, as the model's accumulators do.
+    Reverses the forward from its training record and outputs, which hold
+    every layer input, each hidden activation's output and the dropout
+    keep-masks, applied as float masks (hidden relu, sigmoid or identity,
+    sigmoid outputs). Each hidden derivative is formed here from that
+    output: relu's as ``out > 0``, sigmoid's as ``out * (1 - out)``. Each
+    branch's time-mean adjoint is built as an explicit [B*T x h] array with
+    ``np.repeat``. Grads start at zero and receive one sum each, as the
+    model's accumulators do.
     """
     rec = model._cache
     out = rec.out
@@ -185,13 +186,13 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
             return sigmoid_back(out, up)
         return up * (out > 0).astype(np.float64)
 
-    def drop_back(layer, up):
-        if layer._keep is None:
+    def drop_back(keep, up):
+        if keep is None:
             return up
-        return up * dropout_float_mask(layer._keep, layer.rate).reshape(up.shape)
+        return up * dropout_float_mask(keep, model.drop.rate).reshape(up.shape)
 
-    def linear_back(name, layer, up):
-        grads[f"{name}.weight"] = np.zeros(layer.weight.shape) + up.T @ layer._input
+    def linear_back(name, layer, x, up):
+        grads[f"{name}.weight"] = np.zeros(layer.weight.shape) + up.T @ x
         if layer.bias is not None:
             grads[f"{name}.bias"] = np.zeros(layer.out_dim) + up.sum(axis=0)
         return up @ layer.weight.value
@@ -202,9 +203,9 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
         ).reshape(rows)
 
     d_y_logits = sigmoid_back(out.y_hat, d_y_hat)
-    d_h_drop = linear_back("fusion.out", model.fusion_out, d_y_logits)
-    d_h_pre = act_back(rec.h_kept, drop_back(model.fusion_drop, d_h_drop))
-    d_fused = linear_back("fusion.hidden", model.fusion_hidden, d_h_pre)
+    d_h_drop = linear_back("fusion.out", model.fusion_out, rec.h_drop, d_y_logits)
+    d_h_pre = act_back(rec.h_kept, drop_back(rec.keep["fusion"], d_h_drop))
+    d_fused = linear_back("fusion.hidden", model.fusion_hidden, out.z_fus, d_h_pre)
     h = model.hidden_dim
     d_z = {}
     for i, m in enumerate(("visual", "audio", "text")):
@@ -214,17 +215,17 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
             d_z[m] = d_fused / 3.0
         if m in d_aux:
             d_logits = sigmoid_back(out.aux[m], d_aux[m])
-            d_z[m] = d_z[m] + linear_back(f"{m}.aux", model.aux_head[m], d_logits)
+            d_z[m] = d_z[m] + linear_back(f"{m}.aux", model.aux_head[m], out.z[m], d_logits)
     if model.vad_enabled:
-        d_v = linear_back("vad.inj", model.inj, d_z["audio"])
+        d_v = linear_back("vad.inj", model.inj, out.v_hat, d_z["audio"])
         if d_v_hat is not None:
             d_v = d_v + d_v_hat
         d_v_logits = sigmoid_back(out.v_hat, d_v)
-        d_a_mean = linear_back("vad.head", model.vad_head, d_v_logits)
+        d_a_mean = linear_back("vad.head", model.vad_head, rec.a_mean, d_v_logits)
     for m in ("visual", "audio", "text"):
-        d_act = drop_back(model.drop[m], time_mean_back(d_z[m]))
+        d_act = drop_back(rec.keep[m], time_mean_back(d_z[m]))
         d_pre = act_back(rec.kept[m].reshape(rows), d_act)
         if m == "audio" and model.vad_enabled:
             d_pre = d_pre + time_mean_back(d_a_mean)
-        linear_back(f"{m}.proj", model.proj[m], d_pre)
+        linear_back(f"{m}.proj", model.proj[m], rec.rows[m], d_pre)
     return grads

@@ -100,6 +100,16 @@ class TestGenSynth:
         assert "noise must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = run_cli("gen-synth", "--n", "10", "--dims", DIMS_FLAG, "--seed", "-1",
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("emireg: config error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_dims_is_usage_error(self, tmp_path):
         assert run_cli("gen-synth", "--n", "10", "--dims", "8x7x6",
                        "--out", str(tmp_path / "d")) == 1
@@ -193,6 +203,17 @@ class TestTrain:
             assert str(data_dir / "synth.json") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_negative_seed_is_config_error(self, small_dataset, tmp_path, capsys, command):
+        run_dir = tmp_path / "run"
+        code = run_cli(command, "--data", str(small_dataset), "--run-dir", str(run_dir),
+                       "--seed", "-1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("emireg: config error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not run_dir.exists()
+
     def test_nonexistent_config_is_data_error(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -242,6 +263,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"emireg: data error: {manifest}" in err and needle in err
         assert "Traceback" not in err
+
+    def test_nul_byte_in_manifest_path_is_data_error(self, small_dataset, tmp_path, capsys):
+        data_dir = tmp_path / "ds"
+        shutil.copytree(small_dataset, data_dir)
+        manifest = data_dir / MANIFEST_NAME
+        lines = manifest.read_bytes().split(b"\n")
+        fields = lines[1].split(b",")
+        fields[2] = b"features/a\x00b.emif"
+        lines[1] = b",".join(fields)
+        manifest.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        run_dir = tmp_path / "r"
+        code = run_cli(
+            "train", "--data", str(data_dir), "--run-dir", str(run_dir),
+            "--hidden-dim", "8", "--epochs", "1", "--align-len", "16",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"emireg: data error: {manifest}:2: path holds a NUL byte")
+        assert "Traceback" not in err
+        assert not run_dir.exists()
 
     def test_non_finite_feature_is_data_error(self, tmp_path, capsys):
         data_dir = tmp_path / "ds"

@@ -46,8 +46,9 @@ class TestLinear:
 
     def test_zero_upstream_zero_grads(self, rng):
         layer = stored(Linear(2, 3, rng=rng))
-        layer.forward(rng.normal(size=(4, 3)))
-        grad_in = layer.backward(np.zeros((4, 2)))
+        x = rng.normal(size=(4, 3))
+        layer.forward(x)
+        grad_in = layer.backward(x, np.zeros((4, 2)))
         assert np.array_equal(grad_in, np.zeros((4, 3)))
         assert np.array_equal(layer.weight.grad, np.zeros((2, 3)))
         assert np.array_equal(layer.bias.grad, np.zeros(2))
@@ -57,8 +58,9 @@ class TestLinear:
         layer = stored(Linear(1, 1))
         layer.weight.value[...] = [[2.0]]
         layer.bias.value[...] = [0.5]
-        layer.forward(np.array([[3.0]]))
-        grad_in = layer.backward(np.array([[5.0]]))
+        x = np.array([[3.0]])
+        layer.forward(x)
+        grad_in = layer.backward(x, np.array([[5.0]]))
         assert layer.weight.grad[0, 0] == 15.0
         assert layer.bias.grad[0] == 5.0
         assert grad_in[0, 0] == 10.0
@@ -68,10 +70,10 @@ class TestLinear:
         x = rng.normal(size=(4, 3))
         up = rng.normal(size=(4, 2))
         layer.forward(x)
-        layer.backward(up)
+        layer.backward(x, up)
         first = layer.weight.grad.copy()
         layer.forward(x)
-        layer.backward(up)
+        layer.backward(x, up)
         np.testing.assert_allclose(layer.weight.grad, 2 * first)
 
     def test_backward_without_input_grad(self, rng):
@@ -80,28 +82,28 @@ class TestLinear:
         full, lean = (stored(Linear(3, 4, rng=np.random.default_rng(5))) for _ in range(2))
         full.forward(x)
         lean.forward(x)
-        assert full.backward(up).shape == x.shape
-        assert lean.backward(up, input_grad=False) is None
+        assert full.backward(x, up).shape == x.shape
+        assert lean.backward(x, up, input_grad=False) is None
         assert lean.weight.grad.tobytes() == full.weight.grad.tobytes()
         assert lean.bias.grad.tobytes() == full.bias.grad.tobytes()
 
-    def test_backward_before_forward(self):
-        with pytest.raises(StateError):
-            Linear(2, 3).backward(np.zeros((1, 2)))
-
     def test_backward_outside_a_store(self, rng):
         layer = Linear(2, 3, rng=rng)
-        layer.forward(np.zeros((4, 3)))
+        x = np.zeros((4, 3))
+        layer.forward(x)
         with pytest.raises(StateError, match="ParamStore"):
-            layer.backward(np.zeros((4, 2)))
+            layer.backward(x, np.zeros((4, 2)))
 
     def test_shape_errors(self, rng):
         layer = Linear(2, 3, rng=rng)
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((4, 5)))
-        layer.forward(np.zeros((4, 3)))
+        x = np.zeros((4, 3))
+        layer.forward(x)
         with pytest.raises(ShapeError):
-            layer.backward(np.zeros((3, 2)))
+            layer.backward(x, np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            layer.backward(np.zeros((4, 5)), np.zeros((4, 2)))
 
     def test_gradient_check_weights(self, rng):
         # treat the weight matrix as the variable of a scalar loss sum(c * y)
@@ -113,7 +115,7 @@ class TestLinear:
             layer.weight.value[...] = w
             layer.weight.grad[...] = 0.0
             y = layer.forward(x)
-            layer.backward(c)
+            layer.backward(x, c)
             return float(np.sum(c * y)), layer.weight.grad.copy()
 
         assert grad_check(f, layer.weight.value.copy()) < 1e-6
@@ -124,7 +126,7 @@ class TestLinear:
 
         def f(x):
             y = layer.forward(x)
-            return float(np.sum(c * y)), layer.backward(c)
+            return float(np.sum(c * y)), layer.backward(x, c)
 
         assert grad_check(f, rng.normal(size=(2, 4))) < 1e-6
 
@@ -133,60 +135,63 @@ class TestDropout:
     def test_p_zero_identity_both_modes(self, rng):
         layer = Dropout(0.0, np.random.default_rng(0))
         x = rng.normal(size=(3, 4))
-        assert np.array_equal(layer.forward(x, train=True), x)
-        assert np.array_equal(layer.forward(x, train=False), x)
+        for train in (True, False):
+            out, keep = layer.forward(x, train=train)
+            assert np.array_equal(out, x)
+            assert keep is None
 
     def test_eval_mode_exact_identity(self, rng):
         layer = Dropout(0.2, np.random.default_rng(0))
         x = rng.normal(size=(3, 4))
-        out = layer.forward(x, train=False)
+        out, _ = layer.forward(x, train=False)
         assert np.array_equal(out, x)
 
     def test_train_mode_mean_preserved(self):
         # inverted dropout keeps the expectation: mean of 1e6 ones stays ~1
         layer = Dropout(0.2, np.random.default_rng(7))
-        out = layer.forward(np.ones((1000, 1000)), train=True)
+        out, _ = layer.forward(np.ones((1000, 1000)), train=True)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_kept_elements_scaled(self):
         layer = Dropout(0.5, np.random.default_rng(3))
-        out = layer.forward(np.ones((100, 100)), train=True)
+        out, _ = layer.forward(np.ones((100, 100)), train=True)
         kept = out[out != 0.0]
         assert np.all(kept == 2.0)
 
     def test_backward_reuses_mask(self):
         layer = Dropout(0.5, np.random.default_rng(3))
         x = np.ones((50, 50))
-        out = layer.forward(x, train=True)
-        grad = layer.backward(np.ones_like(x))
+        out, keep = layer.forward(x, train=True)
+        grad = layer.backward(keep, np.ones_like(x))
         assert np.array_equal(grad, out)
 
     def test_bool_mask_gives_the_float_mask_bytes(self, rng):
         rate = 0.3
         layer = Dropout(rate, np.random.default_rng(5))
         x = rng.normal(size=(4, 6, 5))  # negatives: dropped ones become -0.0
-        out = layer.forward(x, train=True)
-        assert layer._keep.dtype == np.bool_ and layer._keep.nbytes == x.size
+        out, got = layer.forward(x, train=True)
+        assert got.dtype == np.bool_ and got.nbytes == x.size
         keep = np.random.default_rng(5).random(x.shape) < 1.0 - rate
-        assert np.array_equal(layer._keep, keep)
+        assert np.array_equal(got, keep)
         mask = dropout_float_mask(keep, rate)
         assert out.tobytes() == (x * mask).tobytes()
         # [B x 1 x h] broadcasts over time, as the model's branches send it
         for up in (rng.normal(size=x.shape), rng.normal(size=(4, 1, 5))):
-            assert layer.backward(up).tobytes() == (up * mask).tobytes()
+            assert layer.backward(got, up).tobytes() == (up * mask).tobytes()
 
     def test_training_forward_needs_a_generator(self):
         layer = Dropout(0.5, None)
         x = np.ones((2, 3))
-        assert layer.forward(x, train=False) is x
+        out, keep = layer.forward(x, train=False)
+        assert out is x and keep is None
         with pytest.raises(StateError):
             layer.forward(x, train=True)
 
     def test_eval_backward_is_identity(self, rng):
         layer = Dropout(0.5, np.random.default_rng(3))
-        layer.forward(np.ones((4, 4)), train=False)
+        _, keep = layer.forward(np.ones((4, 4)), train=False)
         up = rng.normal(size=(4, 4))
-        assert np.array_equal(layer.backward(up), up)
+        assert np.array_equal(layer.backward(keep, up), up)
 
     def test_eval_consumes_no_randomness(self):
         gen = np.random.default_rng(9)

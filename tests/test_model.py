@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from emireg.errors import ConfigError, ShapeError, StateError
-from emireg.layers import adaptive_avg_pool
-from emireg.model import ACTIVATIONS, MODALITIES, Model, fuse, unfuse_grad
-from emireg.tensor import grad_check, relu, sigmoid
+from emireg.layers import Dropout, Linear, adaptive_avg_pool
+from emireg.model import _DROPOUT_STREAM, ACTIVATIONS, MODALITIES, Model, fuse, unfuse_grad
+from emireg.tensor import grad_check, relu, seeded_rng, sigmoid
 
 from oracles import column_means_loop, model_param_grads_repeated
 from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case
@@ -26,6 +26,25 @@ def param_values(model):
 
 def tiny_features(rng, batch=4, align=8):
     return {m: rng.normal(size=(batch, align, d)) for m, d in TINY_DIMS.items()}
+
+
+def audio_before_injection(model, feats):
+    """The audio branch's time mean before the VAD injection, recomputed (relu, no dropout)."""
+    proj = model.proj["audio"]
+    batch = feats["audio"].shape[0]
+    flat = feats["audio"].reshape(batch * model.align_len, proj.in_dim)
+    pre = (flat @ proj.weight.value.T + proj.bias.value).reshape(
+        batch, model.align_len, model.hidden_dim
+    )
+    return relu(pre).mean(axis=1)
+
+
+def model_layers(model):
+    """Every Linear and Dropout a model holds, directly or in a dict."""
+    for value in vars(model).values():
+        for v in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(v, (Linear, Dropout)):
+                yield v
 
 
 def record_arrays(obj):
@@ -108,7 +127,8 @@ class TestBranch:
         feats["audio"] = pooled[None]
         projected = pooled @ model.proj["audio"].weight.value.T
         expected = relu(projected).mean(axis=0)  # dropout off, so a no-op
-        z = model.forward(feats, train=False).z_audio_main[0]
+        out = model.forward(feats, train=False)
+        z = (out.z["audio"] - out.v_hat @ model.inj.weight.value.T)[0]  # undo the injection
         np.testing.assert_allclose(z, expected, atol=1e-12)
 
     def test_time_mean_against_per_column_loop(self, rng):
@@ -132,8 +152,9 @@ class TestVadPathway:
     def test_zero_injection_is_inert(self, rng):
         model = tiny_model()
         assert np.all(model.inj.weight.value == 0.0)  # zero-start by design
-        out = model.forward(tiny_features(rng), train=False)
-        np.testing.assert_array_equal(out.z["audio"], out.z_audio_main)
+        feats = tiny_features(rng)
+        out = model.forward(feats, train=False)
+        np.testing.assert_array_equal(out.z["audio"], audio_before_injection(model, feats))
 
     def test_zero_vad_head_centers_latent(self, rng):
         model = tiny_model()
@@ -152,7 +173,7 @@ class TestVadPathway:
         a_mean = pre.mean(axis=1)
         v_expected = sigmoid(a_mean @ model.vad_head.weight.value.T + model.vad_head.bias.value)
         np.testing.assert_allclose(out.v_hat, v_expected, atol=1e-12)
-        z_expected = out.z_audio_main + v_expected @ model.inj.weight.value.T
+        z_expected = relu(pre).mean(axis=1) + v_expected @ model.inj.weight.value.T
         np.testing.assert_allclose(out.z["audio"], z_expected, atol=1e-12)
 
     def test_vad_free_model_matches_zeroed_injection(self, rng):
@@ -230,11 +251,18 @@ class TestModelForward:
         feats = tiny_features(rng)
         model.forward(feats, train=True)
         rec = model._cache
-        distinct = []  # the [B x T x h] arrays, one per block of memory
+        distinct = []  # the owned float [B x T x h] arrays, one per block of memory
         for a in record_arrays(rec):
-            if a.shape == (4, 8, 6) and not any(np.shares_memory(a, b) for b in distinct):
+            if any(np.shares_memory(a, f) for f in feats.values()):
+                continue  # the projection inputs are the caller's, not the record's
+            if a.shape == (4, 8, 6) and a.dtype == np.float64 and not any(
+                np.shares_memory(a, b) for b in distinct
+            ):
                 distinct.append(a)
         assert len(distinct) == len(MODALITIES)
+        for m in MODALITIES:
+            assert np.shares_memory(rec.rows[m], feats[m])
+            assert rec.keep[m].dtype == np.bool_ and rec.keep[m].nbytes == 4 * 8 * 6
         act, _ = ACTIVATIONS[activation]
         for m in MODALITIES:
             layer = model.proj[m]
@@ -389,6 +417,64 @@ class TestModelBackward:
         model, feats, targets = tiny_model_case(12, vad=False)
         f, x0 = param_loss_fn(model, feats, targets, default_weights())
         assert grad_check(f, x0) < 1e-6
+
+
+class TestLayerState:
+    """The training record is the only thing a forward leaves behind."""
+
+    def test_layers_hold_no_arrays_but_their_params(self, rng):
+        model = tiny_model(seed=3, dropout=0.2)
+        layers = list(model_layers(model))
+
+        def held():
+            return [
+                (type(layer).__name__, name)
+                for layer in layers
+                for name, value in vars(layer).items()
+                if isinstance(value, np.ndarray)
+            ]
+
+        feats = tiny_features(rng)
+        model.forward(feats, train=True)
+        assert held() == []
+        model.backward(
+            rng.normal(size=(4, 6)),
+            {m: rng.normal(size=(4, 6)) for m in MODALITIES},
+            rng.normal(size=(4, 3)),
+        )
+        assert held() == []
+        model.forward(feats, train=False)
+        assert held() == []
+        assert sum(isinstance(layer, Dropout) for layer in layers) == 1
+        assert len(layers) == 1 + 3 + 3 + 2 + 2  # dropout, proj, aux, vad, fusion
+
+    def test_layer_forwards_between_forward_and_backward_change_no_grad(self, rng):
+        feats = tiny_features(rng)
+        inj = rng.normal(0.0, 0.3, (6, 3))
+        d_y_hat = rng.normal(size=(4, 6))
+        d_aux = {m: rng.normal(size=(4, 6)) for m in MODALITIES}
+        d_v_hat = rng.normal(size=(4, 3))
+        grads = []
+        for interleave in (False, True):
+            model = tiny_model(seed=3, dropout=0.2)
+            model.inj.weight.value[...] = inj
+            model.forward(feats, train=True)
+            if interleave:  # same shapes as the recorded pass, other values
+                model.fusion_hidden.forward(np.ones((4, model.fused_dim)))
+                for m in MODALITIES:
+                    model.proj[m].forward(np.ones((4 * 8, TINY_DIMS[m])))
+            model.zero_grads()
+            model.backward(d_y_hat, d_aux, d_v_hat)
+            grads.append(model.parameters().grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_masks_come_from_one_stream_in_branch_order(self, rng):
+        model = tiny_model(seed=3, dropout=0.2)
+        model.forward(tiny_features(rng), train=True)
+        stream = seeded_rng(3, _DROPOUT_STREAM)
+        rec = model._cache
+        for key, shape in [*((m, (4, 8, 6)) for m in MODALITIES), ("fusion", (4, 6))]:
+            assert np.array_equal(rec.keep[key], stream.random(shape) < 0.8), key
 
 
 class TestParameterPlumbing:

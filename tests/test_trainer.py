@@ -119,6 +119,8 @@ class TestConfig:
             small_config(tmp_path, tmp_path, fusion="gated").validate()
         with pytest.raises(ConfigError):
             TrainConfig(dims=None).validate()
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            small_config(tmp_path, tmp_path, seed=-1).validate()
 
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
     def test_corr_eps_must_be_finite_and_non_negative(self, tmp_path, value):
