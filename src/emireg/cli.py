@@ -3,8 +3,12 @@
 Exit codes: 0 success, 1 usage/config error, 2 data or file-format error,
 3 numeric failure (NaN/Inf in a training step or an EMA evaluation, which
 ends ``train`` after its log is closed); ``ablate`` exits with the code of
-its first failed cell's error. Diagnostics go to stderr; machine-readable
-results (resolved config, eval reports) go to stdout.
+its first failed cell's error. A command that runs out of memory, such as
+``train`` asked for a model too large to allocate, prints
+``emireg: out of memory: ...`` and exits 1; ``train`` builds its model
+before it makes the run directory, so such a run leaves none. Diagnostics
+go to stderr; machine-readable results (resolved config, eval reports) go
+to stdout.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ _ERROR_KINDS = (
     (ConfigError, EXIT_USAGE, "config error"),
     (NumericError, EXIT_NUMERIC, "numeric failure"),
     ((DataError, OSError), EXIT_DATA, "data error"),
+    (MemoryError, EXIT_USAGE, "out of memory"),
 )
 
 
@@ -347,7 +352,7 @@ def _cmd_inspect(args) -> int:
     if args.emif:
         path = Path(args.emif)
         blocks = data.read_feature_file(path)
-        print(f"{path}: magic {data.FEATURE_MAGIC.decode()} version {data.FORMAT_VERSION}")
+        print(f"{path}: magic {data.FEATURE_MAGIC.decode()} version {data.FEATURE_VERSION}")
         for m in MODALITIES:
             block = blocks[m]
             if block is None:
@@ -358,7 +363,7 @@ def _cmd_inspect(args) -> int:
     path = Path(args.ckpt)
     tensors = data.load_checkpoint(path)
     raw, shadows = split_checkpoint(tensors)
-    print(f"{path}: magic {data.CHECKPOINT_MAGIC.decode()} version {data.FORMAT_VERSION}")
+    print(f"{path}: magic {data.CHECKPOINT_MAGIC.decode()} version {data.CHECKPOINT_VERSION}")
     for name, value in tensors.items():
         print(f"  {name}: {'x'.join(str(e) for e in value.shape) or 'scalar'}")
     print(f"parameters: {sum(v.size for v in raw.values())}")
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (EmiregError, OSError) as exc:
+    except (EmiregError, OSError, MemoryError) as exc:
         code, label = _classify(exc)
         print(f"emireg: {label}: {exc}", file=sys.stderr)
         return code

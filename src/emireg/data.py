@@ -24,7 +24,8 @@ the previous file keeps its bytes.
 
 The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
-the sentinel target -1 in all six columns, marking them metric-excluded.
+the sentinel target ``SENTINEL_TARGET`` (-1) in all six columns, marking them
+metric-excluded.
 
 Batching pools once per call: ``make_batches`` resamples every sample to the
 alignment length into one read-only float64 ``[N x align x d]`` block per
@@ -65,7 +66,11 @@ from .tensor import Array, as_tensor, seeded_rng
 
 FEATURE_MAGIC = b"EMIF"
 CHECKPOINT_MAGIC = b"EMIC"
-FORMAT_VERSION = 1
+# each binary format has its own version, so one can change without the other
+FEATURE_VERSION = 1
+CHECKPOINT_VERSION = 1
+# a test row whose six targets all hold this value is excluded from the metric
+SENTINEL_TARGET = -1.0
 
 SPLITS = ("train", "val", "test")
 MANIFEST_NAME = "manifest.csv"
@@ -234,7 +239,7 @@ def write_feature_file(path, features: dict[str, Array | None]) -> None:
     """Write one sample's modality blocks; ``None`` marks an absent modality."""
     buf = io.BytesIO()
     buf.write(FEATURE_MAGIC)
-    buf.write(struct.pack("<H", FORMAT_VERSION))
+    buf.write(struct.pack("<H", FEATURE_VERSION))
     for m in MODALITIES:
         block = features.get(m)
         if block is None:
@@ -266,7 +271,7 @@ def read_feature_file(path) -> dict[str, Array | None]:
     if magic != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
     version = r.u16("version")
-    if version != FORMAT_VERSION:
+    if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}", offset=4)
     out: dict[str, Array | None] = {}
     for m in MODALITIES:
@@ -371,7 +376,7 @@ def load_manifest(path) -> list[ManifestRow]:
                     target = np.array([float(v) for v in record[3:]])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad target value: {exc}") from exc
-                sentinel = bool(np.all(target == -1.0))
+                sentinel = bool(np.all(target == SENTINEL_TARGET))
                 in_range = bool(np.all((target >= 0.0) & (target <= 1.0)))
                 if not in_range and not (sentinel and split == "test"):
                     raise DataError(
@@ -469,7 +474,7 @@ def save_checkpoint(path, tensors: dict[str, Array]) -> None:
     """Write named float64 tensors in insertion order."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", FORMAT_VERSION))
+    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     for name, value in tensors.items():
         encoded = name.encode("utf-8")
         value = np.asarray(value, dtype=np.float64)
@@ -490,7 +495,7 @@ def load_checkpoint(path) -> dict[str, Array]:
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
     version = r.u16("version")
-    if version != FORMAT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}", offset=4)
     tensors: dict[str, Array] = {}
     while r.offset < len(raw):

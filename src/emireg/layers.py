@@ -6,9 +6,10 @@ caller. ``Linear.backward(x, upstream)`` takes the forward's input ``x``,
 accumulates the parameter gradients in place and returns the gradient with
 respect to ``x``; with ``input_grad=False`` it skips that product and
 returns None, for layers whose input is not learned (the projections of
-frozen features). ``Dropout.forward`` returns its keep-mask beside its
-output, and ``Dropout.backward`` takes that mask. Pooling runs when batches
-are built, on features that are not learned, so it has no backward.
+frozen features). A training ``Dropout.forward`` returns its keep-mask
+beside its output, at rate 0 too, where every unit is kept, and
+``Dropout.backward`` takes that mask. Pooling runs when batches are built,
+on features that are not learned, so it has no backward.
 """
 
 from __future__ import annotations
@@ -141,12 +142,14 @@ class Dropout:
     Masks come from the generator handed in at construction (the seeded run
     PRNG), so a fixed draw order keeps training reproducible; a Dropout
     without one (``rng=None``) serves eval-mode forwards only. A training
-    forward returns its output and a boolean keep-mask, one byte per
-    element; any other forward returns its input and None. ``backward``
-    takes that mask, and None passes the gradient through. Forward and
-    backward multiply by the scale, then by the mask: ``(x * s) * 1`` is
-    ``x * s`` and ``(x * s) * 0`` has the sign of ``x * 0``, so the result
-    has the bits of ``x`` times a float mask of ``s`` and 0.
+    forward, at any rate, draws and returns a boolean keep-mask, one byte
+    per element, beside its output; an eval forward returns its input and
+    None. ``backward`` follows a training forward and takes its mask.
+    Forward and backward multiply by the scale, then by the mask:
+    ``(x * s) * 1`` is ``x * s`` and ``(x * s) * 0`` has the sign of
+    ``x * 0``, so the result has the bits of ``x`` times a float mask of
+    ``s`` and 0. At rate 0 every unit is kept and ``s`` is 1.0, so the
+    output has the bits of ``x``, ``-0.0`` included.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator | None):
@@ -158,7 +161,7 @@ class Dropout:
 
     def forward(self, x, train: bool) -> tuple[Array, Array | None]:
         x = as_tensor(x)
-        if not train or self.rate == 0.0:
+        if not train:
             return x, None
         if self.rng is None:
             raise StateError("a training forward needs a dropout generator")
@@ -167,9 +170,7 @@ class Dropout:
         out *= keep
         return out, keep
 
-    def backward(self, keep: Array | None, upstream) -> Array:
-        if keep is None:
-            return as_tensor(upstream)
+    def backward(self, keep: Array, upstream) -> Array:
         return as_tensor(upstream) * self._scale * keep
 
 

@@ -166,34 +166,33 @@ def total_loss(
     corr_eps: float = DEFAULT_CORR_EPS,
     corr_mode: str = "per_dim",
 ) -> tuple[LossBreakdown, LossGrads]:
-    """Compose the four terms; gradients of zero-weighted terms are skipped.
+    """Compose the four terms, each gradient scaled by its term's weight.
 
-    Every term is still evaluated for the breakdown so that logs stay
-    comparable across configurations. A batch of one sample, which the
-    trainer can produce as the final short batch, is treated as all-degenerate
-    for the correlation term (value 1, zero gradient) rather than an error.
+    Every term is evaluated and differentiated whatever its weight, so logs
+    stay comparable across configurations and a zero weight takes the same
+    path as any other: its term's gradient is the product with 0. Without
+    the VAD pathway (``v_hat`` None) the regularizer is 0.0 and has no
+    gradient. A batch of one sample, which the trainer can produce as the
+    final short batch, is treated as all-degenerate for the correlation term
+    (value 1, zero gradient) rather than an error: on one row, ``flat`` mode
+    would otherwise correlate its six values.
     """
     y_hat = as_tensor(y_hat)
     y = as_tensor(y)
     mse_value, mse_grad = mse_loss(y_hat, y)
-    d_y_hat = mse_grad
 
     if y_hat.shape[0] >= 2:
         corr_value, corr_grad = pearson_loss(y_hat, y, eps=corr_eps, mode=corr_mode)
     else:
         corr_value, corr_grad = 1.0, np.zeros_like(y_hat)
-    if weights.corr > 0:
-        d_y_hat = d_y_hat + weights.corr * corr_grad
+    d_y_hat = mse_grad + weights.corr * corr_grad
 
     aux_value, aux_grads, aux_values = aux_loss(aux_preds, y, weights)
-    d_aux = {
-        name: (weights.aux * g if weights.aux > 0 else np.zeros_like(g))
-        for name, g in aux_grads.items()
-    }
+    d_aux = {name: weights.aux * g for name, g in aux_grads.items()}
 
     if v_hat is not None:
         vad_value, vad_grad = vad_reg_loss(v_hat)
-        d_v_hat = weights.vad * vad_grad if weights.vad > 0 else np.zeros_like(vad_grad)
+        d_v_hat = weights.vad * vad_grad
     else:
         vad_value, d_v_hat = 0.0, None
 

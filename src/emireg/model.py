@@ -75,9 +75,11 @@ class _TrainRecord:
     Its outputs hold the inputs of the aux heads (``z``), of the fusion
     hidden layer (``z_fus``) and of the VAD injection (``v_hat``); the rest
     is here. Each hidden activation's gradient reads its output (see
-    ``ACTIVATIONS``). The projection inputs are views of the caller's
-    float64 features, so per branch the record owns one
-    ``[batch x align x hidden]`` array and one byte mask, plus small ones.
+    ``ACTIVATIONS``). Every training forward draws its keep-masks, at
+    dropout 0 too (all kept), so each branch's gradient reaches the
+    projection as ``[batch x align x hidden]``. The projection inputs are
+    views of the caller's float64 features, so per branch the record owns
+    one ``[batch x align x hidden]`` array and one byte mask, plus small ones.
     """
 
     out: ForwardOutputs
@@ -86,7 +88,7 @@ class _TrainRecord:
     a_mean: Array  # the audio pre-activation's time mean, the VAD head's input
     h_kept: Array  # the fusion hidden activation's output, [batch x hidden]
     h_drop: Array  # h_kept after dropout, the fusion output layer's input
-    keep: dict[str, Array | None]  # keep-masks per branch and "fusion", or None
+    keep: dict[str, Array]  # keep-masks per branch and "fusion"
 
 
 def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
@@ -107,10 +109,14 @@ def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
 
 
 def unfuse_grad(d_fused: Array, hidden_dim: int, mode: str) -> dict[str, Array]:
-    """Split the fused-representation gradient back onto the three branches."""
+    """Split the fused-representation gradient back onto the three branches.
+
+    In ``concat`` mode each branch's gradient is a view of its columns of
+    ``d_fused``; callers read it and never write into it.
+    """
     if mode == "concat":
         return {
-            m: d_fused[:, i * hidden_dim : (i + 1) * hidden_dim].copy()
+            m: d_fused[:, i * hidden_dim : (i + 1) * hidden_dim]
             for i, m in enumerate(MODALITIES)
         }
     if mode == "average":
@@ -334,8 +340,6 @@ class Model:
             d_pre = self._act_grad(rec.kept[m], d_act)
             if m == "audio" and d_a_rows is not None:
                 d_pre = d_pre + d_a_rows
-            # still [batch x 1 x h] after the identity activation without dropout
-            d_pre = np.broadcast_to(d_pre, rec.kept[m].shape)
             self.proj[m].backward(
                 rec.rows[m],
                 d_pre.reshape(batch * self.align_len, self.hidden_dim),

@@ -100,8 +100,7 @@ class AdamW:
         v *= _BETA2
         v += (1.0 - _BETA2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-        if self.weight_decay != 0.0:
-            update = update + self.weight_decay * value
+        update = update + self.weight_decay * value
         value -= lr * update
 
 

@@ -147,7 +147,7 @@ class TrainConfig:
         return LossWeights(
             corr=self.lambda_corr,
             aux=self.lambda_aux,
-            vad=self.lambda_vad if self.vad_enabled else 0.0,
+            vad=self.lambda_vad,
             aux_visual=self.lambda_visual,
             aux_audio=self.lambda_audio,
             aux_text=self.lambda_text,
@@ -244,8 +244,8 @@ def _forward_batches(
 
 
 def _score(preds: Array, targets: Array) -> EvalReport:
-    """The metric over the rows whose targets are not the all -1 sentinel."""
-    keep = ~np.all(targets == -1.0, axis=1)
+    """The metric over the rows whose targets are not all ``data.SENTINEL_TARGET``."""
+    keep = ~np.all(targets == data.SENTINEL_TARGET, axis=1)
     scored = int(np.count_nonzero(keep))
     if scored < 2:
         raise DataError(
@@ -300,17 +300,17 @@ def train(config: TrainConfig) -> RunRecord:
         raise DataError(
             f"val split has {val_batches.n_samples} row(s); the metric needs at least 2"
         )
-    # only a run whose data loaded gets a directory
+    model = config.build_model()
+    weights = config.loss_weights()
+    optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
+    ema = Ema(model.parameters(), config.ema_decay)
+    # only a run whose data loaded and whose model was built gets a directory
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    model = config.build_model()
-    weights = config.loss_weights()
-    optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
-    ema = Ema(model.parameters(), config.ema_decay)
     stopper = EarlyStopper(config.patience)
     record = RunRecord(config_hash=config.config_hash(), run_dir=str(run_dir))
 

@@ -34,7 +34,7 @@ def param_loss_fn(model, features, targets, weights):
     The vector is the model's flat parameter store. Forward runs in training
     mode, which keeps the record ``backward`` reads; the models here have
     dropout 0, so the pass is the eval-mode one and gradients flow through
-    the identity dropout.
+    an all-kept mask.
     """
     params = model.parameters()
 

@@ -4,12 +4,13 @@ import json
 import re
 import shutil
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emireg.cli import main
+from emireg.cli import build_parser, main
 from emireg.data import (
     MANIFEST_NAME,
     SPLITS,
@@ -212,6 +213,21 @@ class TestTrain:
         assert code == 1
         assert err.startswith("emireg: config error: seed must be >= 0, got -1")
         assert "Traceback" not in err
+        assert not run_dir.exists()
+
+    def test_out_of_memory_leaves_no_run_directory(
+        self, small_dataset, tmp_path, capsys, monkeypatch
+    ):
+        # a model too large to allocate; no real allocation is attempted
+        def build_model(self, init=True):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(TrainConfig, "build_model", build_model)
+        run_dir = tmp_path / "run"
+        code = run_cli("train", "--data", str(small_dataset), "--run-dir", str(run_dir))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "emireg: out of memory: Unable to allocate 745. GiB for an array\n"
         assert not run_dir.exists()
 
     def test_nonexistent_config_is_data_error(self, tmp_path):
@@ -605,3 +621,11 @@ class TestFlagTables:
             assert type(value)(shown) == value, flag
             checked.add(flag)
         assert len(checked) == 24
+
+    def test_every_config_field_has_a_train_flag(self):
+        args = build_parser().parse_args(["train"])
+        # --config names a file and --data sets data_dir; every other flag is a field
+        settable = (set(vars(args)) - {"command", "config", "data"}) | {"data_dir"}
+        # the one field without a flag: corr_eps is set through --config only
+        assert settable | {"corr_eps"} == {f.name for f in fields(TrainConfig)}
+        assert "corr_eps" not in settable

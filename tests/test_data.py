@@ -523,6 +523,17 @@ class TestCheckpoint:
         for name in tensors:
             assert np.array_equal(back[name], tensors[name])
 
+    def test_each_format_has_its_own_version(self, rng, tmp_path, monkeypatch):
+        # a checkpoint version bump leaves feature files, and their reader, alone
+        monkeypatch.setattr(data_module, "CHECKPOINT_VERSION", 2)
+        ckpt = tmp_path / "m.emic"
+        save_checkpoint(ckpt, {"w": rng.normal(size=2)})
+        assert ckpt.read_bytes()[4:6] == struct.pack("<H", 2)
+        emif = tmp_path / "s.emif"
+        write_feature_file(emif, random_blocks(rng))
+        assert emif.read_bytes()[4:6] == struct.pack("<H", data_module.FEATURE_VERSION)
+        assert read_feature_file(emif)["visual"] is not None
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.emic"
         path.write_bytes(b"EMIF\x01\x00")
@@ -583,7 +594,7 @@ class TestCheckpoint:
     def test_extents_past_int64_are_truncation(self, tmp_path, shape):
         # the element count is 2**64 - 2**33 + 1 or 2**64: a fixed-width
         # product wraps to a negative count or to zero
-        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.FORMAT_VERSION)
+        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.CHECKPOINT_VERSION)
         record = struct.pack(f"<H1sB{len(shape)}I", 1, b"w", len(shape), *shape)
         path = tmp_path / "m.emic"
         path.write_bytes(header + record + bytes(16))
@@ -592,7 +603,7 @@ class TestCheckpoint:
         assert err.value.offset == len(header) + len(record)
 
     def test_empty_tensor_with_oversized_extents_rejected(self, tmp_path):
-        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.FORMAT_VERSION)
+        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.CHECKPOINT_VERSION)
         record = struct.pack("<H1sB3I", 1, b"w", 3, 0, 2**31, 2**30)
         path = tmp_path / "m.emic"
         path.write_bytes(header + record)

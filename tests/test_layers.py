@@ -135,10 +135,15 @@ class TestDropout:
     def test_p_zero_identity_both_modes(self, rng):
         layer = Dropout(0.0, np.random.default_rng(0))
         x = rng.normal(size=(3, 4))
-        for train in (True, False):
-            out, keep = layer.forward(x, train=train)
-            assert np.array_equal(out, x)
-            assert keep is None
+        x[0, :2] = -0.0  # signed zeros keep their sign
+        # a training forward draws its mask at rate 0 too: every unit kept
+        out, keep = layer.forward(x, train=True)
+        assert np.array_equal(out, x)
+        assert out.tobytes() == x.tobytes()
+        assert keep.dtype == np.bool_ and keep.shape == x.shape and keep.all()
+        out, keep = layer.forward(x, train=False)
+        assert np.array_equal(out, x)
+        assert out is x and keep is None
 
     def test_eval_mode_exact_identity(self, rng):
         layer = Dropout(0.2, np.random.default_rng(0))
@@ -188,10 +193,14 @@ class TestDropout:
             layer.forward(x, train=True)
 
     def test_eval_backward_is_identity(self, rng):
-        layer = Dropout(0.5, np.random.default_rng(3))
-        _, keep = layer.forward(np.ones((4, 4)), train=False)
+        # a backward follows a training forward; at rate 0 its all-kept mask
+        # passes the upstream gradient through, bytes and all
+        layer = Dropout(0.0, np.random.default_rng(3))
+        _, keep = layer.forward(np.ones((4, 4)), train=True)
         up = rng.normal(size=(4, 4))
+        up[1, 1:3] = -0.0
         assert np.array_equal(layer.backward(keep, up), up)
+        assert layer.backward(keep, up).tobytes() == up.tobytes()
 
     def test_eval_consumes_no_randomness(self):
         gen = np.random.default_rng(9)

@@ -36,10 +36,29 @@ from support import SMALL_DIMS, small_config
 
 # best.emic = last.emic of config (a); see test_golden_checkpoint_bytes
 GOLDEN_A = "f9a92f264738cffdf9580f0cca03b69c3c25bef0d3e7b08117f170b068977346"
-# the same for config (a) with another --hidden-activation
-GOLDEN_A_ACTIVATION = {
-    "sigmoid": "118f42b9deb594da6e1a75a353790129214455418458f943b123e0abdf568d9d",
-    "identity": "9be67a917df03fc313a645928544d48803276d1b55cbe650d18fcfa8d8a9b9ea",
+# the same for config (a) with extra flags: other hidden activations, and
+# zero loss weights, weight decay and dropout rate, with the VAD pathway off
+GOLDEN_A_FLAGS = {
+    "sigmoid": (
+        ("--hidden-activation", "sigmoid"),
+        "118f42b9deb594da6e1a75a353790129214455418458f943b123e0abdf568d9d",
+    ),
+    "identity": (
+        ("--hidden-activation", "identity"),
+        "9be67a917df03fc313a645928544d48803276d1b55cbe650d18fcfa8d8a9b9ea",
+    ),
+    "novad-average-mse": (
+        ("--vad", "off", "--fusion", "average", "--lambda-corr", "0", "--lambda-aux", "0"),
+        "8ac35a29fcc9b69720e460c1942d7d6491bc112a6bc953fd23f1b1dc531734cf",
+    ),
+    "zero-rates": (
+        ("--dropout", "0", "--weight-decay", "0", "--lambda-vad", "0"),
+        "4c3a6a5a532db2d6aa3b710ca59bcdfd2c6b0de01d0ff2b1c21580884b6f9c0c",
+    ),
+    "identity-dropout0": (
+        ("--hidden-activation", "identity", "--dropout", "0"),
+        "7e37148fe17da5fda2f8c50d645729a8076ac0c0f8f4f38fb15fb8b07064f4ec",
+    ),
 }
 
 
@@ -247,12 +266,11 @@ class TestTrainLoop:
         """
         assert train_config_a(tmp_path) == [GOLDEN_A, GOLDEN_A]
 
-    @pytest.mark.parametrize("activation", sorted(GOLDEN_A_ACTIVATION))
-    def test_golden_checkpoint_bytes_other_activations(self, tmp_path, activation):
-        """Config (a) with ``--hidden-activation`` sigmoid or identity, pinned alike."""
-        golden = GOLDEN_A_ACTIVATION[activation]
-        digests = train_config_a(tmp_path, "--hidden-activation", activation)
-        assert digests == [golden, golden]
+    @pytest.mark.parametrize("variant", list(GOLDEN_A_FLAGS))
+    def test_golden_checkpoint_bytes_flag_variants(self, tmp_path, variant):
+        """Config (a) with each entry's extra flags, pinned alike."""
+        flags, golden = GOLDEN_A_FLAGS[variant]
+        assert train_config_a(tmp_path, *flags) == [golden, golden]
 
     def test_no_raw_sample_alive_during_training(
         self, small_dataset, tmp_path, monkeypatch
