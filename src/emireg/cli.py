@@ -107,6 +107,7 @@ _TRAIN_FLAGS = {
     "ema_decay": "EMA decay",
     "align_len": "temporal alignment length",
     "lambda_corr": "correlation-loss weight",
+    "corr_eps": "correlation-loss variance floor",
     "lambda_aux": "auxiliary-loss weight",
     "lambda_vad": "VAD-regularizer weight",
     "lambda_visual": "visual aux sub-weight",

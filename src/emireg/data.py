@@ -29,7 +29,9 @@ metric-excluded.
 
 Batching pools once per call: ``make_batches`` resamples every sample to the
 alignment length into one read-only float64 ``[N x align x d]`` block per
-modality and stacks the targets into ``[N x 6]``. It returns a
+modality, in one pooling call per block that runs on every CPU the process
+may use and gives the bytes of serial pooling, and stacks the targets into
+``[N x 6]``. It returns a
 :class:`Batches` sequence that builds each batch when it is indexed: a slice
 of those blocks (views, in manifest order) or one gather per modality (a
 copy, shuffled), so a shuffled epoch holds one batch's copy, not a second
@@ -437,9 +439,11 @@ def make_batches(
 ) -> Batches:
     """Pool samples and partition them into batches; the final short batch is kept.
 
-    Every sample is pooled once per modality into one [N x align x d] block,
-    and the targets are stacked into [N x 6]. All are marked read-only, so a
-    write through a batch view raises instead of changing later epochs. With
+    Each modality's sequences are pooled in one :func:`adaptive_avg_pool`
+    call into one [N x align x d] block, split across every CPU the process
+    may use and byte-identical to pooling them one by one; the targets are
+    stacked into [N x 6]. All are marked read-only, so a write through a
+    batch view raises instead of changing later epochs. With
     ``shuffle`` the order comes from ``rng`` (one permutation per call, drawn
     by :meth:`Batches.shuffled`); otherwise manifest order is preserved. Each
     batch is built when the returned :class:`Batches` is indexed.
@@ -452,10 +456,7 @@ def make_batches(
         raise ConfigError("shuffle requested without a generator")
     features: dict[str, Array] = {}
     for m in MODALITIES:
-        dim = samples[0].features[m].shape[1]
-        block = np.empty((len(samples), align_len, dim))
-        for i, s in enumerate(samples):
-            adaptive_avg_pool(s.features[m], align_len, out=block[i])
+        block = adaptive_avg_pool([s.features[m] for s in samples], align_len)
         block.flags.writeable = False
         features[m] = block
     targets = as_tensor(np.stack([s.target for s in samples]))

@@ -9,10 +9,16 @@ returns None, for layers whose input is not learned (the projections of
 frozen features). A training ``Dropout.forward`` returns its keep-mask
 beside its output, at rate 0 too, where every unit is kept, and
 ``Dropout.backward`` takes that mask. Pooling runs when batches are built,
-on features that are not learned, so it has no backward.
+on features that are not learned, so it has no backward; one call pools a
+whole modality block, split across every CPU the process may use, with the
+bytes of a serial pass.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -174,34 +180,93 @@ class Dropout:
         return as_tensor(upstream) * self._scale * keep
 
 
-def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
-    """Resample a [L x d] sequence to [target x d] by per-bin averaging.
+def adaptive_avg_pool(seqs, target: int, out: Array | None = None) -> Array:
+    """Resample N [L_i x d] sequences to one [N x target x d] block by per-bin averaging.
 
-    Each bin's rows are added in order in float64 and the sum divided by the
-    bin width, so every output row is bit-identical to
-    ``x[start:end].mean(axis=0)`` of the float64 sequence. ``x`` may be
-    float32 or float64: float32 rows widen, exactly, as they are added, so
-    the whole sequence is never copied. The loop runs over row positions
-    within a bin (at most ceil(L/T) + 1), not over bins. The result is
-    float64; ``out``, if given, is a float64 [target x d] array that
+    Sequence ``i`` is pooled into ``out[i]``. Each bin's rows are added in
+    order in float64 and the sum divided by the bin width, so every output
+    row is bit-identical to ``x[start:end].mean(axis=0)`` of the float64
+    sequence. A sequence may be float32 or float64: float32 rows widen,
+    exactly, as they are added, so no sequence is copied whole. The result
+    is float64; ``out``, if given, is a float64 [N x target x d] array that
     receives it.
+
+    The sequences are split across the caller and ``min(usable CPUs, N) - 1``
+    helper threads, started and joined within the call; each thread takes
+    the next index from one shared iterator. A row's arithmetic does not
+    depend on the thread that pools it, so the block has the bytes of a
+    serial pass. Shapes are checked before any thread starts. A non-finite
+    row raises the :class:`~emireg.errors.NumericError` of the first such
+    sequence, as a serial pass would, once every helper has stopped.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"adaptive_avg_pool expects [L x d], got {x.shape}")
+    seqs = [np.asarray(x) for x in seqs]
     if target < 1:
         raise ConfigError(f"pool target must be >= 1, got {target}")
+    if not seqs:
+        raise ShapeError("adaptive_avg_pool over no sequences")
+    for x in seqs:
+        if x.ndim != 2:
+            raise ShapeError(f"adaptive_avg_pool expects [L x d], got {x.shape}")
+        if x.shape[0] == 0:
+            raise ShapeError("adaptive_avg_pool over an empty sequence")
+        dim = seqs[0].shape[1]
+        if x.shape[1] != dim:
+            raise ShapeError(f"pool output ({target}, {dim}) != ({target}, {x.shape[1]})")
+    if out is None:
+        if len(seqs) * int(target) * dim * 8 > np.iinfo(np.intp).max:
+            # numpy refuses such a shape; a merely huge one is a MemoryError
+            raise ConfigError(f"a pooled [{len(seqs)} x {target} x {dim}] block is too large")
+        out = np.empty((len(seqs), target, dim))
+    elif out.shape != (len(seqs), target, dim):
+        raise ShapeError(f"pool output {out.shape} != ({len(seqs)}, {target}, {dim})")
+
+    indices = iter(range(len(seqs)))
+    lock = threading.Lock()
+    failed: list[tuple[int, Exception]] = []
+
+    def work() -> None:
+        # indices are taken in order and every one taken is pooled, so the
+        # lowest failure recorded is the one a serial pass would raise
+        while not failed:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                _pool_one(seqs[i], target, out[i])
+            except Exception as exc:
+                failed.append((i, exc))
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(seqs))
+    if workers == 1:
+        work()
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:  # leaving it joins every helper
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            work()
+        for helper in helpers:
+            helper.result()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return out
+
+
+def _pool_one(x: Array, target: int, out: Array) -> None:
+    """Pool one checked [L x d] sequence into the float64 [target x d] ``out``.
+
+    The loop runs over row positions within a bin (at most ceil(L/T) + 1),
+    not over bins. Worker threads run this and nothing that
+    ``bench/probes.py`` wraps: its tracer keeps one span stack per process.
+    """
     length = x.shape[0]
-    if length == 0:
-        raise ShapeError("adaptive_avg_pool over an empty sequence")
-    if out is not None and out.shape != (target, x.shape[1]):
-        raise ShapeError(f"pool output {out.shape} != ({target}, {x.shape[1]})")
     # bin b covers rows [floor(b*L/T), ceil((b+1)*L/T)): never empty, even when L < T
     b = np.arange(target)
     starts = (b * length) // target
     widths = ((b + 1) * length + target - 1) // target - starts
-    if out is None:
-        out = np.empty((target, x.shape[1]))
     out[...] = x[starts]
     for j in range(1, int(widths.max())):
         live = widths > j
@@ -210,4 +275,4 @@ def adaptive_avg_pool(x, target: int, out: Array | None = None) -> Array:
         else:
             out[live] += x[starts[live] + j]
     out /= widths[:, None]
-    return ensure_finite(out, "adaptive_avg_pool")
+    ensure_finite(out, "adaptive_avg_pool")

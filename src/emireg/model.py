@@ -38,6 +38,12 @@ from .tensor import (
 
 FUSION_MODES = ("concat", "average")
 
+
+def fused_width(hidden_dim: int, fusion: str) -> int:
+    """Width of the fused vector: the branches side by side, or their average."""
+    return len(MODALITIES) * hidden_dim if fusion == "concat" else hidden_dim
+
+
 # name -> (forward, gradient): the gradient maps the activation's output and
 # the upstream gradient to the gradient w.r.t. the pre-activation
 ACTIVATIONS = {
@@ -164,7 +170,7 @@ class Model:
         self._act, self._act_grad = ACTIVATIONS[hidden_activation]
         self._out_act, self._out_act_grad = ACTIVATIONS[output_activation]
         self.align_len = align_len
-        self.fused_dim = 3 * hidden_dim if fusion == "concat" else hidden_dim
+        self.fused_dim = fused_width(hidden_dim, fusion)
 
         named: dict[str, Param] = {}
 

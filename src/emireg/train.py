@@ -28,7 +28,7 @@ from . import data
 from .errors import ConfigError, DataError, EmiregError, NumericError
 from .losses import CORR_MODES, DEFAULT_CORR_EPS, LossWeights, total_loss
 from .metrics import EarlyStopper, EvalReport, mean_pcc
-from .model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS, Model
+from .model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS, Model, fused_width
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
 from .schema import MODALITIES
 from .tensor import Array, seeded_rng
@@ -142,6 +142,15 @@ class TrainConfig:
             if value not in allowed:
                 raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
         self.loss_weights()  # validates non-negativity
+        # numpy refuses an array of more than intp's maximum bytes; the
+        # projections and the fusion layer hold the widest weights
+        widths = {f"{m}.proj": self.dims[m] for m in MODALITIES}
+        widths["fusion.hidden"] = fused_width(self.hidden_dim, self.fusion)
+        for name, width in widths.items():
+            if self.hidden_dim * width * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(
+                    f"{name} weight [{self.hidden_dim} x {width}] is too large to represent"
+                )
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(

@@ -1,5 +1,8 @@
 """Shared fixtures-adjacent helpers for the test suite."""
 
+import os
+import threading
+
 import numpy as np
 
 from emireg.losses import LossWeights, total_loss
@@ -100,3 +103,21 @@ def tiny_model_case(seed, batch=4, align=8, hidden=6, vad=True, fusion="concat")
 
 def default_weights():
     return LossWeights(corr=0.5, aux=0.3, vad=0.1)
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make the process see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """A list that collects every thread started from now on."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started

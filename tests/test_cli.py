@@ -230,6 +230,32 @@ class TestTrain:
         assert err == "emireg: out of memory: Unable to allocate 745. GiB for an array\n"
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--hidden-dim", str(2**62)], "visual.proj weight [4611686018427387904 x 8]"),
+            (["--dims", f"8:{2**60}:6"], "audio.proj weight [256 x 1152921504606846976]"),
+            (["--hidden-dim", str(2**31), "--fusion", "average"],
+             "fusion.hidden weight [2147483648 x 2147483648]"),
+            (["--align-len", str(2**62)], "pooled ["),
+        ],
+        ids=["hidden-dim", "dims", "average-fusion", "align-len"],
+    )
+    def test_unrepresentable_sizes_are_config_errors(
+        self, small_dataset, tmp_path, capsys, flags, message
+    ):
+        # each is refused by a size check before anything that large is made
+        run_dir = tmp_path / "run"
+        dims = [] if "--dims" in flags else ["--dims", DIMS_FLAG]
+        code = run_cli("train", "--data", str(small_dataset), "--run-dir", str(run_dir),
+                       *dims, *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("emireg: config error: ") and err.count("\n") == 1
+        assert message in err and "too large" in err
+        assert "Traceback" not in err
+        assert not run_dir.exists()
+
     def test_nonexistent_config_is_data_error(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
 
@@ -620,12 +646,10 @@ class TestFlagTables:
             value = getattr(defaults, flag.replace("-", "_"))
             assert type(value)(shown) == value, flag
             checked.add(flag)
-        assert len(checked) == 24
+        assert len(checked) == 25
 
     def test_every_config_field_has_a_train_flag(self):
         args = build_parser().parse_args(["train"])
         # --config names a file and --data sets data_dir; every other flag is a field
         settable = (set(vars(args)) - {"command", "config", "data"}) | {"data_dir"}
-        # the one field without a flag: corr_eps is set through --config only
-        assert settable | {"corr_eps"} == {f.name for f in fields(TrainConfig)}
-        assert "corr_eps" not in settable
+        assert settable == {f.name for f in fields(TrainConfig)}

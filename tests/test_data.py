@@ -32,6 +32,7 @@ from emireg.errors import ConfigError, DataError, FormatError
 from emireg.schema import MODALITIES
 
 from oracles import dataset_mean_features, least_squares_mean_pcc
+from support import count_thread_starts, use_cpus
 
 DIMS = {"visual": 8, "audio": 7, "text": 6}
 
@@ -441,23 +442,23 @@ class TestBatching:
         calls = []
         real_pool = data_module.adaptive_avg_pool
 
-        def counting_pool(*args, **kwargs):
-            calls.append(1)
-            return real_pool(*args, **kwargs)
+        def counting_pool(seqs, *args, **kwargs):
+            calls.append(len(seqs))  # sequences pooled, not calls
+            return real_pool(seqs, *args, **kwargs)
 
         monkeypatch.setattr(data_module, "adaptive_avg_pool", counting_pool)
         for n_calls, samples in enumerate([split, list(split), split], start=1):
             got = make_batches(samples, 4, align_len=16)
-            assert len(calls) == n_calls * 9 * len(MODALITIES)
+            assert sum(calls) == n_calls * 9 * len(MODALITIES)
             assert [b.ids for b in got] == [b.ids for b in expected]
             for a, b in zip(got, expected):
                 for m in MODALITIES:
                     assert a.features[m].tobytes() == b.features[m].tobytes()
                 assert a.targets.tobytes() == b.targets.tobytes()
         make_batches(split, 4, 16, shuffle=True, rng=np.random.default_rng(1))
-        assert len(calls) == 4 * 9 * len(MODALITIES)
+        assert sum(calls) == 4 * 9 * len(MODALITIES)
         make_batches(split, 4, align_len=12)  # another length pools the same way
-        assert len(calls) == 5 * 9 * len(MODALITIES)
+        assert sum(calls) == 5 * 9 * len(MODALITIES)
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_batches_index_and_iterate_again_alike(self, rng, tmp_path, shuffle):
@@ -496,6 +497,31 @@ class TestBatching:
         assert len(batches) == 5
         assert peak < pooled_bytes + batch_bytes, peak
 
+    def test_pooling_threads_enter_no_traced_span(self, rng, tmp_path, monkeypatch):
+        """The benchmark's tracer wraps pooling and keeps one span stack per process.
+
+        A wrapped call made from a pooling thread would interleave spans and
+        raise TraceError, so each modality must be one span, opened by the
+        calling thread inside the span around it.
+        """
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from spans import Tracer
+
+        samples = _make_dataset(rng, tmp_path / "ds", 9)
+        use_cpus(monkeypatch, 2)
+        started = count_thread_starts(monkeypatch)
+        tracer = Tracer("emireg")
+        tracer.wrap_function("adaptive_avg_pool", "layers.adaptive_avg_pool")
+        try:
+            with tracer.span("test") as outer:
+                make_batches(samples, 4, align_len=16)
+        finally:
+            tracer.restore()
+        assert len(started) == len(MODALITIES)  # one helper per block
+        pools = [s for s in tracer.spans if s.name == "layers.adaptive_avg_pool"]
+        assert len(pools) == len(MODALITIES)
+        assert all(s.parent == outer for s in pools)
+
     def test_batch_features_match_per_sample_pooling(self, rng, tmp_path):
         from emireg.layers import adaptive_avg_pool
 
@@ -504,7 +530,7 @@ class TestBatching:
         for i, s in enumerate(samples):
             for m in MODALITIES:
                 assert np.array_equal(
-                    batch.features[m][i], adaptive_avg_pool(s.features[m], 12)
+                    batch.features[m][i], adaptive_avg_pool([s.features[m]], 12)[0]
                 )
 
 

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ from emireg.layers import Dropout, Linear, ParamStore, adaptive_avg_pool
 from emireg.tensor import grad_check, relu, sigmoid
 
 from oracles import adaptive_avg_pool_loop, dropout_float_mask, matmul_loops
+from support import count_thread_starts, use_cpus
 
 
 def stored(layer: Linear) -> Linear:
@@ -217,51 +221,51 @@ class TestDropout:
 class TestAdaptiveAvgPool:
     def test_identity_when_lengths_match(self, rng):
         x = rng.normal(size=(16, 3))
-        assert np.array_equal(adaptive_avg_pool(x, 16), x)
+        assert np.array_equal(adaptive_avg_pool([x], 16)[0], x)
 
     def test_even_split(self, rng):
         x = rng.normal(size=(256, 5))
-        out = adaptive_avg_pool(x, 128)
+        out = adaptive_avg_pool([x], 128)[0]
         for i in range(128):
             np.testing.assert_array_equal(out[i], x[2 * i : 2 * i + 2].mean(axis=0))
 
     def test_three_to_two(self):
         x = np.array([[0.0], [1.0], [5.0]])
-        out = adaptive_avg_pool(x, 2)
+        out = adaptive_avg_pool([x], 2)[0]
         assert out[0, 0] == 0.5  # mean(rows 0, 1)
         assert out[1, 0] == 3.0  # mean(rows 1, 2)
 
     def test_upsampling_repeats_bins(self):
         x = np.array([[1.0], [3.0]])
-        out = adaptive_avg_pool(x, 4)
+        out = adaptive_avg_pool([x], 4)[0]
         assert np.array_equal(out[:, 0], [1.0, 1.0, 3.0, 3.0])
 
     def test_global_mean_preserved_when_divisible(self, rng):
         x = rng.normal(size=(64, 4))
-        out = adaptive_avg_pool(x, 16)
+        out = adaptive_avg_pool([x], 16)[0]
         np.testing.assert_allclose(out.mean(axis=0), x.mean(axis=0), atol=1e-12)
 
     def test_empty_sequence_errors(self):
         with pytest.raises(ShapeError):
-            adaptive_avg_pool(np.zeros((0, 3)), 4)
+            adaptive_avg_pool([np.zeros((0, 3))], 4)
 
     def test_bit_identical_to_loop_oracle(self, rng):
         # covers up- and downsampling and mixed bin widths (e.g. 150 -> 128)
         for length in range(1, 401):
             x = rng.normal(size=(length, 2))
             for target in (1, 7, 16, 128, 300):
-                out = adaptive_avg_pool(x, target)
+                out = adaptive_avg_pool([x], target)[0]
                 expected = adaptive_avg_pool_loop(x, target)
                 assert out.tobytes() == expected.tobytes(), (length, target)
 
     def test_writes_into_out(self, rng):
         x = rng.normal(size=(150, 4))
-        out = np.full((128, 4), np.nan)
-        assert adaptive_avg_pool(x, 128, out=out) is out
-        assert out.tobytes() == adaptive_avg_pool(x, 128).tobytes()
-        same = np.empty((150, 4))
-        adaptive_avg_pool(x, 150, out=same)
-        assert np.array_equal(same, x)
+        out = np.full((1, 128, 4), np.nan)
+        assert adaptive_avg_pool([x], 128, out=out) is out
+        assert out[0].tobytes() == adaptive_avg_pool([x], 128)[0].tobytes()
+        same = np.empty((1, 150, 4))
+        adaptive_avg_pool([x], 150, out=same)
+        assert np.array_equal(same[0], x)
 
     @pytest.mark.parametrize(
         "length, target", [(37, 128), (128, 128), (150, 128), (1, 16), (300, 1)]
@@ -272,20 +276,20 @@ class TestAdaptiveAvgPool:
     ):
         # widening float32 to float64 is exact, so pooling must not care when it happens
         x32 = rng.normal(size=(length, 5)).astype(np.float32)
-        out = np.full((target, 5), np.nan) if preallocated else None
-        got = adaptive_avg_pool(x32, target, out=out)
-        expected = adaptive_avg_pool(x32.astype(np.float64), target)
+        out = np.full((1, target, 5), np.nan) if preallocated else None
+        got = adaptive_avg_pool([x32], target, out=out)
+        expected = adaptive_avg_pool([x32.astype(np.float64)], target)[0]
         assert got.dtype == np.float64
-        assert got.tobytes() == expected.tobytes()
+        assert got[0].tobytes() == expected.tobytes()
         if preallocated:
             assert got is out
 
     def test_float32_input_is_not_copied_whole(self, rng):
         x = rng.normal(size=(512, 64)).astype(np.float32)
-        out = np.empty((128, 64))
+        out = np.empty((1, 128, 64))
         tracemalloc.start()
         try:
-            adaptive_avg_pool(x, 128, out=out)
+            adaptive_avg_pool([x], 128, out=out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -294,13 +298,100 @@ class TestAdaptiveAvgPool:
 
     def test_out_shape_checked(self, rng):
         with pytest.raises(ShapeError):
-            adaptive_avg_pool(rng.normal(size=(20, 4)), 8, out=np.empty((8, 5)))
+            adaptive_avg_pool([rng.normal(size=(20, 4))], 8, out=np.empty((1, 8, 5)))
 
     def test_non_finite_input_raises(self):
         x = np.ones((9, 2))
         x[4, 1] = np.inf
         with pytest.raises(NumericError):
-            adaptive_avg_pool(x, 3)
+            adaptive_avg_pool([x], 3)
+
+
+class TestAdaptiveAvgPoolBlock:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_block_matches_loop_oracle_on_any_cpu_count(self, rng, monkeypatch, n):
+        # lengths below, equal to and above the target, float32 and float64
+        seqs = [
+            rng.normal(size=(length, 3)).astype(dtype)
+            for length, dtype in zip(
+                [5, 16, 41, 16, 1, 200, 9], [np.float32, np.float64] * 4
+            )
+        ][:n]
+        expected = [adaptive_avg_pool_loop(x.astype(np.float64), 16) for x in seqs]
+        for cpus in (1, 2, 3, n + 2):
+            use_cpus(monkeypatch, cpus)
+            block = adaptive_avg_pool(seqs, 16)
+            assert block.shape == (n, 16, 3) and block.dtype == np.float64
+            for i in range(n):
+                assert block[i].tobytes() == expected[i].tobytes(), (cpus, i)
+
+    def test_more_threads_than_cores_pool_every_row(self, rng, monkeypatch):
+        # a lost or repeated index on the shared iterator leaves a NaN row or
+        # changes bytes; a short switch interval makes threads trade often
+        seqs = [rng.normal(size=(int(rng.integers(1, 40)), 3)) for _ in range(64)]
+        use_cpus(monkeypatch, 1)
+        serial = adaptive_avg_pool(seqs, 8)
+        use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                out = np.full((64, 8, 3), np.nan)
+                assert adaptive_avg_pool(seqs, 8, out=out).tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_non_finite_sequence_raises_after_joining(self, rng, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        seqs = [rng.normal(size=(20, 2)) for _ in range(7)]
+        seqs[3][5, 1] = np.nan
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="^non-finite values produced by adaptive_avg_pool$"):
+            adaptive_avg_pool(seqs, 8)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_empty_sequence_raises_before_any_thread(self, rng, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        seqs = [rng.normal(size=(20, 2)) for _ in range(5)]
+        seqs[2] = np.zeros((0, 2))
+        before = threading.active_count()
+        with pytest.raises(ShapeError, match="empty sequence"):
+            adaptive_avg_pool(seqs, 8)
+        assert threading.active_count() == before
+
+    def test_widths_must_agree(self, rng):
+        seqs = [rng.normal(size=(20, 4)), rng.normal(size=(20, 5))]
+        with pytest.raises(ShapeError, match=r"pool output \(8, 4\) != \(8, 5\)"):
+            adaptive_avg_pool(seqs, 8)
+
+    def test_bad_target_and_no_sequences(self, rng):
+        with pytest.raises(ConfigError):
+            adaptive_avg_pool([rng.normal(size=(4, 2))], 0)
+        with pytest.raises(ConfigError, match="too large"):
+            adaptive_avg_pool([rng.normal(size=(4, 2))], 2**62)
+        with pytest.raises(ShapeError):
+            adaptive_avg_pool([], 4)
+
+    def test_one_cpu_starts_no_thread(self, rng, monkeypatch):
+        started = count_thread_starts(monkeypatch)
+        seqs = [rng.normal(size=(30, 3)) for _ in range(6)]
+        use_cpus(monkeypatch, 1)
+        adaptive_avg_pool(seqs, 8)
+        assert started == []
+        use_cpus(monkeypatch, 2)  # the counter sees a helper when there is one
+        adaptive_avg_pool(seqs, 8)
+        assert len(started) == 1
+
+    def test_cpu_count_without_an_affinity_set(self, rng, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        started = count_thread_starts(monkeypatch)
+        x = rng.normal(size=(30, 3))
+        block = adaptive_avg_pool([x, x], 8)
+        assert started == []
+        assert block[1].tobytes() == adaptive_avg_pool_loop(x, 8).tobytes()
 
 
 class TestActivationGradients:

@@ -122,7 +122,7 @@ class TestBranch:
     def test_step_by_step_composition(self, rng):
         model = tiny_model()
         seq = rng.normal(size=(11, TINY_DIMS["audio"]))
-        pooled = adaptive_avg_pool(seq, 8)
+        pooled = adaptive_avg_pool([seq], 8)[0]
         feats = tiny_features(rng, batch=1)
         feats["audio"] = pooled[None]
         projected = pooled @ model.proj["audio"].weight.value.T
