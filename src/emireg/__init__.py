@@ -24,7 +24,6 @@ from .metrics import EarlyStopper, EvalReport, mean_pcc, pearson
 from .model import ForwardOutputs, Model, fuse
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
 from .schema import MODALITIES
-from .tensor import grad_check
 from .train import RunRecord, TrainConfig, ablate, evaluate_checkpoint, train
 
 __version__ = "0.1.0"
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate_checkpoint",
     "fuse",
     "generate_synthetic",
-    "grad_check",
     "load_manifest",
     "load_split",
     "make_batches",

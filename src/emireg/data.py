@@ -33,9 +33,11 @@ modality, in one pooling call per block that runs on every CPU the process
 may use and gives the bytes of serial pooling, and stacks the targets into
 ``[N x 6]``. It returns a
 :class:`Batches` sequence that builds each batch when it is indexed: a slice
-of those blocks (views, in manifest order) or one gather per modality (a
-copy, shuffled), so a shuffled epoch holds one batch's copy, not a second
-copy of the split.
+of those blocks (views, in manifest order) or a sample-by-sample copy per
+modality (shuffled), so a shuffled epoch holds one batch's copy, not a second
+copy of the split. :meth:`Batches.batch` copies into fresh buffers or into
+buffers the caller owns; the trainer copies every shuffled batch of a run into
+one set of them.
 
 The pooled blocks are held only by the :class:`Batches` made from them, which
 refer to no sample. A caller that keeps only the manifest-order
@@ -53,11 +55,14 @@ import json
 import math
 import mmap
 import os
+import shutil
 import struct
-from collections.abc import Mapping, Sequence
+import tempfile
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+from typing import BinaryIO
 
 import numpy as np
 
@@ -102,8 +107,8 @@ class Batch:
     """Aligned samples ready for the model.
 
     In manifest order the arrays are read-only views of the pooled blocks;
-    shuffled, they are fresh copies, made when :class:`Batches` builds the
-    batch.
+    shuffled, they are copies, made when :class:`Batches` builds the batch,
+    into fresh buffers or into the caller's.
     """
 
     ids: list[str]
@@ -118,7 +123,8 @@ class Batches(Sequence):
     """The batches of one :func:`make_batches` call, each built when indexed.
 
     ``rows[i]`` selects batch ``i``'s samples: a slice, which gives views of
-    the pooled blocks, or an index array, which gives one gather per block.
+    the pooled blocks, or an index array, whose samples are copied one by
+    one (:meth:`batch`).
     Indexing again rebuilds the same batch, so the sequence can be iterated
     any number of times. The pooled blocks, ids and targets are the only
     data held; :meth:`shuffled` shares them with the sequence it returns.
@@ -150,13 +156,34 @@ class Batches(Sequence):
         rows = [order[r] for r in self._rows]
         return Batches(self._ids, self._features, self._targets, rows)
 
-    def __getitem__(self, i: int) -> Batch:
+    def batch(self, i: int, out: dict[str, Array] | None = None) -> Batch:
+        """Batch ``i``; a shuffled batch's features are copied into ``out``.
+
+        In manifest order the features are views of the pooled blocks and
+        ``out`` is not used. Shuffled, the batch's samples are copied one by
+        one into the leading rows of ``out[m]`` (a float64 buffer of at least
+        the batch's rows, with the block's other extents), or of fresh
+        buffers when ``out`` is None, and the features are views of those
+        rows: building the next batch into the same buffers overwrites them,
+        and nothing else of a buffer is written.
+        """
         rows = self._rows[i]
-        return Batch(
-            ids=list(self._ids[rows]),
-            features={m: block[rows] for m, block in self._features.items()},
-            targets=self._targets[rows],
-        )
+        features = {}
+        for m, block in self._features.items():
+            if isinstance(rows, slice):
+                features[m] = block[rows]
+                continue
+            if out is None:
+                rows_out = np.empty((len(rows), *block.shape[1:]), dtype=block.dtype)
+            else:
+                rows_out = out[m][: len(rows)]
+            for j, r in enumerate(rows):
+                rows_out[j] = block[r]
+            features[m] = rows_out
+        return Batch(ids=list(self._ids[rows]), features=features, targets=self._targets[rows])
+
+    def __getitem__(self, i: int) -> Batch:
+        return self.batch(i)
 
 
 # -- EMIF feature files -------------------------------------------------------
@@ -222,16 +249,19 @@ def _file_bytes(path):
             return fh.read()
 
 
-def _replace_file(path, payload: bytes) -> None:
-    """Write ``payload`` to a sibling file, then rename it over ``path``.
+def _replace_file(path, write: Callable[[BinaryIO], None]) -> None:
+    """Have ``write`` fill a sibling file, then rename it over ``path``.
 
-    A reader never sees a partial file, and a file mapped by
+    ``write`` streams the bytes into the open file, so no copy of the whole
+    payload is built. A reader never sees a partial file, a failed write
+    leaves the previous file and no sibling, and a file mapped by
     :func:`_file_bytes` keeps its old bytes instead of being truncated.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".tmp")
     try:
-        partial.write_bytes(payload)
+        with partial.open("wb") as fh:
+            write(fh)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -257,7 +287,7 @@ def write_feature_file(path, features: dict[str, Array | None]) -> None:
         rows, dim = block.shape
         buf.write(struct.pack("<BII", 1, rows, dim))
         buf.write(payload.tobytes())
-    _replace_file(path, buf.getvalue())
+    _replace_file(path, lambda fh: fh.write(buf.getbuffer()))
 
 
 def read_feature_file(path) -> dict[str, Array | None]:
@@ -472,20 +502,22 @@ def make_batches(
 
 
 def save_checkpoint(path, tensors: dict[str, Array]) -> None:
-    """Write named float64 tensors in insertion order."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    for name, value in tensors.items():
-        encoded = name.encode("utf-8")
-        value = np.asarray(value, dtype=np.float64)
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", value.ndim))
-        for extent in value.shape:
-            buf.write(struct.pack("<I", extent))
-        buf.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-    _replace_file(path, buf.getvalue())
+    """Write named float64 tensors in insertion order.
+
+    Each record's header and then the tensor's own buffer go straight into
+    the file; a C-contiguous float64 tensor is not copied.
+    """
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
+        for name, value in tensors.items():
+            encoded = name.encode("utf-8")
+            value = np.asarray(value, dtype="<f8", order="C")
+            fh.write(struct.pack("<H", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<B{value.ndim}I", value.ndim, *value.shape))
+            fh.write(value)  # the array's own buffer, not a copy
+
+    _replace_file(path, write)
 
 
 def load_checkpoint(path) -> dict[str, Array]:
@@ -559,7 +591,9 @@ def generate_synthetic(
     mode, two disjoint ones per modality in ``disjoint`` mode) plus
     temporal jitter that is exactly zero-mean over the sequence, so temporal
     mean pooling recovers the encoded signal. Byte-identical for equal
-    arguments.
+    arguments. The files are written into a hidden sibling directory and
+    moved into ``out_dir`` once all are written, so a call that fails leaves
+    ``out_dir`` as it was.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
@@ -575,15 +609,43 @@ def generate_synthetic(
             raise ConfigError(
                 f"{m} dim {dims[m]} too small to encode {len(assignment[m])} latents"
             )
-    out_dir = Path(out_dir)
-    features_dir = out_dir / "features"
-    features_dir.mkdir(parents=True, exist_ok=True)
+        # numpy refuses an array of more than intp's maximum bytes; a sample's
+        # [L x d] block is wider than the [d x k] map, since k <= 6 < L
+        if SEQ_LEN_RANGE[1] * dims[m] * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"{m} sample block [{SEQ_LEN_RANGE[1]} x {dims[m]}] is too large to represent"
+            )
 
+    out_dir = Path(out_dir)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staged = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        _write_synthetic(staged, n, dims, seed, noise, mode, assignment)
+        _move_into(staged, out_dir)
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
+    return out_dir / MANIFEST_NAME
+
+
+def _move_into(staged: Path, out_dir: Path) -> None:
+    """Rename every file of the tree ``staged`` to its place under ``out_dir``."""
+    out_dir.mkdir(exist_ok=True)
+    for src in sorted(staged.rglob("*")):  # a directory sorts before its files
+        dst = out_dir / src.relative_to(staged)
+        if src.is_dir():
+            dst.mkdir(parents=True, exist_ok=True)
+        else:
+            os.replace(src, dst)
+
+
+def _write_synthetic(out_dir, n, dims, seed, noise, mode, assignment) -> None:
+    """Write :func:`generate_synthetic`'s dataset into the empty ``out_dir``."""
     maps = {}
     for i, m in enumerate(MODALITIES):
         map_rng = seeded_rng(seed, _MAP_STREAM, i)
         k = len(assignment[m])
         maps[m] = map_rng.normal(0.0, 1.0, size=(dims[m], k)) / np.sqrt(k)
+    (out_dir / "features").mkdir()
 
     rng = seeded_rng(seed, _SAMPLE_STREAM)
     n_train = int(n * SPLIT_FRACTIONS["train"])
@@ -609,8 +671,7 @@ def generate_synthetic(
         split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
         rows.append(ManifestRow(id=sample_id, split=split, path=rel, target=target))
 
-    manifest_path = out_dir / MANIFEST_NAME
-    write_manifest(manifest_path, rows)
+    write_manifest(out_dir / MANIFEST_NAME, rows)
     sidecar = {
         "n": n,
         "dims": {m: dims[m] for m in MODALITIES},
@@ -629,4 +690,3 @@ def generate_synthetic(
     with open(out_dir / SIDECAR_NAME, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest_path

@@ -8,10 +8,11 @@ respect to ``x``; with ``input_grad=False`` it skips that product and
 returns None, for layers whose input is not learned (the projections of
 frozen features). A training ``Dropout.forward`` returns its keep-mask
 beside its output, at rate 0 too, where every unit is kept, and
-``Dropout.backward`` takes that mask. Pooling runs when batches are built,
-on features that are not learned, so it has no backward; one call pools a
-whole modality block, split across every CPU the process may use, with the
-bytes of a serial pass.
+``Dropout.backward`` takes that mask, or the mask times a gate (the model
+folds each activation's derivative into it). Pooling runs when batches are
+built, on features that are not learned, so it has no backward; one call
+pools a whole modality block, split across every CPU the process may use,
+with the bytes of a serial pass.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .errors import ConfigError, ShapeError, StateError
 from .tensor import Array, as_tensor, ensure_finite
 
 GLOROT_GAIN = 6.0
+# keep-masks are drawn this many uniforms at a time: the same stream in the
+# same order as one whole draw, without a float64 array of the mask's size
+_MASK_CHUNK = 1 << 16
 
 
 class Param:
@@ -149,9 +153,12 @@ class Dropout:
     PRNG), so a fixed draw order keeps training reproducible; a Dropout
     without one (``rng=None``) serves eval-mode forwards only. A training
     forward, at any rate, draws and returns a boolean keep-mask, one byte
-    per element, beside its output; an eval forward returns its input and
-    None. ``backward`` follows a training forward and takes its mask.
-    Forward and backward multiply by the scale, then by the mask:
+    per element, beside its output; the uniforms behind it are drawn in
+    chunks into one small buffer, so the mask has the bits of
+    ``rng.random(shape) < 1 - rate``. An eval forward returns its input and
+    None. ``backward`` follows a training forward and takes its mask, or
+    the mask times a gate. Forward and backward multiply by the scale, then
+    by the mask:
     ``(x * s) * 1`` is ``x * s`` and ``(x * s) * 0`` has the sign of
     ``x * 0``, so the result has the bits of ``x`` times a float mask of
     ``s`` and 0. At rate 0 every unit is kept and ``s`` is 1.0, so the
@@ -171,7 +178,13 @@ class Dropout:
             return x, None
         if self.rng is None:
             raise StateError("a training forward needs a dropout generator")
-        keep = self.rng.random(x.shape) < 1.0 - self.rate
+        keep = np.empty(x.shape, dtype=np.bool_)
+        flat = keep.reshape(-1)
+        draw = np.empty(min(flat.size, _MASK_CHUNK))
+        for start in range(0, flat.size, _MASK_CHUNK):
+            part = draw[: min(_MASK_CHUNK, flat.size - start)]
+            self.rng.random(out=part)
+            np.less(part, 1.0 - self.rate, out=flat[start : start + part.size])
         out = x * self._scale
         out *= keep
         return out, keep

@@ -10,8 +10,13 @@ only thing a forward leaves behind is the record a training forward keeps
 for ``backward`` (see ``_TrainRecord``): every layer input and activation
 output the gradients read. An eval forward keeps nothing, and any forward
 drops the record it finds. One ``Dropout``, on one generator, serves every
-branch and the fusion head. A model built without a seed draws nothing: every
-parameter starts at zero for the caller to set, as a checkpoint load does.
+branch and the fusion head. A branch applies its activation in place on the
+projection output, so its forward makes one ``[batch x align x hidden]``
+array beside the dropout output; a backward forms each hidden layer's
+pre-activation gradient as one product, the upstream gradient times the
+keep-mask combined with the activation's gate (see ``ACTIVATIONS``). A model
+built without a seed draws nothing: every parameter starts at zero for the
+caller to set, as a checkpoint load does.
 The fusion modes and the activations are defined here, once; the config and
 the CLI read these tables.
 """
@@ -26,15 +31,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, StateError
 from .layers import Dropout, Linear, Param, ParamStore
 from .schema import MODALITIES, N_TARGETS, VAD_DIM
-from .tensor import (
-    Array,
-    as_tensor,
-    relu,
-    relu_grad_mask,
-    seeded_rng,
-    sigmoid,
-    sigmoid_grad_from_output,
-)
+from .tensor import Array, as_tensor, relu, seeded_rng, sigmoid, sigmoid_grad_from_output
 
 FUSION_MODES = ("concat", "average")
 
@@ -44,12 +41,16 @@ def fused_width(hidden_dim: int, fusion: str) -> int:
     return len(MODALITIES) * hidden_dim if fusion == "concat" else hidden_dim
 
 
-# name -> (forward, gradient): the gradient maps the activation's output and
-# the upstream gradient to the gradient w.r.t. the pre-activation
+# name -> (forward, gate). ``forward(x, out=x)`` writes its output over its
+# input, and ``forward(x)`` leaves ``x`` as it is. The gradient w.r.t. the
+# pre-activation is the upstream gradient times ``gate(output)``: relu's is
+# the bool ``output > 0``, sigmoid's ``output * (1 - output)``, and identity
+# has none. A gate is exactly 0 or 1 or multiplies an exact 0/1 keep-mask,
+# so folding the mask into it keeps every bit of the two-step product.
 ACTIVATIONS = {
-    "relu": (relu, lambda out, up: up * relu_grad_mask(out)),
-    "sigmoid": (sigmoid, lambda out, up: up * sigmoid_grad_from_output(out)),
-    "identity": (lambda x: x, lambda _, up: up),
+    "relu": (relu, lambda out: out > 0),
+    "sigmoid": (sigmoid, sigmoid_grad_from_output),
+    "identity": (lambda x, out=None: x, None),
 }
 # the activations an output head may use; ForwardOutputs holds their outputs
 OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
@@ -80,7 +81,7 @@ class _TrainRecord:
 
     Its outputs hold the inputs of the aux heads (``z``), of the fusion
     hidden layer (``z_fus``) and of the VAD injection (``v_hat``); the rest
-    is here. Each hidden activation's gradient reads its output (see
+    is here. Each hidden activation's gate reads its output (see
     ``ACTIVATIONS``). Every training forward draws its keep-masks, at
     dropout 0 too (all kept), so each branch's gradient reaches the
     projection as ``[batch x align x hidden]``. The projection inputs are
@@ -95,6 +96,14 @@ class _TrainRecord:
     h_kept: Array  # the fusion hidden activation's output, [batch x hidden]
     h_drop: Array  # h_kept after dropout, the fusion output layer's input
     keep: dict[str, Array]  # keep-masks per branch and "fusion"
+
+
+def _gated(gate, out: Array, upstream: Array) -> Array:
+    """``upstream`` times an activation's gate at its output ``out``.
+
+    ``upstream`` may be a keep-mask: times relu's bool gate it stays bool.
+    """
+    return upstream if gate is None else upstream * gate(out)
 
 
 def fuse(z_visual, z_audio, z_text, mode: str) -> Array:
@@ -167,8 +176,8 @@ class Model:
         self.vad_enabled = vad_enabled
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
-        self._act, self._act_grad = ACTIVATIONS[hidden_activation]
-        self._out_act, self._out_act_grad = ACTIVATIONS[output_activation]
+        self._act, self._gate = ACTIVATIONS[hidden_activation]
+        self._out_act, self._out_gate = ACTIVATIONS[output_activation]
         self.align_len = align_len
         self.fused_dim = fused_width(hidden_dim, fusion)
 
@@ -266,11 +275,11 @@ class Model:
                 raise ShapeError(f"modalities disagree on batch size at {m}")
             flat = x.reshape(batch * self.align_len, self.dims[m])
             pre = self.proj[m].forward(flat).reshape(batch, self.align_len, self.hidden_dim)
-            act = self._act(pre)
+            if m == "audio":
+                a_mean = pre.mean(axis=1)  # before the activation overwrites pre
+            act = self._act(pre, out=pre)
             dropped, keep[m] = self.drop.forward(act, train)
             z[m] = dropped.mean(axis=1)
-            if m == "audio":
-                a_mean = pre.mean(axis=1)
             if train:
                 rows[m], kept[m] = flat, act
             # free this branch's other arrays before the next branch allocates
@@ -320,16 +329,16 @@ class Model:
         out = rec.out
         batch = out.y_hat.shape[0]
 
-        d_y_logits = self._out_act_grad(out.y_hat, as_tensor(d_y_hat))
+        d_y_logits = _gated(self._out_gate, out.y_hat, as_tensor(d_y_hat))
         d_h_drop = self.fusion_out.backward(rec.h_drop, d_y_logits)
-        d_h_act = self.drop.backward(rec.keep["fusion"], d_h_drop)
-        d_h_pre = self._act_grad(rec.h_kept, d_h_act)
+        h_gate = _gated(self._gate, rec.h_kept, rec.keep["fusion"])
+        d_h_pre = self.drop.backward(h_gate, d_h_drop)
         d_z = unfuse_grad(
             self.fusion_hidden.backward(out.z_fus, d_h_pre), self.hidden_dim, self.fusion
         )
 
         for m in MODALITIES:
-            d_logits = self._out_act_grad(out.aux[m], as_tensor(d_aux[m]))
+            d_logits = _gated(self._out_gate, out.aux[m], as_tensor(d_aux[m]))
             d_z[m] = d_z[m] + self.aux_head[m].backward(out.z[m], d_logits)
 
         d_a_rows = None
@@ -341,13 +350,15 @@ class Model:
             d_a_rows = (d_a_mean / self.align_len)[:, None, :]
 
         for m in MODALITIES:
-            # [batch x 1 x h] broadcasts over time against the recorded [batch x T x h]
-            d_act = self.drop.backward(rec.keep[m], d_z[m][:, None, :] / self.align_len)
-            d_pre = self._act_grad(rec.kept[m], d_act)
+            # the keep-mask times the activation's gate: bool, or float for sigmoid;
+            # [batch x 1 x h] broadcasts over time against this [batch x T x h] gate
+            gate = _gated(self._gate, rec.kept[m], rec.keep[m])
+            d_pre = self.drop.backward(gate, d_z[m][:, None, :] / self.align_len)
             if m == "audio" and d_a_rows is not None:
-                d_pre = d_pre + d_a_rows
+                d_pre += d_a_rows
             self.proj[m].backward(
                 rec.rows[m],
                 d_pre.reshape(batch * self.align_len, self.hidden_dim),
                 input_grad=False,
             )
+

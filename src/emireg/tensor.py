@@ -3,18 +3,15 @@
 Arrays are C-contiguous float64 ("row-major 64-bit reals"). The helpers are
 pure and deterministic (same inputs give bit-identical outputs on a fixed
 platform); :func:`ensure_finite` turns NaN/Inf into a
-:class:`~emireg.errors.NumericError`. :func:`grad_check` compares an analytic
-gradient with central finite differences, and :func:`seeded_rng` gives every
+:class:`~emireg.errors.NumericError`, and :func:`seeded_rng` gives every
 random consumer its own reproducible stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 Array = np.ndarray
 
@@ -36,10 +33,15 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
-def sigmoid(x) -> Array:
-    """Numerically stable logistic function, elementwise; range (0, 1)."""
+def sigmoid(x, out: Array | None = None) -> Array:
+    """Numerically stable logistic function, elementwise; range (0, 1).
+
+    ``out`` may be ``x`` itself, for an in-place pass: each element of ``x``
+    is read before its own place in ``out`` is written.
+    """
     x = as_tensor(x)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -52,51 +54,6 @@ def sigmoid_grad_from_output(y: Array) -> Array:
     return y * (1.0 - y)
 
 
-def relu(x) -> Array:
-    return np.maximum(as_tensor(x), 0.0)
-
-
-def relu_grad_mask(y: Array) -> Array:
-    """Derivative of relu expressed through its output y = relu(x) (0 at the kink).
-
-    ``y > 0`` exactly where ``x > 0``, so the mask equals the one the
-    pre-activation would give.
-    """
-    return (y > 0).astype(np.float64)
-
-
-def grad_check(
-    f: Callable[[Array], tuple[float, Array]],
-    x,
-    eps: float = 1e-5,
-) -> float:
-    """Compare f's analytic gradient against central finite differences.
-
-    ``f`` maps an array to ``(scalar value, gradient array of x's shape)``.
-    Returns the max over coordinates of
-    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
-    """
-    x = as_tensor(x).copy()
-    _, analytic = f(x)
-    analytic = as_tensor(analytic)
-    if analytic.shape != x.shape:
-        raise ShapeError(
-            f"gradient shape {analytic.shape} does not match input shape {x.shape}"
-        )
-    flat = x.reshape(-1)
-    grad_flat = analytic.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up, _ = f(x)
-        flat[i] = orig - eps
-        down, _ = f(x)
-        flat[i] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise NumericError("non-finite value while probing finite differences")
-        numeric = (up - down) / (2.0 * eps)
-        a = grad_flat[i]
-        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-        worst = max(worst, err)
-    return worst
+def relu(x, out: Array | None = None) -> Array:
+    """max(x, 0) elementwise; ``out`` may be ``x`` itself, for an in-place pass."""
+    return np.maximum(as_tensor(x), 0.0, out=out)

@@ -8,10 +8,12 @@ same config are bit-identical.
 What a run keeps resident: each split's pooled blocks and targets, held by
 its manifest-order batches (the raw sequences are freed once pooled, before
 the run directory is made), the model's flat parameter and gradient vectors,
-the AdamW moments and the EMA shadows, one shuffled batch at a time, and
-between a training forward and its backward one record of the pass, the
-model's only per-call state: its outputs, and per branch one
-``[batch x align x hidden]`` array and a one-byte keep-mask.
+the AdamW moments and the EMA shadows, one ``[batch x align x d]`` step
+buffer per modality, allocated once per call, that every shuffled batch is
+copied into, and between a training forward and its backward one record of
+the pass, the model's only per-call state: its outputs, and per branch one
+``[batch x align x hidden]`` array, the activation output, and a one-byte
+keep-mask; the projection inputs it reads are views of the step buffers.
 """
 
 from __future__ import annotations
@@ -313,6 +315,12 @@ def train(config: TrainConfig) -> RunRecord:
     weights = config.loss_weights()
     optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
     ema = Ema(model.parameters(), config.ema_decay)
+    # every shuffled batch is copied into these, so one batch's features are
+    # alive at a time, and no copy outlives the call
+    step_rows = min(config.batch_size, train_batches.n_samples)
+    step_buffers = {
+        m: np.empty((step_rows, config.align_len, config.dims[m])) for m in MODALITIES
+    }
     # only a run whose data loaded and whose model was built gets a directory
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -338,7 +346,8 @@ def train(config: TrainConfig) -> RunRecord:
             for epoch in range(1, config.epochs + 1):
                 lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
                 batches = train_batches.shuffled(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
-                for batch in batches:
+                for i in range(len(batches)):
+                    batch = batches.batch(i, out=step_buffers)
                     if config.lr_cadence == "step":
                         lr = cosine_lr(global_step, total_steps, config.lr, config.eta_min)
                     model.zero_grads()

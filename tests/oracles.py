@@ -229,3 +229,37 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
             d_pre = d_pre + time_mean_back(d_a_mean)
         linear_back(f"{m}.proj", model.proj[m], rec.rows[m], d_pre)
     return grads
+
+
+def grad_check(f, x, eps=1e-5):
+    """Compare f's analytic gradient against central finite differences.
+
+    ``f`` maps an array to ``(scalar value, gradient array of x's shape)``.
+    Returns the max over coordinates of
+    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``. ``x`` is
+    copied, never changed.
+    """
+    x = np.array(x, dtype=np.float64)
+    _, analytic = f(x)
+    analytic = np.asarray(analytic, dtype=np.float64)
+    if analytic.shape != x.shape:
+        raise ValueError(
+            f"gradient shape {analytic.shape} does not match input shape {x.shape}"
+        )
+    flat = x.reshape(-1)
+    grad_flat = analytic.reshape(-1)
+    worst = 0.0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        up, _ = f(x)
+        flat[i] = orig - eps
+        down, _ = f(x)
+        flat[i] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise FloatingPointError("non-finite value while probing finite differences")
+        numeric = (up - down) / (2.0 * eps)
+        a = grad_flat[i]
+        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+        worst = max(worst, err)
+    return worst

@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 
@@ -121,3 +122,17 @@ def count_thread_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     return started
+
+
+def traced_memory(fn) -> tuple[int, int]:
+    """Run ``fn()`` under tracemalloc: the bytes still held once it returned, and the peak.
+
+    The result of ``fn`` is dropped before the held bytes are read, so
+    ``kept`` is what the call left behind elsewhere.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

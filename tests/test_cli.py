@@ -21,6 +21,8 @@ from emireg.data import (
 )
 from emireg.losses import CORR_MODES
 from emireg.model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS
+from emireg.schema import MODALITIES
+from emireg.tensor import seeded_rng
 from emireg.train import CADENCES, TrainConfig
 
 from support import SMALL_DIMS
@@ -110,6 +112,90 @@ class TestGenSynth:
         assert err.startswith("emireg: config error: seed must be >= 0, got -1")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_unrepresentable_dims_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = run_cli("gen-synth", "--n", "4", "--dims", f"8:{2**62}:6", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "emireg: config error: audio sample block [192 x 4611686018427387904] "
+            "is too large to represent\n"
+        )
+        assert not out.exists()
+
+    def test_out_of_memory_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # a map too large to allocate; no real allocation is attempted
+        class NoMemory:
+            def normal(self, *args, **kwargs):
+                raise MemoryError("Unable to allocate 4.37 TiB for an array")
+
+        monkeypatch.setattr("emireg.data.seeded_rng", lambda *key: NoMemory())
+        out = tmp_path / "ds"
+        code = run_cli("gen-synth", "--n", "4", "--dims", "8:100000000000:6", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "emireg: out of memory: Unable to allocate 4.37 TiB for an array\n"
+        )
+        assert not out.exists()
+
+    @staticmethod
+    def _jitter_out_of_memory(monkeypatch, sample):
+        """Make sample ``sample``'s first jitter draw run out of memory.
+
+        It is the first ``normal`` after that sample's first sequence length
+        is drawn; each sample draws one length per modality, and the feature
+        maps are drawn before any length.
+        """
+
+        class NoJitterMemory:
+            def __init__(self, rng):
+                self._rng = rng
+                self._lengths = 0
+
+            def normal(self, loc, scale, size):
+                if self._lengths > sample * len(MODALITIES):
+                    raise MemoryError("Unable to allocate 143. GiB for an array")
+                return self._rng.normal(loc, scale, size)
+
+            def integers(self, *args):
+                self._lengths += 1
+                return self._rng.integers(*args)
+
+        monkeypatch.setattr(
+            "emireg.data.seeded_rng", lambda *key: NoJitterMemory(seeded_rng(*key))
+        )
+
+    def test_out_of_memory_in_a_sample_leaves_no_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._jitter_out_of_memory(monkeypatch, sample=0)
+        out = tmp_path / "ds"
+        code = run_cli("gen-synth", "--n", "4", "--dims", DIMS_FLAG, "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "emireg: out of memory: Unable to allocate 143. GiB for an array\n"
+        )
+        assert list(tmp_path.iterdir()) == []  # neither the dataset nor its staging
+
+    def test_failure_leaves_an_existing_dataset_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "ds"
+        assert run_cli("gen-synth", "--n", "6", "--dims", DIMS_FLAG, "--out", str(out)) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        # two samples' files are written before the failure
+        self._jitter_out_of_memory(monkeypatch, sample=2)
+        code = run_cli("gen-synth", "--n", "9", "--dims", DIMS_FLAG, "--seed", "2",
+                       "--out", str(out))
+        assert code == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert list(tmp_path.iterdir()) == [out]
+        monkeypatch.undo()
+        # a call that succeeds writes over the existing dataset
+        code = run_cli("gen-synth", "--n", "9", "--dims", DIMS_FLAG, "--seed", "2",
+                       "--out", str(out))
+        assert code == 0
+        assert len(load_manifest(out / MANIFEST_NAME)) == 9
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_malformed_dims_is_usage_error(self, tmp_path):
         assert run_cli("gen-synth", "--n", "10", "--dims", "8x7x6",

@@ -1,8 +1,8 @@
 import gc
 import hashlib
+import io
 import json
 import struct
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from emireg.errors import ConfigError, DataError, FormatError
 from emireg.schema import MODALITIES
 
 from oracles import dataset_mean_features, least_squares_mean_pcc
-from support import count_thread_starts, use_cpus
+from support import count_thread_starts, traced_memory, use_cpus
 
 DIMS = {"visual": 8, "audio": 7, "text": 6}
 
@@ -153,12 +153,9 @@ class TestFeatureFile:
         write_feature_file(
             path, {"visual": rng.normal(size=(256, 512)), "audio": None, "text": None}
         )
-        tracemalloc.start()
-        try:
-            back = read_feature_file(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        read = []
+        _, peak = traced_memory(lambda: read.append(read_feature_file(path)))
+        back = read[0]
         # the finite check's bool mask is a quarter of the payload
         assert peak < path.stat().st_size // 2
         assert not back["visual"].flags.writeable
@@ -486,16 +483,37 @@ class TestBatching:
         batch_bytes = sum(8 * 16 * d * 8 for d in DIMS.values())
         # the call pools: one float64 block per modality and the stacked targets
         pooled_bytes = 5 * batch_bytes + 40 * 6 * 8
-        tracemalloc.start()
-        try:
-            batches = make_batches(
-                samples, 8, 16, shuffle=True, rng=np.random.default_rng(4)
+        made = []
+        _, peak = traced_memory(
+            lambda: made.append(
+                make_batches(samples, 8, 16, shuffle=True, rng=np.random.default_rng(4))
             )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(batches) == 5
+        )
+        assert len(made[0]) == 5
         assert peak < pooled_bytes + batch_bytes, peak
+
+    def test_shuffled_batch_copies_its_samples_into_its_buffers(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 20)
+        whole = make_batches(samples, 20, 16)[0]  # views of the pooled blocks
+        where = {sample_id: k for k, sample_id in enumerate(whole.ids)}
+        batches = make_batches(samples, 8, 16, shuffle=True, rng=np.random.default_rng(9))
+        sizes = []
+        for i in range(len(batches)):
+            # rows past the batch, which nothing may write, stay NaN
+            out = {m: np.full((8 + 3, 16, d), np.nan) for m, d in DIMS.items()}
+            into, fresh = batches.batch(i, out=out), batches[i]
+            assert into.ids == fresh.ids
+            sizes.append(len(into))
+            rows = [where[sample_id] for sample_id in into.ids]
+            for got in (into, fresh):
+                assert got.targets.tobytes() == whole.targets[rows].tobytes()
+                for m in MODALITIES:
+                    assert got.features[m].tobytes() == whole.features[m][rows].tobytes()
+            for m in MODALITIES:
+                assert np.shares_memory(into.features[m], out[m])
+                assert np.isnan(out[m][len(into) :]).all()
+                assert not np.shares_memory(fresh.features[m], out[m])
+        assert sizes == [8, 8, 4]  # the final short batch included
 
     def test_pooling_threads_enter_no_traced_span(self, rng, tmp_path, monkeypatch):
         """The benchmark's tracer wraps pooling and keeps one span stack per process.
@@ -642,12 +660,22 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": rng.normal(size=(4, 4))})
         before = path.read_bytes()
 
-        def torn_write(self, payload):
-            with open(self, "wb") as fh:
-                fh.write(payload[: len(payload) // 2])
-            raise OSError("no space left on device")
+        class TornFile(io.FileIO):
+            """Takes half of a write, then runs out of space."""
 
-        monkeypatch.setattr(Path, "write_bytes", torn_write)
+            def write(self, payload):
+                payload = bytes(payload)
+                super().write(payload[: len(payload) // 2])
+                raise OSError("no space left on device")
+
+        real_open = Path.open
+
+        def torn_open(self, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                return real_open(self, mode, *args, **kwargs)
+            return TornFile(self, "w")
+
+        monkeypatch.setattr(Path, "open", torn_open)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, {"w": rng.normal(size=(4, 4))})
         assert path.read_bytes() == before

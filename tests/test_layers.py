@@ -1,17 +1,17 @@
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from emireg import layers
 from emireg.errors import ConfigError, NumericError, ShapeError, StateError
 from emireg.layers import Dropout, Linear, ParamStore, adaptive_avg_pool
-from emireg.tensor import grad_check, relu, sigmoid
+from emireg.tensor import relu, sigmoid
 
-from oracles import adaptive_avg_pool_loop, dropout_float_mask, matmul_loops
-from support import count_thread_starts, use_cpus
+from oracles import adaptive_avg_pool_loop, dropout_float_mask, grad_check, matmul_loops
+from support import count_thread_starts, traced_memory, use_cpus
 
 
 def stored(layer: Linear) -> Linear:
@@ -188,6 +188,23 @@ class TestDropout:
         for up in (rng.normal(size=x.shape), rng.normal(size=(4, 1, 5))):
             assert layer.backward(got, up).tobytes() == (up * mask).tobytes()
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunked_mask_is_one_whole_draw(self, extra):
+        rate = 0.3
+        for size in (layers._MASK_CHUNK + extra, 2 * layers._MASK_CHUNK + extra):
+            layer = Dropout(rate, np.random.default_rng(8))
+            _, keep = layer.forward(np.ones(size), train=True)
+            whole = np.random.default_rng(8)
+            assert np.array_equal(keep, whole.random(size) < 1.0 - rate)
+            # the same number of values was drawn
+            assert layer.rng.bit_generator.state == whole.bit_generator.state
+
+    def test_empty_mask_draws_nothing(self):
+        layer = Dropout(0.3, np.random.default_rng(8))
+        out, keep = layer.forward(np.ones((2, 0, 5)), train=True)
+        assert out.shape == keep.shape == (2, 0, 5) and keep.dtype == np.bool_
+        assert layer.rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+
     def test_training_forward_needs_a_generator(self):
         layer = Dropout(0.5, None)
         x = np.ones((2, 3))
@@ -287,12 +304,7 @@ class TestAdaptiveAvgPool:
     def test_float32_input_is_not_copied_whole(self, rng):
         x = rng.normal(size=(512, 64)).astype(np.float32)
         out = np.empty((1, 128, 64))
-        tracemalloc.start()
-        try:
-            adaptive_avg_pool([x], 128, out=out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_memory(lambda: adaptive_avg_pool([x], 128, out=out))
         # a widened copy of the sequence alone would take 2 * x.nbytes
         assert peak < x.nbytes
 

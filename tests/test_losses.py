@@ -10,7 +10,8 @@ from emireg.losses import (
     total_loss,
     vad_reg_loss,
 )
-from emireg.tensor import grad_check
+
+from oracles import grad_check
 
 
 def _batch(rng, n=8):

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ import pytest
 from emireg.errors import ConfigError, ShapeError, StateError
 from emireg.layers import Dropout, Linear, adaptive_avg_pool
 from emireg.model import _DROPOUT_STREAM, ACTIVATIONS, MODALITIES, Model, fuse, unfuse_grad
-from emireg.tensor import grad_check, relu, seeded_rng, sigmoid
+from emireg.tensor import relu, seeded_rng, sigmoid
 
-from oracles import column_means_loop, model_param_grads_repeated
-from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case
+from oracles import column_means_loop, grad_check, model_param_grads_repeated
+from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case, traced_memory
 
 
 def tiny_model(seed=0, **kwargs):
@@ -233,14 +232,12 @@ class TestModelForward:
         feats = tiny_features(rng, batch=batch, align=align)
         model.forward(feats, train=True)
         model.forward(feats, train=False)  # warm numpy's own caches
-        tracemalloc.start()
-        try:
+
+        def forward():
             out = model.forward(feats, train=False)
             assert out.z["visual"].shape == (batch, hidden)
-            del out
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        kept, _ = traced_memory(forward)
         branch_activation = batch * align * hidden * 8
         assert kept < branch_activation, kept
         assert model._cache is None
@@ -276,12 +273,7 @@ class TestModelForward:
         feats = tiny_features(rng, batch=batch, align=align)
         model.forward(feats, train=True)  # warm numpy's own caches
         model._cache = None
-        tracemalloc.start()
-        try:
-            model.forward(feats, train=True)
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        kept, _ = traced_memory(lambda: model.forward(feats, train=True))
         # three float64 branch arrays and three one-byte masks, plus small ones
         branch_activation = batch * align * hidden * 8
         assert kept < 4 * branch_activation, kept
@@ -373,6 +365,7 @@ class TestModelBackward:
         [
             pytest.param(0.2, "relu", id="True-relu"),
             pytest.param(0.0, "relu", id="False-relu"),
+            pytest.param(0.2, "identity", id="True-identity"),
             pytest.param(0.0, "identity", id="False-identity"),
             pytest.param(0.2, "sigmoid", id="True-sigmoid"),
             pytest.param(0.0, "sigmoid", id="False-sigmoid"),

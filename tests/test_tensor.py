@@ -1,6 +1,8 @@
 import numpy as np
 
-from emireg.tensor import grad_check, relu, sigmoid
+from emireg.tensor import relu, sigmoid
+
+from oracles import grad_check
 
 
 class TestElementwise:
@@ -16,6 +18,14 @@ class TestElementwise:
     def test_relu(self):
         out = relu(np.array([-3.0, 3.0]))
         assert out[0] == 0.0 and out[1] == 3.0
+
+    def test_in_place_pass_gives_the_allocating_bytes(self):
+        x = np.array([[-1000.0, -30.0, -0.5, -0.0], [0.0, 0.25, 30.0, 1000.0]])
+        for f in (sigmoid, relu):
+            want = f(x)
+            y = x.copy()
+            assert f(y, out=y) is y
+            assert y.tobytes() == want.tobytes()
 
 
 class TestGradCheck:

@@ -31,7 +31,7 @@ from emireg.train import (
     train,
 )
 
-from support import SMALL_DIMS, small_config
+from support import SMALL_DIMS, small_config, traced_memory
 
 
 # best.emic = last.emic of config (a); see test_golden_checkpoint_bytes
@@ -299,6 +299,28 @@ class TestTrainLoop:
         assert len(loaded) == 102  # the 84 train and 18 val samples
         assert len(alive_per_step) == len(record.steps) > 0
         assert alive_per_step == [0] * len(record.steps)
+
+    def test_training_builds_no_shuffled_batch_in_fresh_memory(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        # every training batch is copied into buffers the call owns and frees
+        fresh = []
+        real_batch = data.Batches.batch
+
+        def counting_batch(self, i, out=None):
+            built = real_batch(self, i, out)
+            if any(a.flags.owndata for a in built.features.values()):
+                fresh.append(i)
+            return built
+
+        monkeypatch.setattr(data.Batches, "batch", counting_batch)
+        cfg = small_config(small_dataset, tmp_path / "warm", epochs=2, align_len=64)
+        train(cfg)  # warm numpy's and the interpreter's own caches
+        fresh.clear()
+        kept, _ = traced_memory(lambda: train(replace(cfg, run_dir=str(tmp_path / "run"))))
+        assert fresh == []
+        step_bytes = cfg.batch_size * cfg.align_len * sum(SMALL_DIMS.values()) * 8
+        assert kept < step_bytes, kept
 
     def test_data_failure_leaves_no_run_directory(self, tmp_path):
         data_dir = tmp_path / "data"
