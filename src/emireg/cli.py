@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import data
@@ -25,7 +26,6 @@ from .errors import ConfigError, DataError, EmiregError, NumericError
 from .schema import MODALITIES, TARGET_COLUMNS
 # Use these names: the package attribute `train` is the function, not the submodule.
 from .train import (
-    CHOICES,
     TrainConfig,
     ablate,
     cell_name,
@@ -93,35 +93,9 @@ def _fresh_run_dir(root: Path, name: str) -> Path:
     return candidate
 
 
-# config field -> help text. The flag is the field with dashes; its type,
-# choices and "(default: ...)" come from TrainConfig and CHOICES.
-_TRAIN_FLAGS = {
-    "hidden_dim": "hidden/fused dimension",
-    "dropout": "dropout ratio",
-    "batch_size": "batch size",
-    "lr": "initial learning rate",
-    "weight_decay": "decoupled weight decay",
-    "epochs": "training epochs",
-    "patience": "early-stopping patience",
-    "clip_norm": "gradient norm clip",
-    "ema_decay": "EMA decay",
-    "align_len": "temporal alignment length",
-    "lambda_corr": "correlation-loss weight",
-    "corr_eps": "correlation-loss variance floor",
-    "lambda_aux": "auxiliary-loss weight",
-    "lambda_vad": "VAD-regularizer weight",
-    "lambda_visual": "visual aux sub-weight",
-    "lambda_audio": "audio aux sub-weight",
-    "lambda_text": "text aux sub-weight",
-    "eta_min": "cosine schedule floor",
-    "seed": "run seed",
-    "fusion": "fusion mode",
-    "corr_mode": "correlation loss form",
-    "hidden_activation": "hidden activation",
-    "output_activation": "output activation",
-    "lr_cadence": "cosine step cadence",
-    "ema_cadence": "EMA update cadence",
-}
+# the config fields that carry help text; each gets a flag of its own name,
+# with dashes, and its help, choices and default from TrainConfig
+_FLAG_FIELDS = [f for f in fields(TrainConfig) if "help" in f.metadata]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -129,15 +103,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="dataset directory containing manifest.csv")
     parser.add_argument("--run-dir", help=f"run directory (default: ${RUN_ROOT_ENV} or ./runs)")
     parser.add_argument("--dims", help="feature dims as visual:audio:text")
-    defaults = TrainConfig()
-    for fieldname, help_text in _TRAIN_FLAGS.items():
-        default = getattr(defaults, fieldname)
-        kind = {"choices": CHOICES[fieldname]} if fieldname in CHOICES else {"type": type(default)}
+    for f in _FLAG_FIELDS:
+        choices = f.metadata["choices"]
+        kind = {"choices": choices} if choices else {"type": type(f.default)}
         parser.add_argument(
-            "--" + fieldname.replace("_", "-"),
-            dest=fieldname,
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
             default=None,
-            help=f"{help_text} (default: {default})",
+            help=f"{f.metadata['help']} (default: {f.default})",
             **kind,
         )
     parser.add_argument(
@@ -145,7 +118,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         dest="vad_enabled",
         choices=("on", "off"),
         default=None,
-        help=f"VAD audio pathway (default: {'on' if defaults.vad_enabled else 'off'})",
+        help=f"VAD audio pathway (default: {'on' if TrainConfig.vad_enabled else 'off'})",
     )
 
 
@@ -165,13 +138,14 @@ def _sidecar_dims(path: Path):
 
 
 def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
-    """Precedence: defaults < config file < sidecar dims < explicit flags."""
+    """Precedence: defaults < config file < explicit flags.
+
+    The dataset sidecar's ``dims`` apply only when neither the config file
+    nor ``--dims`` gives them.
+    """
     payload = TrainConfig().to_dict()
     if args.config:
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise DataError(f"config file not found: {config_path}")
-        payload = TrainConfig.from_json(config_path).to_dict()
+        payload = TrainConfig.from_json(args.config).to_dict()
     if args.data:
         payload["data_dir"] = args.data
     if args.dims:
@@ -180,10 +154,10 @@ def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
         sidecar = Path(payload["data_dir"]) / data.SIDECAR_NAME
         if sidecar.exists():
             payload["dims"] = _sidecar_dims(sidecar)
-    for fieldname in _TRAIN_FLAGS:
-        value = getattr(args, fieldname)
+    for f in _FLAG_FIELDS:
+        value = getattr(args, f.name)
         if value is not None:
-            payload[fieldname] = value
+            payload[f.name] = value
     if args.vad_enabled is not None:
         payload["vad_enabled"] = args.vad_enabled == "on"
     if args.run_dir:

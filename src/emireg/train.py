@@ -38,16 +38,6 @@ from .tensor import Array, seeded_rng
 EMA_PREFIX = "ema/"
 CADENCES = ("epoch", "step")
 
-# config field -> the values it accepts; validation and the CLI read this
-CHOICES = {
-    "fusion": FUSION_MODES,
-    "corr_mode": CORR_MODES,
-    "hidden_activation": tuple(ACTIVATIONS),
-    "output_activation": OUTPUT_ACTIVATIONS,
-    "lr_cadence": CADENCES,
-    "ema_cadence": CADENCES,
-}
-
 _SHUFFLE_STREAM = 0x5841
 
 # a field's annotation -> the types its value may have; validation rejects
@@ -67,39 +57,63 @@ def _has_type(value, allowed: tuple) -> bool:
     return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
+# a numeric field's rule: the phrase its error message quotes -> the test
+_RULES = {
+    ">= 1": lambda v: v >= 1,
+    ">= 0": lambda v: v >= 0,
+    "finite and >= 0": lambda v: np.isfinite(v) and v >= 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def _flag(default, help_text: str, rule: str | None = None, choices: tuple | None = None):
+    """A config field with a ``--flag`` of its own: its help and its rule or choices."""
+    return field(default=default, metadata={"help": help_text, "rule": rule, "choices": choices})
+
+
 @dataclass
 class TrainConfig:
-    """Every knob of a run; serializable and hashable for reproducibility."""
+    """Every knob of a run; serializable and hashable for reproducibility.
+
+    A field declared with ``_flag`` carries its own help text and either a
+    rule (a key of ``_RULES``) or a tuple of choices; ``validate`` applies
+    them, and the CLI gives the field a ``--flag`` with that help and those
+    choices. ``dims``, ``data_dir``, ``run_dir`` and ``vad_enabled`` have
+    flags of their own in the CLI.
+    """
 
     dims: dict[str, int] | None = None
     data_dir: str | None = None
     run_dir: str | None = None
-    hidden_dim: int = 256
-    dropout: float = 0.2
-    batch_size: int = 32
-    lr: float = 1e-4
-    weight_decay: float = 1e-4
-    epochs: int = 30
-    patience: int = 8
-    clip_norm: float = 1.0
-    ema_decay: float = 0.999
-    align_len: int = 128
-    fusion: str = "concat"
+    hidden_dim: int = _flag(256, "hidden/fused dimension", ">= 1")
+    dropout: float = _flag(0.2, "dropout ratio", "in [0, 1)")
+    batch_size: int = _flag(32, "batch size", ">= 1")
+    lr: float = _flag(1e-4, "initial learning rate", "finite and >= 0")
+    weight_decay: float = _flag(1e-4, "decoupled weight decay", "finite and >= 0")
+    epochs: int = _flag(30, "training epochs", ">= 1")
+    patience: int = _flag(8, "early-stopping patience", ">= 1")
+    clip_norm: float = _flag(1.0, "gradient norm clip", "finite and >= 0")
+    ema_decay: float = _flag(0.999, "EMA decay", "in [0, 1]")
+    align_len: int = _flag(128, "temporal alignment length", ">= 1")
+    fusion: str = _flag("concat", "fusion mode", choices=FUSION_MODES)
     vad_enabled: bool = True
-    lambda_corr: float = LossWeights.corr
-    lambda_aux: float = LossWeights.aux
-    lambda_vad: float = LossWeights.vad
-    lambda_visual: float = LossWeights.aux_visual
-    lambda_audio: float = LossWeights.aux_audio
-    lambda_text: float = LossWeights.aux_text
-    corr_mode: str = "per_dim"
-    corr_eps: float = DEFAULT_CORR_EPS
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
-    lr_cadence: str = "epoch"
-    ema_cadence: str = "step"
-    eta_min: float = 0.0
-    seed: int = 0
+    lambda_corr: float = _flag(LossWeights.corr, "correlation-loss weight", "finite and >= 0")
+    lambda_aux: float = _flag(LossWeights.aux, "auxiliary-loss weight", "finite and >= 0")
+    lambda_vad: float = _flag(LossWeights.vad, "VAD-regularizer weight", "finite and >= 0")
+    lambda_visual: float = _flag(
+        LossWeights.aux_visual, "visual aux sub-weight", "finite and >= 0"
+    )
+    lambda_audio: float = _flag(LossWeights.aux_audio, "audio aux sub-weight", "finite and >= 0")
+    lambda_text: float = _flag(LossWeights.aux_text, "text aux sub-weight", "finite and >= 0")
+    corr_mode: str = _flag("per_dim", "correlation loss form", choices=CORR_MODES)
+    corr_eps: float = _flag(DEFAULT_CORR_EPS, "correlation-loss variance floor", "finite and >= 0")
+    hidden_activation: str = _flag("relu", "hidden activation", choices=tuple(ACTIVATIONS))
+    output_activation: str = _flag("sigmoid", "output activation", choices=OUTPUT_ACTIVATIONS)
+    lr_cadence: str = _flag("epoch", "cosine step cadence", choices=CADENCES)
+    ema_cadence: str = _flag("step", "EMA update cadence", choices=CADENCES)
+    eta_min: float = _flag(0.0, "cosine schedule floor", "finite and >= 0")
+    seed: int = _flag(0, "run seed", ">= 0")
 
     def validate(self) -> None:
         for f in fields(self):
@@ -113,37 +127,13 @@ class TrainConfig:
         for m, d in self.dims.items():
             if not _has_type(d, (int,)) or d < 1:
                 raise ConfigError(f"dims: {m} must be a positive int, got {d!r}")
-        positive = {
-            "hidden_dim": self.hidden_dim,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "align_len": self.align_len,
-        }
-        for name, value in positive.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        nonnegative = {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "clip_norm": self.clip_norm,
-            "eta_min": self.eta_min,
-            "corr_eps": self.corr_eps,
-        }
-        for name, value in nonnegative.items():
-            if not np.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ConfigError(f"ema_decay must be in [0, 1], got {self.ema_decay}")
-        for name, allowed in CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"unknown {name} {value!r}, expected one of {allowed}")
-        self.loss_weights()  # validates non-negativity
+        for f in fields(self):
+            value = getattr(self, f.name)
+            rule, choices = f.metadata.get("rule"), f.metadata.get("choices")
+            if rule is not None and not _RULES[rule](value):
+                raise ConfigError(f"{f.name} must be {rule}, got {value}")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"unknown {f.name} {value!r}, expected one of {choices}")
         # numpy refuses an array of more than intp's maximum bytes; the
         # projections and the fusion layer hold the widest weights
         widths = {f"{m}.proj": self.dims[m] for m in MODALITIES}
@@ -181,6 +171,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
+        if not Path(path).exists():
+            raise DataError(f"config file not found: {path}")
         with open(path) as fh:
             try:
                 payload = json.load(fh)

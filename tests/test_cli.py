@@ -342,8 +342,30 @@ class TestTrain:
         assert "Traceback" not in err
         assert not run_dir.exists()
 
-    def test_nonexistent_config_is_data_error(self, tmp_path):
-        assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
+    def test_nonexistent_config_is_data_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        ckpt = ("--ckpt", str(tmp_path / "best.emic"))
+        for argv in (
+            ("train",),
+            ("ablate",),
+            ("evaluate", *ckpt),
+            ("predict", *ckpt, "--out", str(tmp_path / "p.csv")),
+        ):
+            assert run_cli(*argv, "--config", missing) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"emireg: data error: config file not found: {missing}\n", argv
+
+    def test_config_file_dims_beat_sidecar_dims(self, small_dataset, tmp_path, capsys):
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"dims": {**SMALL_DIMS, "visual": 9}}))
+        run_dir = tmp_path / "run"
+        code = run_cli("train", "--config", str(config), "--data", str(small_dataset),
+                       "--run-dir", str(run_dir))
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["dims"]["visual"] == 9
+        assert "visual feature dim 8 != configured 9" in err
+        assert not run_dir.exists()
 
     def test_run_root_env_honored(self, small_dataset, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EMIREG_RUN_ROOT", str(tmp_path / "root"))
@@ -720,17 +742,20 @@ class TestFlagTables:
 
     def test_defaults_match_train_config(self, capsys, monkeypatch):
         text = self.help_text(capsys, monkeypatch, "train")
-        found = re.findall(r"--([a-z-]+)(?: \S+)?\s+[^\n]*\(default: ([^)]*)\)", text)
+        found = re.findall(r"--([a-z-]+)(?: \S+)?\s+([^\n]*) \(default: ([^)]*)\)", text)
         defaults = TrainConfig()
+        help_texts = {f.name: f.metadata.get("help") for f in fields(TrainConfig)}
         checked = set()
-        for flag, shown in found:
+        for flag, help_text, shown in found:
             if flag == "run-dir":
                 continue
             if flag == "vad":
                 assert shown == ("on" if defaults.vad_enabled else "off")
                 continue
-            value = getattr(defaults, flag.replace("-", "_"))
+            name = flag.replace("-", "_")
+            value = getattr(defaults, name)
             assert type(value)(shown) == value, flag
+            assert help_text == help_texts[name], flag
             checked.add(flag)
         assert len(checked) == 25
 

@@ -4,7 +4,7 @@ import hashlib
 import json
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +108,46 @@ def assert_numeric_abort(run_dir, saves, message, epoch, step):
     data.load_checkpoint(Path(run_dir) / "last.emic")
 
 
+# values outside each rule, and values on its edge that must still pass
+RULE_BAD = {
+    ">= 1": [0],
+    ">= 0": [-1],
+    "finite and >= 0": [-1.0, float("nan"), float("inf")],
+    "in [0, 1)": [1.0],
+    "in [0, 1]": [1.5],
+}
+RULE_EDGE = {
+    ">= 1": [1],
+    ">= 0": [0],
+    "finite and >= 0": [0.0],
+    "in [0, 1)": [0.0],
+    "in [0, 1]": [0.0, 1.0],
+}
+
+
+def rule_cases():
+    """(field, bad value, good values) for every field with a rule or choices."""
+    for f in fields(TrainConfig):
+        if "help" not in f.metadata:
+            continue
+        rule = f.metadata["rule"]
+        if rule is None:
+            yield pytest.param(f.name, "nope", f.metadata["choices"], id=f"{f.name}-nope")
+            continue
+        for bad in RULE_BAD[rule]:
+            yield pytest.param(f.name, bad, RULE_EDGE[rule], id=f"{f.name}-{bad}")
+
+
 class TestConfig:
+    @pytest.mark.parametrize("name,bad,good", list(rule_cases()))
+    def test_every_rule_and_choice_list_is_enforced(self, tmp_path, name, bad, good):
+        cfg = small_config(tmp_path / "d", tmp_path / "run")
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, **{name: bad}).validate()
+        assert name in str(info.value)
+        for value in good:
+            replace(cfg, **{name: value}).validate()
+
     def test_json_roundtrip(self, tmp_path):
         cfg = small_config(tmp_path / "d", tmp_path / "r", seed=5)
         path = tmp_path / "config.json"
