@@ -1,9 +1,9 @@
 """Training orchestration: epochs, EMA evaluation, early stopping, ablation.
 
-A run is fully determined by (config, seed, dataset): batch order, dropout
-masks, and initialization all derive from the config seed, logs carry no
-timestamps, and checkpoints serialize in a fixed order, so two runs of the
-same config are bit-identical.
+A run is fully determined by (config, seed, the dataset's bytes): batch
+order, dropout masks and initialization derive from the config seed, logs
+carry no timestamps or paths, and checkpoints serialize in a fixed order,
+so two runs of one config on copies of one dataset are bit-identical.
 
 What a run keeps resident: each split's pooled blocks and targets, held by
 its manifest-order batches (the raw sequences are freed once pooled, before
@@ -181,9 +181,10 @@ class TrainConfig:
         return cls.from_dict(payload)
 
     def config_hash(self) -> str:
-        # run_dir names the output location, not the experiment
+        """sha256 of every field but ``data_dir`` and ``run_dir``, which name locations,
+        not the experiment: copies of one dataset, run into any directory, share a hash."""
         payload = self.to_dict()
-        payload.pop("run_dir")
+        del payload["data_dir"], payload["run_dir"]
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -1,15 +1,19 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emireg
 from emireg.cli import build_parser, main
 from emireg.data import (
     MANIFEST_NAME,
@@ -374,6 +378,52 @@ class TestTrain:
         assert code == 0
         echoed = json.loads(capsys.readouterr().out)
         assert echoed["run_dir"].startswith(str(tmp_path / "root"))
+
+    def test_copies_of_one_dataset_share_a_default_run_name(
+        self, small_dataset, tmp_path, monkeypatch, capsys
+    ):
+        root = tmp_path / "root"
+        monkeypatch.setenv("EMIREG_RUN_ROOT", str(root))
+        run_dirs = []
+        for copy in ("copy1", "copy2"):
+            shutil.copytree(small_dataset, tmp_path / copy)
+            code = run_cli("train", "--data", str(tmp_path / copy), "--hidden-dim", "8",
+                           "--batch-size", "16", "--epochs", "2", "--align-len", "16")
+            assert code == 0
+            echoed = json.loads(capsys.readouterr().out)
+            run_dirs.append(Path(echoed["run_dir"]))
+        name = f"run-{TrainConfig.from_dict(echoed).config_hash()[:12]}"
+        assert run_dirs == [root / name, root / f"{name}-2"]
+        for output in ("log.jsonl", "best.emic", "last.emic"):
+            first, second = ((run_dir / output).read_bytes() for run_dir in run_dirs)
+            assert first == second, output
+
+    def test_blas_thread_count_leaves_outputs_unchanged(self, tmp_path):
+        """One and two OpenBLAS threads give the same bytes.
+
+        At these shapes OpenBLAS splits the projection GEMMs: run alone with
+        two threads, ``[512 x 96] @ [96 x 64]`` puts half its CPU time on the
+        worker thread, where a ``[16 x 16] @ [16 x 16]`` product puts none.
+        """
+        data_dir = tmp_path / "data"
+        assert run_cli("gen-synth", "--n", "60", "--dims", "96:64:64", "--out", str(data_dir)) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": str(Path(emireg.__file__).parents[1]),
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", "from emireg.cli import entry; entry()", "train",
+                 "--data", str(data_dir), "--run-dir", str(run_dir), "--hidden-dim", "64",
+                 "--align-len", "32", "--batch-size", "16", "--epochs", "2"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append([(run_dir / name).read_bytes() for name in ("log.jsonl", "best.emic")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, small_dataset, tmp_path, capsys):

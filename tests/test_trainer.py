@@ -1,14 +1,16 @@
 import csv
 import gc
-import hashlib
 import json
 import sys
+import tempfile
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emireg.data import MANIFEST_NAME, ManifestRow, write_feature_file, write_manifest
 from emireg.cli import main
@@ -34,48 +36,39 @@ from emireg.train import (
 from support import SMALL_DIMS, small_config, traced_memory
 
 
-# best.emic = last.emic of config (a); see test_golden_checkpoint_bytes
-GOLDEN_A = "f9a92f264738cffdf9580f0cca03b69c3c25bef0d3e7b08117f170b068977346"
-# the same for config (a) with extra flags: other hidden activations, and
-# zero loss weights, weight decay and dropout rate, with the VAD pathway off
-GOLDEN_A_FLAGS = {
-    "sigmoid": (
-        ("--hidden-activation", "sigmoid"),
-        "118f42b9deb594da6e1a75a353790129214455418458f943b123e0abdf568d9d",
-    ),
-    "identity": (
-        ("--hidden-activation", "identity"),
-        "9be67a917df03fc313a645928544d48803276d1b55cbe650d18fcfa8d8a9b9ea",
-    ),
-    "novad-average-mse": (
-        ("--vad", "off", "--fusion", "average", "--lambda-corr", "0", "--lambda-aux", "0"),
-        "8ac35a29fcc9b69720e460c1942d7d6491bc112a6bc953fd23f1b1dc531734cf",
-    ),
-    "zero-rates": (
-        ("--dropout", "0", "--weight-decay", "0", "--lambda-vad", "0"),
-        "4c3a6a5a532db2d6aa3b710ca59bcdfd2c6b0de01d0ff2b1c21580884b6f9c0c",
-    ),
-    "identity-dropout0": (
-        ("--hidden-activation", "identity", "--dropout", "0"),
-        "7e37148fe17da5fda2f8c50d645729a8076ac0c0f8f4f38fb15fb8b07064f4ec",
-    ),
-}
-
-
-def train_config_a(tmp_path, *flags):
-    """Train config (a) from the CLI; return the sha256 of best.emic and last.emic."""
-    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
-    gen = ["--n", "120", "--dims", "8:7:6", "--seed", "11", "--out", str(data_dir)]
-    assert main(["gen-synth", *gen]) == 0
-    assert main([
-        "train", "--data", str(data_dir), "--run-dir", str(run_dir),
-        "--hidden-dim", "8", "--align-len", "16", "--batch-size", "16",
-        "--epochs", "3", "--lr", "1e-3", "--seed", "11", *flags,
-    ]) == 0
-    return [
-        hashlib.sha256((run_dir / ckpt).read_bytes()).hexdigest()
-        for ckpt in ("best.emic", "last.emic")
-    ]
+# random valid small configs for small_dataset: every choice field, zero
+# weights and rates; batch 83 leaves a final batch of one of its 84 train
+# rows, and align_len falls below or above its 48-192-row sequences
+_RERUN_CONFIGS = st.fixed_dictionaries(
+    {
+        **{
+            f.name: st.sampled_from(f.metadata["choices"])
+            for f in fields(TrainConfig)
+            if f.metadata.get("choices")
+        },
+        "vad_enabled": st.booleans(),
+        "hidden_dim": st.integers(1, 8),
+        "batch_size": st.sampled_from([16, 83]),
+        "align_len": st.one_of(st.integers(1, 47), st.integers(193, 240)),
+        "epochs": st.integers(1, 3),
+        "patience": st.integers(1, 2),
+        "dropout": st.sampled_from([0.0, 0.3]),
+        "weight_decay": st.sampled_from([0.0, 1e-2]),
+        "ema_decay": st.sampled_from([0.0, 0.9]),
+        **{
+            name: st.sampled_from([0.0, 0.5])
+            for name in ("lambda_corr", "lambda_aux", "lambda_vad", "lambda_audio")
+        },
+        "seed": st.integers(0, 2**32),
+    }
+)
+_RERUN = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def read_log(run_dir):
@@ -157,12 +150,14 @@ class TestConfig:
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
 
-    def test_hash_ignores_run_dir_only(self, tmp_path):
-        a = small_config(tmp_path / "d", tmp_path / "r1")
-        b = small_config(tmp_path / "d", tmp_path / "r2")
-        c = small_config(tmp_path / "d", tmp_path / "r1", seed=99)
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+    def test_hash_ignores_locations_only(self, tmp_path):
+        a = small_config(tmp_path / "d1", tmp_path / "r1")
+        other_data = small_config(tmp_path / "d2", tmp_path / "r1")
+        other_run = small_config(tmp_path / "d1", tmp_path / "r2")
+        other_seed = small_config(tmp_path / "d1", tmp_path / "r1", seed=99)
+        assert other_data.config_hash() == a.config_hash()
+        assert other_run.config_hash() == a.config_hash()
+        assert other_seed.config_hash() != a.config_hash()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -280,36 +275,18 @@ class TestTrainLoop:
         _, preds, _, targets = _forward_batches(other, batches)
         assert report.to_dict() == _score(preds, targets).to_dict()
 
-    def test_determinism_bit_identical(self, small_dataset, tmp_path):
-        runs = []
-        for name in ("a", "b"):
-            cfg = small_config(small_dataset, tmp_path / name, epochs=3, seed=42)
-            runs.append(train(cfg))
-        log_a = (Path(runs[0].run_dir) / "log.jsonl").read_bytes()
-        log_b = (Path(runs[1].run_dir) / "log.jsonl").read_bytes()
-        assert log_a == log_b
-        for ckpt in ("best.emic", "last.emic"):
-            assert (Path(runs[0].run_dir) / ckpt).read_bytes() == (
-                Path(runs[1].run_dir) / ckpt
-            ).read_bytes()
-        assert [r.to_dict() for r in runs[0].evals] == [
-            r.to_dict() for r in runs[1].evals
-        ]
-
-    def test_golden_checkpoint_bytes(self, tmp_path):
-        """Config (a) from the CLI reproduces its recorded checkpoint bytes.
-
-        Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. The hash
-        covers no path; ``log.jsonl`` is not pinned, because ``config_hash``
-        covers ``data_dir``. Another numpy or BLAS may round differently.
-        """
-        assert train_config_a(tmp_path) == [GOLDEN_A, GOLDEN_A]
-
-    @pytest.mark.parametrize("variant", list(GOLDEN_A_FLAGS))
-    def test_golden_checkpoint_bytes_flag_variants(self, tmp_path, variant):
-        """Config (a) with each entry's extra flags, pinned alike."""
-        flags, golden = GOLDEN_A_FLAGS[variant]
-        assert train_config_a(tmp_path, *flags) == [golden, golden]
+    @_RERUN
+    @given(overrides=_RERUN_CONFIGS)
+    def test_rerun_in_one_process_is_bit_identical(self, small_dataset, tmp_path, overrides):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as workdir:
+            runs = [
+                train(small_config(small_dataset, Path(workdir) / name, **overrides))
+                for name in ("first", "second")
+            ]
+            for output in ("log.jsonl", "best.emic", "last.emic"):
+                first, second = (Path(run.run_dir, output).read_bytes() for run in runs)
+                assert first == second, output
+        assert [r.to_dict() for r in runs[0].evals] == [r.to_dict() for r in runs[1].evals]
 
     def test_no_raw_sample_alive_during_training(
         self, small_dataset, tmp_path, monkeypatch
