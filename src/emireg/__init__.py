@@ -4,7 +4,7 @@ A self-contained numpy training and evaluation engine: three projection
 branches fused by concatenation (or averaging), a VAD-aware audio pathway,
 a four-term objective (MSE, batch Pearson, auxiliary branch supervision,
 latent regularization), AdamW with cosine annealing, gradient clipping and
-EMA shadow weights, plus a bit-exact feature/checkpoint format and a
+EMA weights, plus a bit-exact feature/checkpoint format and a
 synthetic dataset generator for end-to-end verification.
 """
 

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -80,17 +81,35 @@ def _parse_dims(spec: str) -> dict[str, int]:
     return dict(zip(MODALITIES, values))
 
 
-def _run_root() -> Path:
-    return Path(os.environ.get(RUN_ROOT_ENV, "runs"))
-
-
 def _fresh_run_dir(root: Path, name: str) -> Path:
-    candidate = root / name
-    suffix = 2
-    while candidate.exists():
-        candidate = root / f"{name}-{suffix}"
-        suffix += 1
-    return candidate
+    """Create the first free ``name``, ``name-2``, ...; ``mkdir`` claims a name atomically."""
+    candidate, suffix = root / name, 2
+    while True:
+        try:
+            candidate.mkdir(parents=True)
+            return candidate
+        except FileExistsError:
+            candidate, suffix = root / f"{name}-{suffix}", suffix + 1
+
+
+@contextmanager
+def _default_run_dir(cfg: TrainConfig, run_name: str):
+    """Claim a fresh run directory if ``cfg`` names none.
+
+    A claimed directory that a failed command left empty is removed, so the
+    run leaves nothing, as a failed ``--run-dir`` run does.
+    """
+    claimed = None
+    if cfg.run_dir is None:
+        root = Path(os.environ.get(RUN_ROOT_ENV, "runs"))
+        claimed = _fresh_run_dir(root, f"{run_name}-{cfg.config_hash()[:12]}")
+        cfg.run_dir = str(claimed)
+    try:
+        yield
+    except BaseException:
+        if claimed is not None and not any(claimed.iterdir()):
+            claimed.rmdir()
+        raise
 
 
 # the config fields that carry help text; each gets a flag of its own name,
@@ -137,11 +156,12 @@ def _sidecar_dims(path: Path):
     return sidecar["dims"]
 
 
-def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
+def _resolve_config(args) -> TrainConfig:
     """Precedence: defaults < config file < explicit flags.
 
     The dataset sidecar's ``dims`` apply only when neither the config file
-    nor ``--dims`` gives them.
+    nor ``--dims`` gives them. ``data_dir`` is made absolute, so the
+    ``config.json`` a run writes finds its data from any directory.
     """
     payload = TrainConfig().to_dict()
     if args.config:
@@ -163,13 +183,10 @@ def _resolve_config(args, need_run_dir: bool, run_name: str) -> TrainConfig:
     if args.run_dir:
         payload["run_dir"] = args.run_dir
     cfg = TrainConfig.from_dict(payload)
-    if need_run_dir and cfg.run_dir is None:
-        cfg.run_dir = str(
-            _fresh_run_dir(_run_root(), f"{run_name}-{cfg.config_hash()[:12]}")
-        )
     cfg.validate()
     if cfg.data_dir is None:
         raise ConfigError("no dataset given: pass --data or set data_dir in --config")
+    cfg.data_dir = str(Path(cfg.data_dir).resolve())
     return cfg
 
 
@@ -255,9 +272,10 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_config(args, need_run_dir=True, run_name="run")
-    print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
-    record = train(cfg)
+    cfg = _resolve_config(args)
+    with _default_run_dir(cfg, "run"):
+        print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+        record = train(cfg)
     print(
         f"run {record.config_hash[:12]}: best epoch {record.best_epoch} "
         f"p_mean {record.best_p_mean:.6f} ({record.stop_reason}) -> {record.run_dir}",
@@ -302,9 +320,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    base = _resolve_config(args, need_run_dir=True, run_name="ablation")
+    base = _resolve_config(args)
     seeds = [base.seed + i for i in range(args.seeds)]
-    rows, csv_path = ablate(base, seeds=seeds)
+    with _default_run_dir(base, "ablation"):
+        rows, csv_path = ablate(base, seeds=seeds)
     print(Path(csv_path).read_text(), end="")
     print(f"grid written to {csv_path}", file=sys.stderr)
     failed = [r for r in rows if r["error"] is not None]

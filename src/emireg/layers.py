@@ -193,16 +193,15 @@ class Dropout:
         return as_tensor(upstream) * self._scale * keep
 
 
-def adaptive_avg_pool(seqs, target: int, out: Array | None = None) -> Array:
+def adaptive_avg_pool(seqs, target: int) -> Array:
     """Resample N [L_i x d] sequences to one [N x target x d] block by per-bin averaging.
 
-    Sequence ``i`` is pooled into ``out[i]``. Each bin's rows are added in
-    order in float64 and the sum divided by the bin width, so every output
-    row is bit-identical to ``x[start:end].mean(axis=0)`` of the float64
+    Sequence ``i`` is pooled into row ``i`` of the block. Each bin's rows are
+    added in order in float64 and the sum divided by the bin width, so every
+    output row is bit-identical to ``x[start:end].mean(axis=0)`` of the float64
     sequence. A sequence may be float32 or float64: float32 rows widen,
     exactly, as they are added, so no sequence is copied whole. The result
-    is float64; ``out``, if given, is a float64 [N x target x d] array that
-    receives it.
+    is float64.
 
     The sequences are split across the caller and ``min(usable CPUs, N) - 1``
     helper threads, started and joined within the call; each thread takes
@@ -225,13 +224,10 @@ def adaptive_avg_pool(seqs, target: int, out: Array | None = None) -> Array:
         dim = seqs[0].shape[1]
         if x.shape[1] != dim:
             raise ShapeError(f"pool output ({target}, {dim}) != ({target}, {x.shape[1]})")
-    if out is None:
-        if len(seqs) * int(target) * dim * 8 > np.iinfo(np.intp).max:
-            # numpy refuses such a shape; a merely huge one is a MemoryError
-            raise ConfigError(f"a pooled [{len(seqs)} x {target} x {dim}] block is too large")
-        out = np.empty((len(seqs), target, dim))
-    elif out.shape != (len(seqs), target, dim):
-        raise ShapeError(f"pool output {out.shape} != ({len(seqs)}, {target}, {dim})")
+    if len(seqs) * int(target) * dim * 8 > np.iinfo(np.intp).max:
+        # numpy refuses such a shape; a merely huge one is a MemoryError
+        raise ConfigError(f"a pooled [{len(seqs)} x {target} x {dim}] block is too large")
+    out = np.empty((len(seqs), target, dim))
 
     indices = iter(range(len(seqs)))
     lock = threading.Lock()

@@ -16,7 +16,7 @@ array beside the dropout output; a backward forms each hidden layer's
 pre-activation gradient as one product, the upstream gradient times the
 keep-mask combined with the activation's gate (see ``ACTIVATIONS``). A model
 built without a seed draws nothing: every parameter starts at zero for the
-caller to set, as a checkpoint load does.
+caller to set, as a checkpoint load and training's EMA model do.
 The fusion modes and the activations are defined here, once; the config and
 the CLI read these tables.
 """

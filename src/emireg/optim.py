@@ -1,4 +1,4 @@
-"""Decoupled-weight-decay Adam, cosine schedule, norm clipping, EMA shadows.
+"""Decoupled-weight-decay Adam, cosine schedule, norm clipping, EMA weights.
 
 Clipping, AdamW and EMA work on a :class:`~emireg.layers.ParamStore`: each
 AdamW step and EMA update is one pass over its flat vectors, made block by
@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .layers import ParamStore
-from .tensor import Array
 
 
 def clip_global_norm(params: ParamStore, max_norm: float) -> tuple[float, float]:
@@ -105,27 +104,26 @@ class AdamW:
 
 
 class Ema:
-    """Exponential moving average of parameter values (shadow weights).
+    """Exponential moving average of ``params`` held in ``shadow`` (shadow weights).
 
-    The shadow ``value`` is one flat vector laid out like ``params.value``;
-    ``shadows`` names a parameter-shaped view of it per parameter. It starts
-    as a copy of the initial values and follows
+    ``shadow`` is a store laid out like ``params``, in training a second
+    model's. It starts as a copy of the values and follows
     ``shadow <- d * shadow + (1 - d) * value`` on every update, block by
     block like an AdamW step.
     """
 
-    def __init__(self, params: ParamStore, decay: float):
+    def __init__(self, params: ParamStore, shadow: ParamStore, decay: float):
         if not 0.0 <= decay <= 1.0:
             raise ConfigError(f"EMA decay must be in [0, 1], got {decay}")
         self.params = params
         self.decay = decay
-        self.value = params.value.copy()
-        self.shadows: dict[str, Array] = params.views(self.value)
+        self.shadow = shadow
+        shadow.value[...] = params.value
 
     def update(self) -> None:
         d = self.decay
-        value = self.params.value
+        value, average = self.params.value, self.shadow.value
         for s in _blocks(value.size):
-            shadow = self.value[s]
-            shadow *= d
-            shadow += (1.0 - d) * value[s]
+            block = average[s]
+            block *= d
+            block += (1.0 - d) * value[s]

@@ -8,7 +8,7 @@ so two runs of one config on copies of one dataset are bit-identical.
 What a run keeps resident: each split's pooled blocks and targets, held by
 its manifest-order batches (the raw sequences are freed once pooled, before
 the run directory is made), the model's flat parameter and gradient vectors,
-the AdamW moments and the EMA shadows, one ``[batch x align x d]`` step
+the AdamW moments and the EMA model's values, one ``[batch x align x d]`` step
 buffer per modality, allocated once per call, that every shuffled batch is
 copied into, and between a training forward and its backward one record of
 the pass, the model's only per-call state: its outputs, and per branch one
@@ -192,7 +192,7 @@ class TrainConfig:
         """The configured model; without ``init`` it draws nothing.
 
         Then every parameter starts at zero and the caller must set every
-        value, as a checkpoint load does.
+        value, as a checkpoint load and training's EMA model do.
         """
         return Model(
             dims=self.dims,
@@ -218,18 +218,15 @@ class RunRecord:
     config_hash: str
     run_dir: str
     steps: list[dict] = field(default_factory=list)
-    evals: list[EvalReport] = field(default_factory=list)
     best_epoch: int = 0
     best_p_mean: float = float("-inf")
     stop_reason: str = ""
 
 
-def _checkpoint_tensors(model: Model, ema: Ema) -> dict[str, Array]:
-    tensors: dict[str, Array] = {}
-    for name, p in model.parameters().items():
-        tensors[name] = p.value
-    for name, shadow in ema.shadows.items():
-        tensors[EMA_PREFIX + name] = shadow
+def _checkpoint_tensors(model: Model, ema_model: Model) -> dict[str, Array]:
+    tensors = {name: p.value for name, p in model.parameters().items()}
+    for name, p in ema_model.parameters().items():
+        tensors[EMA_PREFIX + name] = p.value
     return tensors
 
 
@@ -259,18 +256,6 @@ def _score(preds: Array, targets: Array) -> EvalReport:
     return mean_pcc(preds[keep], targets[keep])
 
 
-def _eval_with_values(model: Model, values: Array, batches: data.Batches) -> EvalReport:
-    """Score ``batches`` with the flat parameter vector ``values`` swapped in."""
-    flat = model.parameters().value
-    saved = flat.copy()
-    flat[...] = values
-    try:
-        _, preds, _, targets = _forward_batches(model, batches)
-        return _score(preds, targets)
-    finally:
-        flat[...] = saved
-
-
 def _split_batches(config: TrainConfig, manifest_path, split: str) -> data.Batches:
     """One split's batches in manifest order.
 
@@ -289,8 +274,9 @@ def train(config: TrainConfig) -> RunRecord:
     """Run the full recipe; writes config.json, log.jsonl, best/last checkpoints.
 
     A ``NumericError`` from a training step or an EMA evaluation is logged as
-    an ``abort`` record, then the ``end`` record (``non_finite_loss``), and is
-    raised once the log is closed; best/last stay the last completed epoch's.
+    an ``abort`` record with its class and message, then the ``end`` record
+    (``non_finite_loss``), and is raised once the log is closed; best/last
+    stay the last completed epoch's.
     """
     config.validate()
     if config.data_dir is None:
@@ -307,7 +293,9 @@ def train(config: TrainConfig) -> RunRecord:
     model = config.build_model()
     weights = config.loss_weights()
     optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
-    ema = Ema(model.parameters(), config.ema_decay)
+    # the EMA weights are a second model, scored and saved as a loaded checkpoint's
+    ema_model = config.build_model(init=False)
+    ema = Ema(model.parameters(), ema_model.parameters(), config.ema_decay)
     # every shuffled batch is copied into these, so one batch's features are
     # alive at a time, and no copy outlives the call
     step_rows = min(config.batch_size, train_batches.n_samples)
@@ -375,16 +363,15 @@ def train(config: TrainConfig) -> RunRecord:
                 if config.ema_cadence == "epoch":
                     ema.update()
 
-                report = _eval_with_values(model, ema.value, val_batches)
-                record.evals.append(report)
+                _, preds, _, targets = _forward_batches(ema_model, val_batches)
+                report = _score(preds, targets)
                 emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
 
-                data.save_checkpoint(run_dir / "last.emic", _checkpoint_tensors(model, ema))
+                tensors = _checkpoint_tensors(model, ema_model)
+                data.save_checkpoint(run_dir / "last.emic", tensors)
                 improved, stop = stopper.update(report.p_mean)
                 if improved:
-                    data.save_checkpoint(
-                        run_dir / "best.emic", _checkpoint_tensors(model, ema)
-                    )
+                    data.save_checkpoint(run_dir / "best.emic", tensors)
                 if stop:
                     record.stop_reason = "early_stopping"
                     break
@@ -392,7 +379,8 @@ def train(config: TrainConfig) -> RunRecord:
             # keep the last-good checkpoints; raise once the log is closed
             failure = exc
             record.stop_reason = "non_finite_loss"
-            emit({"type": "abort", "epoch": epoch, "step": global_step, "error": str(exc)})
+            error = {"error": str(exc), "error_class": type(exc).__name__}
+            emit({"type": "abort", "epoch": epoch, "step": global_step, **error})
 
         record.best_epoch = stopper.best_epoch
         record.best_p_mean = stopper.best
@@ -426,16 +414,12 @@ def split_checkpoint(tensors: dict[str, Array]) -> tuple[dict, dict]:
 def load_model_from_checkpoint(
     config: TrainConfig, ckpt_path, use_ema: bool = True
 ) -> Model:
-    tensors = data.load_checkpoint(ckpt_path)
-    raw, shadows = split_checkpoint(tensors)
-    # set_values below writes every parameter and rejects a missing one
+    raw, shadows = split_checkpoint(data.load_checkpoint(ckpt_path))
     model = config.build_model(init=False)
-    if use_ema:
-        if not shadows:
-            raise DataError(f"{ckpt_path}: checkpoint carries no EMA shadows")
-        model.set_values(shadows)
-    else:
-        model.set_values(raw)
+    if use_ema and not shadows:
+        raise DataError(f"{ckpt_path}: checkpoint carries no EMA shadows")
+    # set_values writes every parameter and rejects a missing one
+    model.set_values(shadows if use_ema else raw)
     return model
 
 

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import emireg
-from emireg.cli import build_parser, main
+from emireg.cli import _fresh_run_dir, build_parser, main
 from emireg.data import (
     MANIFEST_NAME,
     SPLITS,
@@ -397,6 +398,69 @@ class TestTrain:
         for output in ("log.jsonl", "best.emic", "last.emic"):
             first, second = ((run_dir / output).read_bytes() for run_dir in run_dirs)
             assert first == second, output
+
+    def test_default_run_dirs_are_claimed_once(self, tmp_path):
+        root = tmp_path / "root"
+        first, second = (_fresh_run_dir(root, "run-x") for _ in range(2))
+        assert (first, second) == (root / "run-x", root / "run-x-2")
+        assert first.is_dir() and second.is_dir()
+
+    def test_concurrent_default_runs_get_their_own_directories(self, small_dataset, tmp_path):
+        root = tmp_path / "root"
+        env = {
+            **os.environ,
+            "EMIREG_RUN_ROOT": str(root),
+            "PYTHONPATH": str(Path(emireg.__file__).parents[1]),
+        }
+        # both processes import first, then start the command at one instant,
+        # so both pick a name before either has trained
+        start = time.time() + 2.0
+        script = (
+            "import time; from emireg.cli import entry; "
+            f"time.sleep(max(0.0, {start!r} - time.time())); entry()"
+        )
+        argv = [sys.executable, "-c", script, "train", "--data", str(small_dataset),
+                "--hidden-dim", "8", "--batch-size", "16", "--epochs", "2", "--align-len", "16"]
+        runs = [
+            subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for _ in range(2)
+        ]
+        run_dirs = []
+        for run in runs:
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err
+            run_dirs.append(Path(json.loads(out)["run_dir"]))
+        assert run_dirs[0] != run_dirs[1]
+        assert sorted(root.iterdir()) == sorted(run_dirs)
+        configs = [json.loads((d / "config.json").read_text()) for d in run_dirs]
+        assert [c.pop("run_dir") for c in configs] == [str(d) for d in run_dirs]
+        assert configs[0] == configs[1]
+        for output in ("log.jsonl", "best.emic", "last.emic"):
+            first, second = ((d / output).read_bytes() for d in run_dirs)
+            assert first == second, output
+
+    def test_failed_default_run_leaves_no_directory(self, one_row_val, tmp_path, monkeypatch):
+        root = tmp_path / "root"
+        monkeypatch.setenv("EMIREG_RUN_ROOT", str(root))
+        code = run_cli("train", "--data", str(one_row_val), "--epochs", "2",
+                       "--hidden-dim", "8", "--align-len", "16")
+        assert code == 2
+        assert list(root.iterdir()) == []
+
+    def test_relative_data_is_found_from_any_directory(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        shutil.copytree(small_dataset, tmp_path / "ds")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--data", "ds", "--run-dir", "run", "--hidden-dim", "8",
+                       "--batch-size", "16", "--epochs", "1", "--align-len", "16") == 0
+        saved = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert saved["data_dir"] == str((tmp_path / "ds").resolve())
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("evaluate", "--ckpt", str(tmp_path / "run" / "best.emic")) == 0
 
     def test_blas_thread_count_leaves_outputs_unchanged(self, tmp_path):
         """One and two OpenBLAS threads give the same bytes.

@@ -275,42 +275,24 @@ class TestAdaptiveAvgPool:
                 expected = adaptive_avg_pool_loop(x, target)
                 assert out.tobytes() == expected.tobytes(), (length, target)
 
-    def test_writes_into_out(self, rng):
-        x = rng.normal(size=(150, 4))
-        out = np.full((1, 128, 4), np.nan)
-        assert adaptive_avg_pool([x], 128, out=out) is out
-        assert out[0].tobytes() == adaptive_avg_pool([x], 128)[0].tobytes()
-        same = np.empty((1, 150, 4))
-        adaptive_avg_pool([x], 150, out=same)
-        assert np.array_equal(same[0], x)
-
     @pytest.mark.parametrize(
         "length, target", [(37, 128), (128, 128), (150, 128), (1, 16), (300, 1)]
     )
-    @pytest.mark.parametrize("preallocated", [False, True])
-    def test_float32_input_pools_like_its_widened_copy(
-        self, rng, length, target, preallocated
-    ):
+    def test_float32_input_pools_like_its_widened_copy(self, rng, length, target):
         # widening float32 to float64 is exact, so pooling must not care when it happens
         x32 = rng.normal(size=(length, 5)).astype(np.float32)
-        out = np.full((1, target, 5), np.nan) if preallocated else None
-        got = adaptive_avg_pool([x32], target, out=out)
+        got = adaptive_avg_pool([x32], target)
         expected = adaptive_avg_pool([x32.astype(np.float64)], target)[0]
         assert got.dtype == np.float64
         assert got[0].tobytes() == expected.tobytes()
-        if preallocated:
-            assert got is out
 
     def test_float32_input_is_not_copied_whole(self, rng):
         x = rng.normal(size=(512, 64)).astype(np.float32)
-        out = np.empty((1, 128, 64))
-        _, peak = traced_memory(lambda: adaptive_avg_pool([x], 128, out=out))
-        # a widened copy of the sequence alone would take 2 * x.nbytes
-        assert peak < x.nbytes
-
-    def test_out_shape_checked(self, rng):
-        with pytest.raises(ShapeError):
-            adaptive_avg_pool([rng.normal(size=(20, 4))], 8, out=np.empty((1, 8, 5)))
+        block_bytes = 128 * 64 * 8
+        _, peak = traced_memory(lambda: adaptive_avg_pool([x], 128))
+        # beside the returned block, a widened copy of the sequence alone
+        # would take 2 * x.nbytes
+        assert peak - block_bytes < x.nbytes
 
     def test_non_finite_input_raises(self):
         x = np.ones((9, 2))
@@ -338,8 +320,10 @@ class TestAdaptiveAvgPoolBlock:
                 assert block[i].tobytes() == expected[i].tobytes(), (cpus, i)
 
     def test_more_threads_than_cores_pool_every_row(self, rng, monkeypatch):
-        # a lost or repeated index on the shared iterator leaves a NaN row or
-        # changes bytes; a short switch interval makes threads trade often
+        # a lost or repeated index on the shared iterator leaves a row
+        # unwritten or changes bytes; a short switch interval makes threads
+        # trade often. Every block stays alive, so none is allocated over an
+        # earlier block's correct bytes.
         seqs = [rng.normal(size=(int(rng.integers(1, 40)), 3)) for _ in range(64)]
         use_cpus(monkeypatch, 1)
         serial = adaptive_avg_pool(seqs, 8)
@@ -347,11 +331,11 @@ class TestAdaptiveAvgPoolBlock:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                out = np.full((64, 8, 3), np.nan)
-                assert adaptive_avg_pool(seqs, 8, out=out).tobytes() == serial.tobytes()
+            blocks = [adaptive_avg_pool(seqs, 8) for _ in range(20)]
         finally:
             sys.setswitchinterval(interval)
+        for block in blocks:
+            assert block.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_non_finite_sequence_raises_after_joining(self, rng, monkeypatch, cpus):

@@ -133,56 +133,67 @@ class TestCosineLr:
             cosine_lr(31, 30, 1e-4)
 
 
+def _shadow_of(params: ParamStore) -> ParamStore:
+    """A zero store laid out like ``params``, for an Ema to average into."""
+    return ParamStore({k: Param(np.zeros(p.shape)) for k, p in params.items()})
+
+
 class TestEma:
     def test_paper_decay_single_update(self):
         p = Param(np.array([0.0]))
-        ema = Ema(ParamStore({"p": p}), decay=0.999)
-        ema.shadows["p"][...] = 1.0
+        params = ParamStore({"p": p})
+        shadow = _shadow_of(params)
+        ema = Ema(params, shadow, decay=0.999)
+        shadow["p"].value[...] = 1.0
         ema.update()
-        assert ema.shadows["p"][0] == pytest.approx(0.999, abs=1e-15)
+        assert shadow["p"].value[0] == pytest.approx(0.999, abs=1e-15)
 
     def test_decay_zero_tracks_params(self, rng):
         params = _params(rng)
-        ema = Ema(params, decay=0.0)
+        shadow = _shadow_of(params)
+        ema = Ema(params, shadow, decay=0.0)
         for p in params.values():
             p.value[...] = rng.normal(size=p.value.shape)
         ema.update()
         for k, p in params.items():
-            assert np.array_equal(ema.shadows[k], p.value)
+            assert np.array_equal(shadow[k].value, p.value)
 
     def test_decay_one_freezes_shadow(self, rng):
         params = _params(rng)
-        ema = Ema(params, decay=1.0)
-        initial = {k: s.copy() for k, s in ema.shadows.items()}
+        shadow = _shadow_of(params)
+        ema = Ema(params, shadow, decay=1.0)
+        initial = shadow.value.copy()
         for _ in range(3):
             for p in params.values():
                 p.value[...] += 1.0
             ema.update()
-        for k in params:
-            assert np.array_equal(ema.shadows[k], initial[k])
+        assert np.array_equal(shadow.value, initial)
 
     def test_matches_closed_form_recursion(self, rng):
         p = Param(rng.normal(size=(4, 3)))
         initial = p.value.copy()
-        ema = Ema(ParamStore({"p": p}), decay=0.9)
+        params = ParamStore({"p": p})
+        shadow = _shadow_of(params)
+        ema = Ema(params, shadow, decay=0.9)
         history = []
         for _ in range(50):
             p.value[...] = rng.normal(size=(4, 3))
             history.append(p.value.copy())
             ema.update()
         expected = ema_closed_form(initial, history, 0.9)
-        np.testing.assert_allclose(ema.shadows["p"], expected, atol=1e-12)
+        np.testing.assert_allclose(shadow["p"].value, expected, atol=1e-12)
 
     def test_shadows_start_as_copy(self, rng):
         params = _params(rng)
-        ema = Ema(params, decay=0.5)
-        for k, p in params.items():
-            assert np.array_equal(ema.shadows[k], p.value)
-            assert ema.shadows[k] is not p.value
+        shadow = _shadow_of(params)
+        Ema(params, shadow, decay=0.5)
+        assert shadow.value.tobytes() == params.value.tobytes()
+        assert not np.shares_memory(shadow.value, params.value)
 
     def test_invalid_decay(self, rng):
+        params = _params(rng)
         with pytest.raises(ConfigError):
-            Ema(_params(rng), decay=1.5)
+            Ema(params, _shadow_of(params), decay=1.5)
 
 
 class TestFlatUpdatesMatchPerTensorLoops:
@@ -197,7 +208,8 @@ class TestFlatUpdatesMatchPerTensorLoops:
         model = Model(SMALL_DIMS, hidden_dim=8, align_len=16, vad_enabled=vad, seed=3)
         store = model.parameters()
         opt = AdamW(store, weight_decay=weight_decay)
-        ema = Ema(store, decay=0.9)
+        ema_model = Model(SMALL_DIMS, hidden_dim=8, align_len=16, vad_enabled=vad)
+        ema = Ema(store, ema_model.parameters(), decay=0.9)
         values = {n: p.value.copy() for n, p in store.items()}
         shadows = {n: p.value.copy() for n, p in store.items()}
         m = {n: np.zeros(p.shape) for n, p in store.items()}
@@ -221,11 +233,9 @@ class TestFlatUpdatesMatchPerTensorLoops:
                 (store.grad, grads),
                 (opt.m, m),
                 (opt.v, v),
-                (ema.value, shadows),
+                (ema_model.parameters().value, shadows),
             ):
                 got = store.views(flat)
                 assert list(got) == list(want)
                 for n in want:
                     assert got[n].tobytes() == want[n].tobytes(), (t, n)
-            for n in shadows:
-                assert ema.shadows[n].tobytes() == shadows[n].tobytes(), (t, n)
