@@ -50,7 +50,6 @@ one ``make_batches(shuffle=True)`` draws.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import mmap
@@ -58,6 +57,7 @@ import os
 import shutil
 import struct
 import tempfile
+import uuid
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,6 +206,15 @@ class _Reader:
         self.offset += n
         return self.offset - n
 
+    def header(self, magic: bytes, version: int) -> None:
+        """Check a file's magic (offset 0) and format version (offset 4)."""
+        found = self.take(4, "magic")
+        if found != magic:
+            raise FormatError(f"{self.path}: bad magic {found!r}", offset=0)
+        found = self.u16("version")
+        if found != version:
+            raise FormatError(f"{self.path}: unsupported version {found}", offset=4)
+
     def take(self, n: int, what: str) -> bytes:
         return self.data[self._advance(n, what) : self.offset]
 
@@ -255,10 +264,12 @@ def _replace_file(path, write: Callable[[BinaryIO], None]) -> None:
     ``write`` streams the bytes into the open file, so no copy of the whole
     payload is built. A reader never sees a partial file, a failed write
     leaves the previous file and no sibling, and a file mapped by
-    :func:`_file_bytes` keeps its old bytes instead of being truncated.
+    :func:`_file_bytes` keeps its old bytes instead of being truncated. Each
+    write has a sibling of its own, so concurrent writers of one path never
+    share one: the last rename wins, and the file holds one writer's bytes.
     """
     path = Path(path)
-    partial = path.with_name(path.name + ".tmp")
+    partial = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with partial.open("wb") as fh:
             write(fh)
@@ -268,26 +279,30 @@ def _replace_file(path, write: Callable[[BinaryIO], None]) -> None:
 
 
 def write_feature_file(path, features: dict[str, Array | None]) -> None:
-    """Write one sample's modality blocks; ``None`` marks an absent modality."""
-    buf = io.BytesIO()
-    buf.write(FEATURE_MAGIC)
-    buf.write(struct.pack("<H", FEATURE_VERSION))
-    for m in MODALITIES:
-        block = features.get(m)
-        if block is None:
-            buf.write(struct.pack("<BII", 0, 0, 0))
-            continue
-        block = np.asarray(block)
-        if block.ndim != 2 or block.shape[0] < 1:
-            raise DataError(f"{m} block must be a non-empty [rows x dim] array")
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            payload = np.ascontiguousarray(block, dtype="<f4")
-        if not np.all(np.isfinite(payload)):
-            raise DataError(f"{m} block has values that are not finite as float32")
-        rows, dim = block.shape
-        buf.write(struct.pack("<BII", 1, rows, dim))
-        buf.write(payload.tobytes())
-    _replace_file(path, lambda fh: fh.write(buf.getbuffer()))
+    """Write one sample's modality blocks; ``None`` marks an absent modality.
+
+    Each block streams into the file as it is checked; a bad block fails the
+    write and leaves the previous file.
+    """
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(FEATURE_MAGIC + struct.pack("<H", FEATURE_VERSION))
+        for m in MODALITIES:
+            block = features.get(m)
+            if block is None:
+                fh.write(struct.pack("<BII", 0, 0, 0))
+                continue
+            block = np.asarray(block)
+            if block.ndim != 2 or block.shape[0] < 1:
+                raise DataError(f"{m} block must be a non-empty [rows x dim] array")
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                payload = np.ascontiguousarray(block, dtype="<f4")
+            if not np.all(np.isfinite(payload)):
+                raise DataError(f"{m} block has values that are not finite as float32")
+            fh.write(struct.pack("<BII", 1, *block.shape))
+            fh.write(payload)
+
+    _replace_file(path, write)
 
 
 def read_feature_file(path) -> dict[str, Array | None]:
@@ -299,12 +314,7 @@ def read_feature_file(path) -> dict[str, Array | None]:
     """
     raw = _file_bytes(path)
     r = _Reader(raw, str(path))
-    magic = r.take(4, "magic")
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
-    version = r.u16("version")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
+    r.header(FEATURE_MAGIC, FEATURE_VERSION)
     out: dict[str, Array | None] = {}
     for m in MODALITIES:
         present = r.u8(f"{m} present flag")
@@ -524,12 +534,7 @@ def load_checkpoint(path) -> dict[str, Array]:
     """Read named tensors until EOF; truncation reports its byte offset."""
     raw = _file_bytes(path)
     r = _Reader(raw, str(path))
-    magic = r.take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
-    version = r.u16("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     tensors: dict[str, Array] = {}
     while r.offset < len(raw):
         name_len = r.u16("tensor name length")

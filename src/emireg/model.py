@@ -15,16 +15,18 @@ projection output, so its forward makes one ``[batch x align x hidden]``
 array beside the dropout output; a backward forms each hidden layer's
 pre-activation gradient as one product, the upstream gradient times the
 keep-mask combined with the activation's gate (see ``ACTIVATIONS``). A model
-built without a seed draws nothing: every parameter starts at zero for the
-caller to set, as a checkpoint load and training's EMA model do.
-The fusion modes and the activations are defined here, once; the config and
-the CLI read these tables.
+is built from a ``TrainConfig``, which it validates and which declares every
+model setting once. Built without ``init`` it draws nothing: every parameter
+starts at zero for the caller to set, as a checkpoint load and training's EMA
+model do. The fusion modes and the activations are defined here, once; the
+config and the CLI read these tables.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from .errors import ConfigError, ShapeError, StateError
 from .layers import Dropout, Linear, Param, ParamStore
 from .schema import MODALITIES, N_TARGETS, VAD_DIM
 from .tensor import Array, as_tensor, relu, seeded_rng, sigmoid, sigmoid_grad_from_output
+
+if TYPE_CHECKING:
+    from .train import TrainConfig
 
 FUSION_MODES = ("concat", "average")
 
@@ -148,56 +153,42 @@ class Model:
     predicts a 3-D latent from the pre-activation projected rows and injects
     it back additively; the injection map starts at zero so a fresh model
     behaves exactly like its VAD-free counterpart.
+
+    Its settings are a ``TrainConfig``'s, validated here. With ``init`` the
+    config's seed keys every initialization and dropout stream; without it
+    the model draws nothing and every parameter starts at zero.
     """
 
-    def __init__(
-        self,
-        dims: dict[str, int],
-        hidden_dim: int,
-        fusion: str = "concat",
-        vad_enabled: bool = True,
-        dropout: float = 0.2,
-        hidden_activation: str = "relu",
-        output_activation: str = "sigmoid",
-        align_len: int = 128,
-        seed: int | None = 0,
-    ):
-        if set(dims) != set(MODALITIES):
-            raise ConfigError(f"dims must cover {MODALITIES}, got {sorted(dims)}")
-        if fusion not in FUSION_MODES:
-            raise ConfigError(f"unknown fusion mode {fusion!r}")
-        if hidden_activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {hidden_activation!r}")
-        if output_activation not in OUTPUT_ACTIVATIONS:
-            raise ConfigError(f"unknown output activation {output_activation!r}")
-        self.dims = dict(dims)
-        self.hidden_dim = hidden_dim
-        self.fusion = fusion
-        self.vad_enabled = vad_enabled
-        self.hidden_activation = hidden_activation
-        self.output_activation = output_activation
-        self._act, self._gate = ACTIVATIONS[hidden_activation]
-        self._out_act, self._out_gate = ACTIVATIONS[output_activation]
-        self.align_len = align_len
-        self.fused_dim = fused_width(hidden_dim, fusion)
+    def __init__(self, config: TrainConfig, init: bool = True):
+        config.validate()
+        self.dims = dict(config.dims)
+        self.hidden_dim = hidden_dim = config.hidden_dim
+        self.fusion = config.fusion
+        self.vad_enabled = config.vad_enabled
+        self.hidden_activation = config.hidden_activation
+        self.output_activation = config.output_activation
+        self._act, self._gate = ACTIVATIONS[config.hidden_activation]
+        self._out_act, self._out_gate = ACTIVATIONS[config.output_activation]
+        self.align_len = config.align_len
+        self.fused_dim = fused_width(hidden_dim, config.fusion)
 
         named: dict[str, Param] = {}
 
         def linear(name: str, out_dim: int, in_dim: int, zero: bool = False) -> Linear:
             """A Linear whose params enter the store as ``name.weight``/``name.bias``."""
-            rng = None if zero or seed is None else _init_rng(seed, name)
+            rng = _init_rng(config.seed, name) if init and not zero else None
             layer = Linear(out_dim, in_dim, rng=rng, bias=not zero)
             named[f"{name}.weight"] = layer.weight
             if layer.bias is not None:
                 named[f"{name}.bias"] = layer.bias
             return layer
 
-        dropout_rng = None if seed is None else seeded_rng(seed, _DROPOUT_STREAM)
+        dropout_rng = seeded_rng(config.seed, _DROPOUT_STREAM) if init else None
         # one mask stream, drawn in the order visual, audio, text, fusion
-        self.drop = Dropout(dropout, dropout_rng)
-        self.proj = {m: linear(f"{m}.proj", hidden_dim, dims[m]) for m in MODALITIES}
+        self.drop = Dropout(config.dropout, dropout_rng)
+        self.proj = {m: linear(f"{m}.proj", hidden_dim, self.dims[m]) for m in MODALITIES}
         self.aux_head = {m: linear(f"{m}.aux", N_TARGETS, hidden_dim) for m in MODALITIES}
-        if vad_enabled:
+        if self.vad_enabled:
             self.vad_head = linear("vad.head", VAD_DIM, hidden_dim)
             # zero start keeps the injection inert until training engages it
             self.inj = linear("vad.inj", hidden_dim, VAD_DIM, zero=True)

@@ -189,22 +189,8 @@ class TrainConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def build_model(self, init: bool = True) -> Model:
-        """The configured model; without ``init`` it draws nothing.
-
-        Then every parameter starts at zero and the caller must set every
-        value, as a checkpoint load and training's EMA model do.
-        """
-        return Model(
-            dims=self.dims,
-            hidden_dim=self.hidden_dim,
-            fusion=self.fusion,
-            vad_enabled=self.vad_enabled,
-            dropout=self.dropout,
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-            align_len=self.align_len,
-            seed=self.seed if init else None,
-        )
+        """The configured model; without ``init`` it draws nothing and starts at zero."""
+        return Model(self, init)
 
 
 @dataclass

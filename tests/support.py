@@ -78,8 +78,8 @@ def tiny_model_case(seed, batch=4, align=8, hidden=6, vad=True, fusion="concat")
     rng = np.random.default_rng(seed)
     for attempt in range(64):
         model_seed = seed * 1000 + attempt
-        model = Model(
-            TINY_DIMS,
+        config = TrainConfig(
+            dims=TINY_DIMS,
             hidden_dim=hidden,
             align_len=align,
             dropout=0.0,
@@ -87,6 +87,7 @@ def tiny_model_case(seed, batch=4, align=8, hidden=6, vad=True, fusion="concat")
             fusion=fusion,
             seed=model_seed,
         )
+        model = Model(config)
         if vad:
             # engage the injection path, which initializes to zero
             inj_rng = np.random.default_rng(model_seed + 7)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import struct
+import threading
 import weakref
 from pathlib import Path
 
@@ -679,6 +680,31 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, {"w": rng.normal(size=(4, 4))})
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_concurrent_writers_of_one_path_each_replace_it_whole(self, tmp_path):
+        path = tmp_path / "last.emic"
+        tensors = [{"w": np.full((64, 64), float(k))} for k in range(2)]
+        start = threading.Barrier(2)
+        errors = []
+
+        def writer(k):
+            try:
+                start.wait(timeout=60)
+                for _ in range(40):
+                    save_checkpoint(path, tensors[k])
+            except Exception as exc:  # collected, so the test reports it
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        back = load_checkpoint(path)
+        assert any(np.array_equal(back["w"], want["w"]) for want in tensors)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 

@@ -7,6 +7,7 @@ from emireg.errors import ConfigError, ShapeError, StateError
 from emireg.layers import Dropout, Linear, adaptive_avg_pool
 from emireg.model import _DROPOUT_STREAM, ACTIVATIONS, MODALITIES, Model, fuse, unfuse_grad
 from emireg.tensor import relu, seeded_rng, sigmoid
+from emireg.train import TrainConfig
 
 from oracles import column_means_loop, grad_check, model_param_grads_repeated
 from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case, traced_memory
@@ -15,7 +16,7 @@ from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case, 
 def tiny_model(seed=0, **kwargs):
     defaults = dict(dims=TINY_DIMS, hidden_dim=6, align_len=8, dropout=0.0, seed=seed)
     defaults.update(kwargs)
-    return Model(**defaults)
+    return Model(TrainConfig(**defaults))
 
 
 def param_values(model):
@@ -189,6 +190,25 @@ class TestVadPathway:
         assert b.v_hat is None
         for m in MODALITIES:
             assert np.array_equal(a.aux[m], b.aux[m])
+
+
+class TestModel:
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"fusion": "bilinear"}, "unknown fusion 'bilinear'"),
+            ({"hidden_activation": "tanh"}, "unknown hidden_activation 'tanh'"),
+            ({"output_activation": "relu"}, "unknown output_activation 'relu'"),
+            ({"dropout": 1.0}, r"dropout must be in \[0, 1\), got 1.0"),
+            ({"dims": {"visual": 5, "audio": 4}}, "dims must map"),
+            # hidden_dim is the weight's first extent
+            ({"hidden_dim": 2**62}, r"visual.proj weight \[4611686018427387904 x 5\]"),
+        ],
+    )
+    def test_bad_config_is_refused_by_field(self, override, message):
+        config = TrainConfig(**{"dims": TINY_DIMS, **override})
+        with pytest.raises(ConfigError, match=message):
+            Model(config)
 
 
 class TestModelForward:

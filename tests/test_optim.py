@@ -6,6 +6,7 @@ from emireg.layers import Param, ParamStore
 from emireg import optim
 from emireg.model import Model
 from emireg.optim import AdamW, Ema, clip_global_norm, cosine_lr
+from emireg.train import TrainConfig
 
 from oracles import adamw_step_loop, clip_global_norm_loop, ema_closed_form, ema_update_loop
 from support import SMALL_DIMS
@@ -205,10 +206,13 @@ class TestFlatUpdatesMatchPerTensorLoops:
             # AdamW blocks that cut across tensors, with a short last block
             monkeypatch.setattr(optim, "_BLOCK", block)
         rng = np.random.default_rng(77)
-        model = Model(SMALL_DIMS, hidden_dim=8, align_len=16, vad_enabled=vad, seed=3)
+        config = TrainConfig(
+            dims=SMALL_DIMS, hidden_dim=8, align_len=16, vad_enabled=vad, seed=3
+        )
+        model = Model(config)
         store = model.parameters()
         opt = AdamW(store, weight_decay=weight_decay)
-        ema_model = Model(SMALL_DIMS, hidden_dim=8, align_len=16, vad_enabled=vad)
+        ema_model = Model(config, init=False)
         ema = Ema(store, ema_model.parameters(), decay=0.9)
         values = {n: p.value.copy() for n, p in store.items()}
         shadows = {n: p.value.copy() for n, p in store.items()}
