@@ -310,11 +310,14 @@ def _cmd_predict(args) -> int:
     )
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
+
+    def write_rows(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", *TARGET_COLUMNS])
         for sample_id, row in zip(ids, values):
             writer.writerow([sample_id, *(repr(float(v)) for v in row)])
+
+    data.replace_text_file(out_path, write_rows, newline="")
     print(f"wrote {len(ids)} predictions to {out_path}", file=sys.stderr)
     return EXIT_OK
 

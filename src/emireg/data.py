@@ -17,39 +17,41 @@ Binary layouts (all little-endian):
 Readers reject non-finite feature and tensor values, undecodable or repeated
 tensor names and extents that overrun the file with a
 :class:`~emireg.errors.FormatError` carrying the byte offset. They map a
-file read-only instead of copying its bytes into memory. Feature files and
-checkpoints are written to a temporary file beside the target and renamed
-over it, so a failed write leaves the previous file intact and a mapping of
-the previous file keeps its bytes.
+file read-only instead of copying its bytes into memory. Feature files,
+checkpoints and, through :func:`replace_text_file`, the run's text outputs
+are written to a temporary file beside the target and renamed over it, so a
+failed write leaves the previous file intact and a mapping of the previous
+file keeps its bytes.
 
 The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
 the sentinel target ``SENTINEL_TARGET`` (-1) in all six columns, marking them
 metric-excluded.
 
-Batching pools once per call: ``make_batches`` resamples every sample to the
+Loading streams. ``load_split`` parses and checks the manifest and returns
+one :class:`Sample` per row, which maps its feature file only while its
+``features`` are read. ``make_batches`` resamples every sample to the
 alignment length into one read-only float64 ``[N x align x d]`` block per
-modality, in one pooling call per block that runs on every CPU the process
-may use and gives the bytes of serial pooling, and stacks the targets into
-``[N x 6]``. It returns a
-:class:`Batches` sequence that builds each batch when it is indexed: a slice
-of those blocks (views, in manifest order) or a sample-by-sample copy per
-modality (shuffled), so a shuffled epoch holds one batch's copy, not a second
-copy of the split. :meth:`Batches.batch` copies into fresh buffers or into
-buffers the caller owns; the trainer copies every shuffled batch of a run into
-one set of them.
+modality and stacks the targets into ``[N x 6]``. It reads the samples one
+batch at a time and pools each batch's sequences into that batch's rows of
+the blocks, in one pooling call per batch that runs on every CPU the process
+may use and gives the bytes of serial pooling, so at most one batch of raw
+sequences is mapped at a time. It returns a :class:`Batches` sequence whose
+every batch is a read-only view of consecutive rows of those blocks.
 
-The pooled blocks are held only by the :class:`Batches` made from them, which
-refer to no sample. A caller that keeps only the manifest-order
-:class:`Batches` lets the raw sequences and their file mappings go once they
-are pooled, and draws each epoch's order from it with
-:meth:`Batches.shuffled`: one ``rng.permutation`` over the rows, the same
-one ``make_batches(shuffle=True)`` draws.
+A split's pooled blocks are its only copy, held by the :class:`Batches` made
+from them, which refer to no sample. Shuffled, the rows are in the order of
+one ``rng.permutation``: ``make_batches(shuffle=True)`` pools in that order,
+and :meth:`Batches.shuffle` rearranges the rows in place into the order of
+the next permutation, moving one sample's rows at a time through one row of
+scratch. The trainer shuffles its train batches once per epoch, so a run
+holds no second copy of the split and no per-batch buffer.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import mmap
@@ -62,12 +64,12 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .layers import adaptive_avg_pool
+from .layers import adaptive_avg_pool, pooled_block
 from .schema import MODALITIES, TARGET_COLUMNS
 from .tensor import Array, as_tensor, seeded_rng
 
@@ -89,26 +91,39 @@ SIDECAR_NAME = "synth.json"
 
 @dataclass(frozen=True)
 class Sample:
-    """One clip: three raw feature sequences, presence flags, and the 6-D target.
+    """One clip: its id, its feature file, the configured widths and the 6-D target.
 
-    ``features`` holds each modality's [L x d] sequence as read (placeholder
-    applied): read-only float32 when loaded from an EMIF file. Pooling to
-    the alignment length happens in :func:`make_batches`.
+    The file is read each time ``features`` is accessed, and nothing read is
+    kept: ``features`` maps the file, checks it, fills each absent modality
+    with the placeholder and checks every width against ``dims``. It holds
+    each modality's [L x d] sequence as a read-only float32 view of the
+    mapping, which lasts while a sequence is referenced. Pooling to the
+    alignment length happens in :func:`make_batches`.
     """
 
     id: str
-    features: Mapping[str, Array]
+    path: Path
     target: Array
-    present: dict[str, bool]
+    dims: Mapping[str, int]
+
+    @property
+    def features(self) -> Mapping[str, Array]:
+        filled, _ = apply_placeholder(read_feature_file(self.path), self.dims)
+        for m in MODALITIES:
+            if filled[m].shape[1] != self.dims[m]:
+                raise ConfigError(
+                    f"{self.id}: {m} feature dim {filled[m].shape[1]} "
+                    f"!= configured {self.dims[m]}"
+                )
+        return MappingProxyType(filled)
 
 
 @dataclass
 class Batch:
     """Aligned samples ready for the model.
 
-    In manifest order the arrays are read-only views of the pooled blocks;
-    shuffled, they are copies, made when :class:`Batches` builds the batch,
-    into fresh buffers or into the caller's.
+    The arrays are read-only views of consecutive rows of the pooled blocks,
+    so a :meth:`Batches.shuffle` after the batch was built changes them.
     """
 
     ids: list[str]
@@ -120,70 +135,89 @@ class Batch:
 
 
 class Batches(Sequence):
-    """The batches of one :func:`make_batches` call, each built when indexed.
+    """A split's pooled blocks, read as batches of ``batch_size`` consecutive rows.
 
-    ``rows[i]`` selects batch ``i``'s samples: a slice, which gives views of
-    the pooled blocks, or an index array, whose samples are copied one by
-    one (:meth:`batch`).
-    Indexing again rebuilds the same batch, so the sequence can be iterated
-    any number of times. The pooled blocks, ids and targets are the only
-    data held; :meth:`shuffled` shares them with the sequence it returns.
+    Row ``k`` of every block, of the targets and of the ids holds manifest
+    sample ``order[k]``. Batch ``i`` is rows ``[i * batch_size, (i + 1) *
+    batch_size)``, the last one short, built as read-only views when
+    indexed, so the sequence can be iterated any number of times. The
+    blocks, ids and targets are the only data held; :meth:`shuffle`
+    rearranges their rows in place.
     """
 
     def __init__(
-        self, ids: Array, features: dict[str, Array], targets: Array, rows: list
+        self,
+        ids: Array,
+        features: dict[str, Array],
+        targets: Array,
+        batch_size: int,
+        order: Array,
     ):
         self._ids = ids
         self._features = features
         self._targets = targets
-        self._rows = rows
+        self._starts = range(0, len(ids), batch_size)
+        self._order = order
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._starts)
 
     @property
     def n_samples(self) -> int:
         """How many samples the batches cover, over all of them."""
         return len(self._ids)
 
-    def shuffled(self, rng: np.random.Generator) -> "Batches":
-        """The same batch sizes over rows in the order of one ``rng.permutation``.
+    def shuffle(self, rng: np.random.Generator) -> None:
+        """Rearrange the rows in place into the order of one ``rng.permutation``.
 
-        Batch ``i`` takes the permuted positions that ``rows[i]`` selects, so
-        on a manifest-order sequence it takes ``order[start:start + size]``.
+        Afterwards row ``k`` holds manifest sample ``order[k]``, whatever
+        order the rows held before: the rows ``make_batches(shuffle=True)``
+        pools with the same generator. Each array's rows move along the
+        permutation's cycles through one row of scratch, so the call
+        allocates no more than one sample's rows of one block at a time.
         """
         order = rng.permutation(self.n_samples)
-        rows = [order[r] for r in self._rows]
-        return Batches(self._ids, self._features, self._targets, rows)
+        row_of = np.empty_like(order)
+        row_of[self._order] = np.arange(self.n_samples)
+        source = row_of[order]  # the row whose sample moves to row k
+        for a in (*self._features.values(), self._targets, self._ids):
+            _gather_rows(a, source)
+        self._order = order
 
-    def batch(self, i: int, out: dict[str, Array] | None = None) -> Batch:
-        """Batch ``i``; a shuffled batch's features are copied into ``out``.
-
-        In manifest order the features are views of the pooled blocks and
-        ``out`` is not used. Shuffled, the batch's samples are copied one by
-        one into the leading rows of ``out[m]`` (a float64 buffer of at least
-        the batch's rows, with the block's other extents), or of fresh
-        buffers when ``out`` is None, and the features are views of those
-        rows: building the next batch into the same buffers overwrites them,
-        and nothing else of a buffer is written.
-        """
-        rows = self._rows[i]
-        features = {}
-        for m, block in self._features.items():
-            if isinstance(rows, slice):
-                features[m] = block[rows]
-                continue
-            if out is None:
-                rows_out = np.empty((len(rows), *block.shape[1:]), dtype=block.dtype)
-            else:
-                rows_out = out[m][: len(rows)]
-            for j, r in enumerate(rows):
-                rows_out[j] = block[r]
-            features[m] = rows_out
+    def batch(self, i: int) -> Batch:
+        """Batch ``i``: read-only views of its rows of the blocks, targets and ids."""
+        start = self._starts[i]
+        rows = slice(start, start + self._starts.step)
+        features = {m: block[rows] for m, block in self._features.items()}
         return Batch(ids=list(self._ids[rows]), features=features, targets=self._targets[rows])
 
     def __getitem__(self, i: int) -> Batch:
         return self.batch(i)
+
+
+def _gather_rows(a: Array, source: Array) -> None:
+    """Set ``a[k] = a[source[k]]`` for every row ``k`` in place; ``source`` is a permutation.
+
+    Each cycle of ``source`` is followed from its first row, which waits in
+    a one-row scratch copy until the cycle closes. ``a`` is writable only
+    during the call.
+    """
+    done = np.zeros(len(source), dtype=np.bool_)
+    a.flags.writeable = True
+    try:
+        for start in range(len(source)):
+            if done[start] or source[start] == start:
+                continue
+            scratch = a[start : start + 1].copy()
+            k = start
+            while source[k] != start:
+                a[k] = a[source[k]]
+                done[k] = True
+                k = source[k]
+            a[k] = scratch[0]
+            done[k] = True
+    finally:
+        a.flags.writeable = False
 
 
 # -- EMIF feature files -------------------------------------------------------
@@ -276,6 +310,22 @@ def _replace_file(path, write: Callable[[BinaryIO], None]) -> None:
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+def replace_text_file(
+    path, write: Callable[[TextIO], None], newline: str | None = None
+) -> None:
+    """:func:`_replace_file` for text: ``write`` fills a UTF-8 stream over the sibling.
+
+    ``newline`` is ``open``'s: None translates each ``"\\n"`` to ``os.linesep``,
+    and ``""`` writes line endings as given, as a CSV writer needs.
+    """
+
+    def write_bytes(fh: BinaryIO) -> None:
+        with io.TextIOWrapper(fh, encoding="utf-8", newline=newline) as text:
+            write(text)
+
+    _replace_file(path, write_bytes)
 
 
 def write_feature_file(path, features: dict[str, Array | None]) -> None:
@@ -436,34 +486,22 @@ def load_manifest(path) -> list[ManifestRow]:
 def load_split(
     manifest_path, split: str, dims: dict[str, int]
 ) -> tuple[Sample, ...]:
-    """Load one split's samples in manifest order, applying the placeholder rule."""
+    """One split's samples in manifest order, checked against ``dims`` when read.
+
+    Only the manifest is parsed and checked here: a feature file is opened
+    when its sample's ``features`` are read (see :class:`Sample`), and a
+    relative path is resolved against the manifest's directory.
+    """
     manifest_path = Path(manifest_path)
     rows = [r for r in load_manifest(manifest_path) if r.split == split]
     if not rows:
         raise DataError(f"split {split!r} is empty in {manifest_path}")
-    base = manifest_path.parent
+    dims = MappingProxyType(dict(dims))
     samples: list[Sample] = []
     for row in rows:
-        feature_path = Path(row.path)
-        if not feature_path.is_absolute():
-            feature_path = base / feature_path
-        features = read_feature_file(feature_path)
-        filled, present = apply_placeholder(features, dims)
-        for m in MODALITIES:
-            if filled[m].shape[1] != dims[m]:
-                raise ConfigError(
-                    f"{row.id}: {m} feature dim {filled[m].shape[1]} "
-                    f"!= configured {dims[m]}"
-                )
         row.target.flags.writeable = False
-        samples.append(
-            Sample(
-                id=row.id,
-                features=MappingProxyType(filled),
-                target=row.target,
-                present=present,
-            )
-        )
+        path = manifest_path.parent / row.path  # an absolute row.path stays as it is
+        samples.append(Sample(id=row.id, path=path, target=row.target, dims=dims))
     return tuple(samples)
 
 
@@ -477,16 +515,19 @@ def make_batches(
     shuffle: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Batches:
-    """Pool samples and partition them into batches; the final short batch is kept.
+    """Pool samples into one block per modality, read as batches; the final short batch is kept.
 
-    Each modality's sequences are pooled in one :func:`adaptive_avg_pool`
-    call into one [N x align x d] block, split across every CPU the process
-    may use and byte-identical to pooling them one by one; the targets are
-    stacked into [N x 6]. All are marked read-only, so a write through a
-    batch view raises instead of changing later epochs. With
-    ``shuffle`` the order comes from ``rng`` (one permutation per call, drawn
-    by :meth:`Batches.shuffled`); otherwise manifest order is preserved. Each
-    batch is built when the returned :class:`Batches` is indexed.
+    Each modality's block is float64 [N x align x d], and the targets are
+    stacked into [N x 6]. The samples are read ``batch_size`` at a time, in
+    row order, and each batch's sequences, every modality's, are pooled into
+    their rows of the blocks by one :func:`adaptive_avg_pool` call, split
+    across every CPU the process may use and byte-identical to pooling them
+    one by one; a batch's files are unmapped before the next batch's are
+    read. All
+    arrays are marked read-only, so a write through a batch view raises
+    instead of changing later epochs. With ``shuffle`` the rows follow one
+    ``rng.permutation``, the order :meth:`Batches.shuffle` draws; otherwise
+    manifest order is kept.
     """
     if not samples:
         raise DataError("cannot batch an empty split")
@@ -494,18 +535,20 @@ def make_batches(
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     if shuffle and rng is None:
         raise ConfigError("shuffle requested without a generator")
-    features: dict[str, Array] = {}
-    for m in MODALITIES:
-        block = adaptive_avg_pool([s.features[m] for s in samples], align_len)
-        block.flags.writeable = False
-        features[m] = block
-    targets = as_tensor(np.stack([s.target for s in samples]))
-    targets.flags.writeable = False
-    ids = np.array([s.id for s in samples], dtype=object)
-    starts = range(0, len(samples), batch_size)
-    rows = [slice(start, start + batch_size) for start in starts]
-    batches = Batches(ids, features, targets, rows)
-    return batches.shuffled(rng) if shuffle else batches
+    n = len(samples)
+    order = rng.permutation(n) if shuffle else np.arange(n)
+    features = {m: pooled_block(n, align_len, samples[0].dims[m]) for m in MODALITIES}
+    for start in range(0, n, batch_size):
+        batch = [samples[k].features for k in order[start : start + batch_size]]
+        seqs = [f[m] for m in MODALITIES for f in batch]
+        rows = [features[m][start + j] for m in MODALITIES for j in range(len(batch))]
+        adaptive_avg_pool(seqs, align_len, out=rows)
+        del batch, seqs  # unmap this batch's files before the next batch maps its own
+    targets = as_tensor(np.stack([samples[k].target for k in order]))
+    ids = np.array([samples[k].id for k in order], dtype=object)
+    for a in (*features.values(), targets, ids):
+        a.flags.writeable = False
+    return Batches(ids, features, targets, batch_size, order)
 
 
 # -- checkpoints ---------------------------------------------------------------

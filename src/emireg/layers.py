@@ -11,14 +11,15 @@ beside its output, at rate 0 too, where every unit is kept, and
 ``Dropout.backward`` takes that mask, or the mask times a gate (the model
 folds each activation's derivative into it). Pooling runs when batches are
 built, on features that are not learned, so it has no backward; one call
-pools a whole modality block, split across every CPU the process may use,
-with the bytes of a serial pass.
+pools a list of sequences into a new block, or into rows the caller owns,
+split across every CPU the process may use, with the bytes of a serial pass.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -193,15 +194,18 @@ class Dropout:
         return as_tensor(upstream) * self._scale * keep
 
 
-def adaptive_avg_pool(seqs, target: int) -> Array:
-    """Resample N [L_i x d] sequences to one [N x target x d] block by per-bin averaging.
+def adaptive_avg_pool(seqs, target: int, out: Sequence[Array] | None = None):
+    """Resample N [L_i x d_i] sequences to [target x d_i] rows by per-bin averaging.
 
-    Sequence ``i`` is pooled into row ``i`` of the block. Each bin's rows are
+    Sequence ``i`` is pooled into row ``i`` of the result. Each bin's rows are
     added in order in float64 and the sum divided by the bin width, so every
     output row is bit-identical to ``x[start:end].mean(axis=0)`` of the float64
     sequence. A sequence may be float32 or float64: float32 rows widen,
-    exactly, as they are added, so no sequence is copied whole. The result
-    is float64.
+    exactly, as they are added, so no sequence is copied whole. Without
+    ``out`` the sequences share one width d and the result is a new float64
+    [N x target x d] block (see :func:`pooled_block`). With ``out``, N
+    float64 [target x d_i] arrays the caller owns, such as rows of larger
+    blocks of different widths, each is written whole and ``out`` is returned.
 
     The sequences are split across the caller and ``min(usable CPUs, N) - 1``
     helper threads, started and joined within the call; each thread takes
@@ -212,22 +216,23 @@ def adaptive_avg_pool(seqs, target: int) -> Array:
     sequence, as a serial pass would, once every helper has stopped.
     """
     seqs = [np.asarray(x) for x in seqs]
-    if target < 1:
-        raise ConfigError(f"pool target must be >= 1, got {target}")
+    _check_target(target)
     if not seqs:
         raise ShapeError("adaptive_avg_pool over no sequences")
-    for x in seqs:
+    if out is not None and len(out) != len(seqs):
+        raise ShapeError(f"pool output has {len(out)} rows for {len(seqs)} sequences")
+    for i, x in enumerate(seqs):
         if x.ndim != 2:
             raise ShapeError(f"adaptive_avg_pool expects [L x d], got {x.shape}")
         if x.shape[0] == 0:
             raise ShapeError("adaptive_avg_pool over an empty sequence")
-        dim = seqs[0].shape[1]
-        if x.shape[1] != dim:
-            raise ShapeError(f"pool output ({target}, {dim}) != ({target}, {x.shape[1]})")
-    if len(seqs) * int(target) * dim * 8 > np.iinfo(np.intp).max:
-        # numpy refuses such a shape; a merely huge one is a MemoryError
-        raise ConfigError(f"a pooled [{len(seqs)} x {target} x {dim}] block is too large")
-    out = np.empty((len(seqs), target, dim))
+        rows = (target, seqs[0].shape[1]) if out is None else out[i].shape
+        if rows != (target, x.shape[1]):
+            raise ShapeError(f"pool output {rows} != ({target}, {x.shape[1]})")
+        if out is not None and out[i].dtype != np.float64:
+            raise ShapeError(f"pool output row {i} is {out[i].dtype}, not float64")
+    if out is None:
+        out = pooled_block(len(seqs), target, seqs[0].shape[1])
 
     indices = iter(range(len(seqs)))
     lock = threading.Lock()
@@ -262,6 +267,20 @@ def adaptive_avg_pool(seqs, target: int) -> Array:
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return out
+
+
+def _check_target(target: int) -> None:
+    if target < 1:
+        raise ConfigError(f"pool target must be >= 1, got {target}")
+
+
+def pooled_block(n: int, target: int, dim: int) -> Array:
+    """An uninitialised float64 [n x target x dim] block for pooled sequences."""
+    _check_target(target)
+    if n * int(target) * dim * 8 > np.iinfo(np.intp).max:
+        # numpy refuses such a shape; a merely huge one is a MemoryError
+        raise ConfigError(f"a pooled [{n} x {target} x {dim}] block is too large")
+    return np.empty((n, target, dim))
 
 
 def _pool_one(x: Array, target: int, out: Array) -> None:

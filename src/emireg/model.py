@@ -7,19 +7,20 @@ layers start identically across configurations that add or remove the VAD
 pathway, and it prefixes the layer's entries in the one flat parameter store,
 whose order is construction order. Layers keep no per-call state, so the
 only thing a forward leaves behind is the record a training forward keeps
-for ``backward`` (see ``_TrainRecord``): every layer input and activation
-output the gradients read. An eval forward keeps nothing, and any forward
+for ``backward`` (see ``_TrainRecord``): every layer input and hidden-layer
+gate the gradients read. An eval forward keeps nothing, and any forward
 drops the record it finds. One ``Dropout``, on one generator, serves every
 branch and the fusion head. A branch applies its activation in place on the
 projection output, so its forward makes one ``[batch x align x hidden]``
-array beside the dropout output; a backward forms each hidden layer's
-pre-activation gradient as one product, the upstream gradient times the
-keep-mask combined with the activation's gate (see ``ACTIVATIONS``). A model
-is built from a ``TrainConfig``, which it validates and which declares every
-model setting once. Built without ``init`` it draws nothing: every parameter
-starts at zero for the caller to set, as a checkpoint load and training's EMA
-model do. The fusion modes and the activations are defined here, once; the
-config and the CLI read these tables.
+array beside the dropout output, and a training forward records in its place
+the keep-mask combined with the activation's gate (see ``ACTIVATIONS``): a
+one-byte mask under relu. A backward forms each hidden layer's
+pre-activation gradient as one product, the upstream gradient times that
+gate. A model is built from a ``TrainConfig``, which it validates and which
+declares every model setting once. Built without ``init`` it draws nothing:
+every parameter starts at zero for the caller to set, as a checkpoint load
+and training's EMA model do. The fusion modes and the activations are
+defined here, once; the config and the CLI read these tables.
 """
 
 from __future__ import annotations
@@ -86,21 +87,22 @@ class _TrainRecord:
 
     Its outputs hold the inputs of the aux heads (``z``), of the fusion
     hidden layer (``z_fus``) and of the VAD injection (``v_hat``); the rest
-    is here. Each hidden activation's gate reads its output (see
-    ``ACTIVATIONS``). Every training forward draws its keep-masks, at
-    dropout 0 too (all kept), so each branch's gradient reaches the
-    projection as ``[batch x align x hidden]``. The projection inputs are
-    views of the caller's float64 features, so per branch the record owns
-    one ``[batch x align x hidden]`` array and one byte mask, plus small ones.
+    is here. Every training forward draws its keep-masks, at dropout 0 too
+    (all kept), and records for each hidden layer its keep-mask times its
+    activation's gate at the activation output (``_gated``): a bool mask
+    under relu, a float array under sigmoid and the keep-mask itself under
+    identity. So each branch's gradient reaches the projection as
+    ``[batch x align x hidden]``. The projection inputs are views of the
+    caller's float64 features, so per branch the record owns one
+    ``[batch x align x hidden]`` gate, one byte per element under relu and
+    identity, plus small arrays.
     """
 
     out: ForwardOutputs
     rows: dict[str, Array]  # per branch, the projection input [batch*align x dim]
-    kept: dict[str, Array]  # per branch, the activation output [batch x align x hidden]
     a_mean: Array  # the audio pre-activation's time mean, the VAD head's input
-    h_kept: Array  # the fusion hidden activation's output, [batch x hidden]
-    h_drop: Array  # h_kept after dropout, the fusion output layer's input
-    keep: dict[str, Array]  # keep-masks per branch and "fusion"
+    h_drop: Array  # the fusion hidden output after dropout, the output layer's input
+    gate: dict[str, Array]  # keep-mask times activation gate, per branch and "fusion"
 
 
 def _gated(gate, out: Array, upstream: Array) -> Array:
@@ -244,8 +246,7 @@ class Model:
         self._cache = None
         batch = None
         rows: dict[str, Array] = {}
-        kept: dict[str, Array] = {}
-        keep: dict[str, Array | None] = {}
+        gate: dict[str, Array] = {}
         z: dict[str, Array] = {}
         for m in MODALITIES:
             x = as_tensor(features[m])
@@ -269,12 +270,12 @@ class Model:
             if m == "audio":
                 a_mean = pre.mean(axis=1)  # before the activation overwrites pre
             act = self._act(pre, out=pre)
-            dropped, keep[m] = self.drop.forward(act, train)
+            dropped, keep = self.drop.forward(act, train)
             z[m] = dropped.mean(axis=1)
             if train:
-                rows[m], kept[m] = flat, act
+                rows[m], gate[m] = flat, _gated(self._gate, act, keep)
             # free this branch's other arrays before the next branch allocates
-            del pre, act, dropped
+            del pre, act, dropped, keep
 
         v_hat = None
         if self.vad_enabled:
@@ -283,7 +284,7 @@ class Model:
 
         z_fus = fuse(z["visual"], z["audio"], z["text"], self.fusion)
         h_act = self._act(self.fusion_hidden.forward(z_fus))
-        h_drop, keep["fusion"] = self.drop.forward(h_act, train)
+        h_drop, keep = self.drop.forward(h_act, train)
         y_logits = self.fusion_out.forward(h_drop)
         y_hat = self._out_act(y_logits)
         aux_logits = {m: self.aux_head[m].forward(z[m]) for m in MODALITIES}
@@ -297,7 +298,8 @@ class Model:
             z_fus=z_fus,
         )
         if train:
-            self._cache = _TrainRecord(out, rows, kept, a_mean, h_act, h_drop, keep)
+            gate["fusion"] = _gated(self._gate, h_act, keep)
+            self._cache = _TrainRecord(out, rows, a_mean, h_drop, gate)
         return out
 
     def backward(
@@ -322,8 +324,7 @@ class Model:
 
         d_y_logits = _gated(self._out_gate, out.y_hat, as_tensor(d_y_hat))
         d_h_drop = self.fusion_out.backward(rec.h_drop, d_y_logits)
-        h_gate = _gated(self._gate, rec.h_kept, rec.keep["fusion"])
-        d_h_pre = self.drop.backward(h_gate, d_h_drop)
+        d_h_pre = self.drop.backward(rec.gate["fusion"], d_h_drop)
         d_z = unfuse_grad(
             self.fusion_hidden.backward(out.z_fus, d_h_pre), self.hidden_dim, self.fusion
         )
@@ -341,10 +342,8 @@ class Model:
             d_a_rows = (d_a_mean / self.align_len)[:, None, :]
 
         for m in MODALITIES:
-            # the keep-mask times the activation's gate: bool, or float for sigmoid;
-            # [batch x 1 x h] broadcasts over time against this [batch x T x h] gate
-            gate = _gated(self._gate, rec.kept[m], rec.keep[m])
-            d_pre = self.drop.backward(gate, d_z[m][:, None, :] / self.align_len)
+            # [batch x 1 x h] broadcasts over time against the [batch x T x h] gate
+            d_pre = self.drop.backward(rec.gate[m], d_z[m][:, None, :] / self.align_len)
             if m == "audio" and d_a_rows is not None:
                 d_pre += d_a_rows
             self.proj[m].backward(

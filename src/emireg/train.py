@@ -5,15 +5,17 @@ order, dropout masks and initialization derive from the config seed, logs
 carry no timestamps or paths, and checkpoints serialize in a fixed order,
 so two runs of one config on copies of one dataset are bit-identical.
 
-What a run keeps resident: each split's pooled blocks and targets, held by
-its manifest-order batches (the raw sequences are freed once pooled, before
-the run directory is made), the model's flat parameter and gradient vectors,
-the AdamW moments and the EMA model's values, one ``[batch x align x d]`` step
-buffer per modality, allocated once per call, that every shuffled batch is
-copied into, and between a training forward and its backward one record of
-the pass, the model's only per-call state: its outputs, and per branch one
-``[batch x align x hidden]`` array, the activation output, and a one-byte
-keep-mask; the projection inputs it reads are views of the step buffers.
+What a run keeps resident: one pooled block per modality and split, with
+its targets, held by the split's batches and shuffled in place each epoch;
+while a split is pooled, at most one batch of raw sequences is mapped, and
+none is once the blocks are built, before the run directory is made. Then
+the model's flat parameter and gradient vectors, the AdamW moments and the
+EMA model's values. No batch is copied: each is a view of its block's rows.
+Between a training forward and its backward the model keeps one record of
+the pass, its only per-call state: its outputs and one gate per branch, a
+``[batch x align x hidden]`` keep-mask folded with the activation's
+derivative (one byte per element under relu); the projection inputs it
+reads are views of the pooled blocks.
 """
 
 from __future__ import annotations
@@ -245,8 +247,8 @@ def _score(preds: Array, targets: Array) -> EvalReport:
 def _split_batches(config: TrainConfig, manifest_path, split: str) -> data.Batches:
     """One split's batches in manifest order.
 
-    No name holds the split: the batches keep only its pooled blocks, so the
-    raw sequences and their file mappings are freed once it is pooled.
+    No name holds the split's samples, which hold no features: the batches
+    keep only the pooled blocks.
     """
     return data.make_batches(
         data.load_split(manifest_path, split, config.dims),
@@ -282,18 +284,15 @@ def train(config: TrainConfig) -> RunRecord:
     # the EMA weights are a second model, scored and saved as a loaded checkpoint's
     ema_model = config.build_model(init=False)
     ema = Ema(model.parameters(), ema_model.parameters(), config.ema_decay)
-    # every shuffled batch is copied into these, so one batch's features are
-    # alive at a time, and no copy outlives the call
-    step_rows = min(config.batch_size, train_batches.n_samples)
-    step_buffers = {
-        m: np.empty((step_rows, config.align_len, config.dims[m])) for m in MODALITIES
-    }
     # only a run whose data loaded and whose model was built gets a directory
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as fh:
+
+    def write_config(fh) -> None:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    data.replace_text_file(run_dir / "config.json", write_config)
 
     stopper = EarlyStopper(config.patience)
     record = RunRecord(config_hash=config.config_hash(), run_dir=str(run_dir))
@@ -312,9 +311,8 @@ def train(config: TrainConfig) -> RunRecord:
         try:
             for epoch in range(1, config.epochs + 1):
                 lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
-                batches = train_batches.shuffled(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
-                for i in range(len(batches)):
-                    batch = batches.batch(i, out=step_buffers)
+                train_batches.shuffle(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
+                for batch in train_batches:
                     if config.lr_cadence == "step":
                         lr = cosine_lr(global_step, total_steps, config.lr, config.eta_min)
                     model.zero_grads()
@@ -525,12 +523,14 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
         }
         rows.append(row)
     csv_path = grid_dir / "ablation.csv"
-    columns = list(rows[0])
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+
+    def write_grid(fh) -> None:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             error = row["error"]
             text = "" if error is None else f"{type(error).__name__}: {error}"
             writer.writerow({**row, "error": text})
+
+    data.replace_text_file(csv_path, write_grid, newline="")
     return rows, csv_path

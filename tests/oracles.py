@@ -159,17 +159,32 @@ def dropout_float_mask(keep, rate):
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
+def replay_keep_masks(stream, rate, batch, align, hidden):
+    """The keep-masks a training forward draws from ``stream``, drawn again.
+
+    One uniform per element, ``u < 1 - rate`` keeps it: a [batch x align x
+    hidden] mask per branch in the order visual, audio, text, then
+    [batch x hidden] for the fusion head. ``stream`` is a copy of the
+    model's dropout generator taken before the forward.
+    """
+    shapes = [(m, (batch, align, hidden)) for m in ("visual", "audio", "text")]
+    shapes.append(("fusion", (batch, hidden)))
+    return {name: stream.random(shape) < 1.0 - rate for name, shape in shapes}
+
+
+def model_param_grads_repeated(model, keep, d_y_hat, d_aux, d_v_hat):
     """Parameter gradients of a model's last forward, by explicit row gradients.
 
-    Reverses the forward from its training record and outputs, which hold
-    every layer input, each hidden activation's output and the dropout
-    keep-masks, applied as float masks (hidden relu, sigmoid or identity,
-    sigmoid outputs). Each hidden derivative is formed here from that
-    output: relu's as ``out > 0``, sigmoid's as ``out * (1 - out)``. Each
-    branch's time-mean adjoint is built as an explicit [B*T x h] array with
-    ``np.repeat``. Grads start at zero and receive one sum each, as the
-    model's accumulators do.
+    Reverses the forward from the layer inputs in its training record and
+    outputs, and from ``keep``, the keep-masks the forward drew (see
+    ``replay_keep_masks``), applied as float masks (hidden relu, sigmoid or
+    identity, sigmoid outputs). The record's gates are not read: each
+    hidden activation's output is recomputed from its layer's input,
+    weight and bias, with the forward's bits, and each hidden derivative
+    is formed here from that output: relu's as ``out > 0``, sigmoid's as
+    ``out * (1 - out)``. Each branch's time-mean adjoint is built as an
+    explicit [B*T x h] array with ``np.repeat``. Grads start at zero and
+    receive one sum each, as the model's accumulators do.
     """
     rec = model._cache
     out = rec.out
@@ -178,6 +193,20 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
 
     def sigmoid_back(y, up):
         return up * (y * (1.0 - y))
+
+    def act_forward(layer, x):
+        """The hidden activation of ``x @ W.T + b``; sigmoid in its two stable halves."""
+        y = x @ layer.weight.value.T
+        y += layer.bias.value
+        if model.hidden_activation == "identity":
+            return y
+        if model.hidden_activation == "relu":
+            return np.maximum(y, 0.0)
+        pos = y >= 0
+        ex = np.exp(y[~pos])
+        y[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
+        y[~pos] = ex / (1.0 + ex)
+        return y
 
     def act_back(out, up):
         if model.hidden_activation == "identity":
@@ -204,7 +233,8 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
 
     d_y_logits = sigmoid_back(out.y_hat, d_y_hat)
     d_h_drop = linear_back("fusion.out", model.fusion_out, rec.h_drop, d_y_logits)
-    d_h_pre = act_back(rec.h_kept, drop_back(rec.keep["fusion"], d_h_drop))
+    h_out = act_forward(model.fusion_hidden, out.z_fus)
+    d_h_pre = act_back(h_out, drop_back(keep["fusion"], d_h_drop))
     d_fused = linear_back("fusion.hidden", model.fusion_hidden, out.z_fus, d_h_pre)
     h = model.hidden_dim
     d_z = {}
@@ -223,8 +253,8 @@ def model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat):
         d_v_logits = sigmoid_back(out.v_hat, d_v)
         d_a_mean = linear_back("vad.head", model.vad_head, rec.a_mean, d_v_logits)
     for m in ("visual", "audio", "text"):
-        d_act = drop_back(rec.keep[m], time_mean_back(d_z[m]))
-        d_pre = act_back(rec.kept[m].reshape(rows), d_act)
+        d_act = drop_back(keep[m], time_mean_back(d_z[m]))
+        d_pre = act_back(act_forward(model.proj[m], rec.rows[m]), d_act)
         if m == "audio" and model.vad_enabled:
             d_pre = d_pre + time_mean_back(d_a_mean)
         linear_back(f"{m}.proj", model.proj[m], rec.rows[m], d_pre)

@@ -721,6 +721,30 @@ class TestPredict:
         expected = [line.split(",")[1:] for line in plain.read_text().splitlines()[1:]]
         assert [r[1:] for r in records[1:]] == expected[: len(odd_ids)]
 
+    def test_failed_write_keeps_the_previous_csv(self, trained_run, tmp_path, monkeypatch):
+        out = tmp_path / "preds" / "p.csv"
+        ckpt = str(trained_run / "best.emic")
+        assert run_cli("predict", "--ckpt", ckpt, "--out", str(out)) == 0
+        before = out.read_bytes()
+        real_writer = csv.writer
+
+        def writer_failing_after_one_row(fh, **kwargs):
+            writer, rows = real_writer(fh, **kwargs), []
+
+            class Failing:
+                def writerow(self, row):
+                    if len(rows) == 2:  # the header and one row went through
+                        raise OSError("no space left on device")
+                    rows.append(row)
+                    return writer.writerow(row)
+
+            return Failing()
+
+        monkeypatch.setattr(csv, "writer", writer_failing_after_one_row)
+        assert run_cli("predict", "--ckpt", ckpt, "--out", str(out), "--raw") == 2
+        assert out.read_bytes() == before
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+
     def test_raw_flag_emits_logits(self, trained_run, tmp_path):
         bounded = tmp_path / "p.csv"
         raw = tmp_path / "r.csv"

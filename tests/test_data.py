@@ -340,6 +340,26 @@ class TestBatching:
         with pytest.raises(TypeError):
             samples[0] = samples[1]
 
+    def test_load_split_reads_only_the_manifest(self, rng, tmp_path, monkeypatch):
+        # a feature file is read when its sample's features are, each time
+        root = tmp_path / "ds"
+        _make_dataset(rng, root, 4)
+        raw = bytearray((root / "s2.emif").read_bytes())
+        raw[15:19] = np.float32(np.nan).tobytes()  # the first visual value
+        (root / "s2.emif").write_bytes(bytes(raw))
+        reads = []
+        real_read = data_module.read_feature_file
+        monkeypatch.setattr(
+            data_module, "read_feature_file", lambda path: reads.append(path) or real_read(path)
+        )
+        samples = load_split(root / MANIFEST_NAME, "train", DIMS)
+        assert reads == []
+        assert samples[0].features["visual"] is not samples[0].features["visual"]
+        assert reads == [root / "s0.emif"] * 2
+        with pytest.raises(FormatError, match="non-finite value in visual payload") as err:
+            make_batches(samples, 2, align_len=16)
+        assert err.value.offset == 15
+
     def test_loaded_features_stay_float32(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 5)
         for s in samples:
@@ -403,8 +423,8 @@ class TestBatching:
 
     def test_shuffled_draws_the_order_of_a_shuffled_call(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 23)
-        plain = make_batches(samples, 5, align_len=16)
-        drawn = plain.shuffled(np.random.default_rng(8))
+        drawn = make_batches(samples, 5, align_len=16)
+        drawn.shuffle(np.random.default_rng(8))
         called = make_batches(
             samples, 5, align_len=16, shuffle=True, rng=np.random.default_rng(8)
         )
@@ -413,8 +433,28 @@ class TestBatching:
             for m in MODALITIES:
                 assert a.features[m].tobytes() == b.features[m].tobytes()
             assert a.targets.tobytes() == b.targets.tobytes()
-        # the manifest-order sequence is unchanged
-        assert [i for b in plain for i in b.ids] == [s.id for s in samples]
+
+    def test_shuffle_puts_manifest_sample_order_k_in_row_k(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 20)
+        whole = make_batches(samples, 20, 64)[0]  # manifest order, for reference
+        batches = make_batches(samples, 8, 64)
+        blocks = {m: batches[0].features[m].base for m in MODALITIES}
+        for seed in (1, 2):  # the second shuffle starts from the first one's rows
+            order = np.random.default_rng(seed).permutation(20)
+            batches.shuffle(np.random.default_rng(seed))
+            assert [i for b in batches for i in b.ids] == [samples[k].id for k in order]
+            for m in MODALITIES:
+                assert blocks[m].tobytes() == whole.features[m][order].tobytes()
+                assert all(np.shares_memory(b.features[m], blocks[m]) for b in batches)
+            assert np.concatenate([b.targets for b in batches]).tobytes() == (
+                whole.targets[order].tobytes()
+            )
+        # one row of one block at a time is the only scratch
+        one_sample = 64 * sum(DIMS.values()) * 8
+        _, peak = traced_memory(lambda: batches.shuffle(np.random.default_rng(3)))
+        assert peak < one_sample, peak
+        with pytest.raises(ValueError):
+            batches[0].features["visual"][0, 0, 0] = 1.0
 
     def test_batches_hold_no_sample(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 9)
@@ -424,10 +464,33 @@ class TestBatching:
         del samples
         gc.collect()
         assert all(ref() is None for ref in refs)
-        shuffled = batches.shuffled(np.random.default_rng(0))
-        assert len(shuffled) == len(batches) == 3 and shuffled.n_samples == 9
+        batches.shuffle(np.random.default_rng(0))
+        assert len(batches) == 3 and batches.n_samples == 9
         for m in MODALITIES:
             assert np.shares_memory(batches[0].features[m], blocks[m])
+
+    def test_pooling_maps_one_batch_of_files_at_a_time(self, rng, tmp_path, monkeypatch):
+        samples = _make_dataset(rng, tmp_path / "ds", 11)
+        real_read = data_module.read_feature_file
+        reads = []  # per file read, weak references to the blocks it returned
+        alive = []  # at each read, how many earlier files still have a live block
+
+        def tracking_read(path):
+            blocks = real_read(path)
+            gc.collect()
+            alive.append(sum(any(r() is not None for r in refs) for refs in reads))
+            reads.append([weakref.ref(b) for b in blocks.values() if b is not None])
+            return blocks
+
+        monkeypatch.setattr(data_module, "read_feature_file", tracking_read)
+        for shuffle in (False, True):
+            reads.clear()
+            alive.clear()
+            make_batches(samples, 4, 16, shuffle=shuffle, rng=np.random.default_rng(0))
+            # a batch's earlier files are mapped at each read, and no other batch's
+            assert alive == [k % 4 for k in range(11)]
+            gc.collect()
+            assert all(r() is None for refs in reads for r in refs)
 
     def test_plain_list_batches_uncached(self, rng, tmp_path, monkeypatch):
         """Every call pools each sample once per modality, on a tuple or a list.
@@ -484,6 +547,8 @@ class TestBatching:
         batch_bytes = sum(8 * 16 * d * 8 for d in DIMS.values())
         # the call pools: one float64 block per modality and the stacked targets
         pooled_bytes = 5 * batch_bytes + 40 * 6 * 8
+        # and reads one batch of files at a time: their array and dict objects
+        _, read_bytes = traced_memory(lambda: [s.features for s in samples[:8]])
         made = []
         _, peak = traced_memory(
             lambda: made.append(
@@ -491,29 +556,24 @@ class TestBatching:
             )
         )
         assert len(made[0]) == 5
-        assert peak < pooled_bytes + batch_bytes, peak
+        assert peak < pooled_bytes + read_bytes + batch_bytes, peak
 
-    def test_shuffled_batch_copies_its_samples_into_its_buffers(self, rng, tmp_path):
+    def test_shuffled_batches_are_views_of_consecutive_rows(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 20)
         whole = make_batches(samples, 20, 16)[0]  # views of the pooled blocks
         where = {sample_id: k for k, sample_id in enumerate(whole.ids)}
         batches = make_batches(samples, 8, 16, shuffle=True, rng=np.random.default_rng(9))
+        blocks = {m: batches[0].features[m].base for m in MODALITIES}
         sizes = []
-        for i in range(len(batches)):
-            # rows past the batch, which nothing may write, stay NaN
-            out = {m: np.full((8 + 3, 16, d), np.nan) for m, d in DIMS.items()}
-            into, fresh = batches.batch(i, out=out), batches[i]
-            assert into.ids == fresh.ids
-            sizes.append(len(into))
-            rows = [where[sample_id] for sample_id in into.ids]
-            for got in (into, fresh):
-                assert got.targets.tobytes() == whole.targets[rows].tobytes()
-                for m in MODALITIES:
-                    assert got.features[m].tobytes() == whole.features[m][rows].tobytes()
+        for i, batch in enumerate(batches):
+            sizes.append(len(batch))
+            rows = [where[sample_id] for sample_id in batch.ids]
+            assert batch.targets.tobytes() == whole.targets[rows].tobytes()
             for m in MODALITIES:
-                assert np.shares_memory(into.features[m], out[m])
-                assert np.isnan(out[m][len(into) :]).all()
-                assert not np.shares_memory(fresh.features[m], out[m])
+                assert batch.features[m].tobytes() == whole.features[m][rows].tobytes()
+                assert batch.features[m].base is blocks[m]
+                assert batch.features[m].tobytes() == blocks[m][8 * i : 8 * i + len(batch)].tobytes()
+                assert not batch.features[m].flags.writeable
         assert sizes == [8, 8, 4]  # the final short batch included
 
     def test_pooling_threads_enter_no_traced_span(self, rng, tmp_path, monkeypatch):
@@ -536,9 +596,10 @@ class TestBatching:
                 make_batches(samples, 4, align_len=16)
         finally:
             tracer.restore()
-        assert len(started) == len(MODALITIES)  # one helper per block
+        # one pooling call, with one helper, per batch of 4, 4 and 1 samples
+        assert len(started) == 3
         pools = [s for s in tracer.spans if s.name == "layers.adaptive_avg_pool"]
-        assert len(pools) == len(MODALITIES)
+        assert len(pools) == 3
         assert all(s.parent == outer for s in pools)
 
     def test_batch_features_match_per_sample_pooling(self, rng, tmp_path):

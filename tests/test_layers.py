@@ -357,6 +357,27 @@ class TestAdaptiveAvgPoolBlock:
             adaptive_avg_pool(seqs, 8)
         assert threading.active_count() == before
 
+    def test_pools_into_rows_of_other_blocks(self, rng, monkeypatch):
+        # each sequence into its own caller-owned row, whatever its width
+        seqs = [rng.normal(size=(length, width)) for length, width in [(20, 4), (9, 5), (33, 4)]]
+        blocks = [np.full((3, 8, 4), np.nan), np.full((2, 8, 5), np.nan)]
+        rows = [blocks[0][2], blocks[1][0], blocks[0][0]]
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert adaptive_avg_pool(seqs, 8, out=rows) is rows
+            for x, row in zip(seqs, rows):
+                assert row.tobytes() == adaptive_avg_pool_loop(x, 8).tobytes()
+            assert np.isnan(blocks[0][1]).all() and np.isnan(blocks[1][1]).all()
+
+    def test_out_rows_are_checked(self, rng):
+        seqs = [rng.normal(size=(20, 4)), rng.normal(size=(20, 5))]
+        with pytest.raises(ShapeError, match="has 1 rows for 2 sequences"):
+            adaptive_avg_pool(seqs, 8, out=[np.empty((8, 4))])
+        with pytest.raises(ShapeError, match=r"pool output \(8, 4\) != \(8, 5\)"):
+            adaptive_avg_pool(seqs, 8, out=[np.empty((8, 4)), np.empty((8, 4))])
+        with pytest.raises(ShapeError, match="row 1 is float32, not float64"):
+            adaptive_avg_pool(seqs, 8, out=[np.empty((8, 4)), np.empty((8, 5), np.float32)])
+
     def test_widths_must_agree(self, rng):
         seqs = [rng.normal(size=(20, 4)), rng.normal(size=(20, 5))]
         with pytest.raises(ShapeError, match=r"pool output \(8, 4\) != \(8, 5\)"):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -9,7 +10,12 @@ from emireg.model import _DROPOUT_STREAM, ACTIVATIONS, MODALITIES, Model, fuse, 
 from emireg.tensor import relu, seeded_rng, sigmoid
 from emireg.train import TrainConfig
 
-from oracles import column_means_loop, grad_check, model_param_grads_repeated
+from oracles import (
+    column_means_loop,
+    grad_check,
+    model_param_grads_repeated,
+    replay_keep_masks,
+)
 from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case, traced_memory
 
 
@@ -264,28 +270,38 @@ class TestModelForward:
 
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_training_record_keeps_one_array_per_branch(self, rng, activation):
+        # per branch the record owns one gate: the keep-mask times the
+        # activation's derivative at its output
         model = tiny_model(dropout=0.2, hidden_activation=activation)
         feats = tiny_features(rng)
+        stream = copy.deepcopy(model.drop.rng)
         model.forward(feats, train=True)
         rec = model._cache
-        distinct = []  # the owned float [B x T x h] arrays, one per block of memory
+        keep = replay_keep_masks(stream, 0.2, 4, 8, 6)
+        owned = []  # the record's own [B x T x h] arrays, one per block of memory
         for a in record_arrays(rec):
             if any(np.shares_memory(a, f) for f in feats.values()):
                 continue  # the projection inputs are the caller's, not the record's
-            if a.shape == (4, 8, 6) and a.dtype == np.float64 and not any(
-                np.shares_memory(a, b) for b in distinct
-            ):
-                distinct.append(a)
-        assert len(distinct) == len(MODALITIES)
-        for m in MODALITIES:
-            assert np.shares_memory(rec.rows[m], feats[m])
-            assert rec.keep[m].dtype == np.bool_ and rec.keep[m].nbytes == 4 * 8 * 6
+            if a.shape == (4, 8, 6) and not any(np.shares_memory(a, b) for b in owned):
+                owned.append(a)
+        assert len(owned) == len(MODALITIES)
         act, _ = ACTIVATIONS[activation]
         for m in MODALITIES:
+            assert np.shares_memory(rec.rows[m], feats[m])
             layer = model.proj[m]
             flat = feats[m].reshape(32, TINY_DIMS[m])
-            pre = (flat @ layer.weight.value.T + layer.bias.value).reshape(4, 8, 6)
-            np.testing.assert_allclose(rec.kept[m], act(pre), rtol=0, atol=1e-12)
+            y = act(flat @ layer.weight.value.T + layer.bias.value).reshape(4, 8, 6)
+            gate = rec.gate[m]
+            if activation == "relu":
+                assert gate.dtype == np.bool_
+                assert np.array_equal(gate, keep[m] & (y > 0))
+            elif activation == "sigmoid":
+                assert gate.dtype == np.float64
+                np.testing.assert_allclose(gate, keep[m] * y * (1 - y), rtol=0, atol=1e-12)
+            else:
+                assert gate.dtype == np.bool_ and np.array_equal(gate, keep[m])
+        per_element = sum(a.nbytes for a in owned) / (len(MODALITIES) * 4 * 8 * 6)
+        assert per_element == (8 if activation == "sigmoid" else 1)
 
     def test_training_forward_keeps_one_array_and_byte_masks(self, rng):
         batch, align, hidden = 4, 64, 32
@@ -401,13 +417,15 @@ class TestModelBackward:
         )
         if vad:  # engage the injection path, which starts at zero
             model.inj.weight.value[...] = rng.normal(0.0, 0.3, model.inj.weight.shape)
+        stream = copy.deepcopy(model.drop.rng)
         model.forward(tiny_features(rng), train=True)
         d_y_hat = rng.normal(size=(4, 6))
         d_aux = {m: rng.normal(size=(4, 6)) for m in MODALITIES}
         d_v_hat = rng.normal(size=(4, 3)) if vad else None
         model.zero_grads()
         assert model.backward(d_y_hat, d_aux, d_v_hat) is None
-        expected = model_param_grads_repeated(model, d_y_hat, d_aux, d_v_hat)
+        keep = replay_keep_masks(stream, dropout, 4, 8, 6)
+        expected = model_param_grads_repeated(model, keep, d_y_hat, d_aux, d_v_hat)
         params = model.parameters()
         assert set(expected) == set(params)
         for name, p in params.items():
@@ -482,12 +500,13 @@ class TestLayerState:
         assert grads[0] == grads[1]
 
     def test_masks_come_from_one_stream_in_branch_order(self, rng):
-        model = tiny_model(seed=3, dropout=0.2)
+        # under identity each recorded gate is the keep-mask itself
+        model = tiny_model(seed=3, dropout=0.2, hidden_activation="identity")
         model.forward(tiny_features(rng), train=True)
         stream = seeded_rng(3, _DROPOUT_STREAM)
         rec = model._cache
         for key, shape in [*((m, (4, 8, 6)) for m in MODALITIES), ("fusion", (4, 6))]:
-            assert np.array_equal(rec.keep[key], stream.random(shape) < 0.8), key
+            assert np.array_equal(rec.gate[key], stream.random(shape) < 0.8), key
 
 
 class TestParameterPlumbing:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from emireg.data import MANIFEST_NAME, ManifestRow, write_feature_file, write_manifest
 from emireg.cli import main
-from emireg.errors import ConfigError, DataError, NumericError
+from emireg.errors import ConfigError, DataError, FormatError, NumericError
 from emireg.optim import cosine_lr
 from emireg import data, layers
 from emireg.model import Model
@@ -310,13 +310,15 @@ class TestTrainLoop:
     def test_training_builds_no_shuffled_batch_in_fresh_memory(
         self, small_dataset, tmp_path, monkeypatch
     ):
-        # every training batch is copied into buffers the call owns and frees
+        # every training batch is a read-only view of its split's pooled blocks,
+        # which are shuffled in place, so a run copies no batch and keeps nothing
         fresh = []
         real_batch = data.Batches.batch
 
-        def counting_batch(self, i, out=None):
-            built = real_batch(self, i, out)
-            if any(a.flags.owndata for a in built.features.values()):
+        def counting_batch(self, i):
+            built = real_batch(self, i)
+            arrays = [*built.features.values(), built.targets]
+            if any(a.flags.owndata or a.flags.writeable for a in arrays):
                 fresh.append(i)
             return built
 
@@ -328,6 +330,19 @@ class TestTrainLoop:
         assert fresh == []
         step_bytes = cfg.batch_size * cfg.align_len * sum(SMALL_DIMS.values()) * 8
         assert kept < step_bytes, kept
+
+    def test_bad_feature_file_fails_before_the_run_directory(self, tmp_path):
+        data_dir = tmp_path / "data"
+        data.generate_synthetic(data_dir, n=20, dims=SMALL_DIMS, seed=0)
+        emif = data_dir / "features" / "syn000016.emif"  # a val row
+        raw = bytearray(emif.read_bytes())
+        raw[15:19] = np.float32(np.inf).tobytes()  # the first visual value
+        emif.write_bytes(bytes(raw))
+        run_dir = tmp_path / "run"
+        with pytest.raises(FormatError, match="non-finite value in visual payload") as err:
+            train(small_config(data_dir, run_dir))
+        assert err.value.offset == 15
+        assert not run_dir.exists()
 
     def test_data_failure_leaves_no_run_directory(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -607,6 +622,33 @@ class TestAblate:
         base = small_config(small_dataset, tmp_path / "grid", epochs=1)
         rows, _ = ablate(base, seeds=[1, 2])
         assert all(isinstance(r["p_spread"], float) for r in rows)
+
+    def test_failed_write_keeps_the_previous_grid(self, small_dataset, tmp_path, monkeypatch):
+        def quick_train(cfg):
+            return RunRecord(
+                config_hash="", run_dir=cfg.run_dir, best_epoch=1, best_p_mean=0.5,
+                stop_reason="completed",
+            )
+
+        monkeypatch.setattr(sys.modules["emireg.train"], "train", quick_train)
+        base = small_config(small_dataset, tmp_path / "grid", epochs=1)
+        _, csv_path = ablate(base)
+        before = Path(csv_path).read_bytes()
+
+        class FailingAfterOneRow(csv.DictWriter):
+            written = 0
+
+            def writerow(self, row):
+                if self.written == 2:  # the header and one row went through
+                    raise OSError("no space left on device")
+                self.written += 1
+                return super().writerow(row)
+
+        monkeypatch.setattr(csv, "DictWriter", FailingAfterOneRow)
+        with pytest.raises(OSError, match="no space"):
+            ablate(replace(base, seed=1))
+        assert Path(csv_path).read_bytes() == before
+        assert [p.name for p in Path(csv_path).parent.iterdir()] == ["ablation.csv"]
 
     def test_only_package_errors_mark_a_cell(
         self, small_dataset, tmp_path, monkeypatch, capsys
