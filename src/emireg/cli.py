@@ -146,7 +146,7 @@ def _sidecar_dims(path: Path):
 
     Its value is returned as read: ``TrainConfig.validate`` judges its type.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             sidecar = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -327,7 +327,7 @@ def _cmd_ablate(args) -> int:
     seeds = [base.seed + i for i in range(args.seeds)]
     with _default_run_dir(base, "ablation"):
         rows, csv_path = ablate(base, seeds=seeds)
-    print(Path(csv_path).read_text(), end="")
+    print(Path(csv_path).read_text(encoding="utf-8"), end="")
     print(f"grid written to {csv_path}", file=sys.stderr)
     failed = [r for r in rows if r["error"] is not None]
     if not failed:

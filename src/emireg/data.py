@@ -15,13 +15,17 @@ Binary layouts (all little-endian):
     float64 values. Names are unique within a file.
 
 Readers reject non-finite feature and tensor values, undecodable or repeated
-tensor names and extents that overrun the file with a
-:class:`~emireg.errors.FormatError` carrying the byte offset. They map a
-file read-only instead of copying its bytes into memory. Feature files,
-checkpoints and, through :func:`replace_text_file`, the run's text outputs
-are written to a temporary file beside the target and renamed over it, so a
-failed write leaves the previous file intact and a mapping of the previous
-file keeps its bytes.
+tensor names, tensor ranks numpy cannot represent and extents that overrun
+the file with a :class:`~emireg.errors.FormatError` carrying the byte
+offset. They map a file read-only and return its feature blocks and tensors
+as read-only views of the mapping, never copies, so the file stays mapped
+while any of them is referenced. A file is therefore replaced, never
+rewritten in place: feature files, checkpoints and, through
+:func:`replace_text_file`, the run's text outputs are written to a
+temporary file beside the target and renamed over it, so a failed write
+leaves the previous file intact and a mapping of the previous file keeps
+its bytes. Every text file is read and written as UTF-8, whatever the
+locale.
 
 The manifest is a CSV with header ``id,split,path,adm,amu,det,emp,exc,joy``;
 paths are resolved relative to the manifest's directory. Test rows may carry
@@ -430,7 +434,7 @@ class ManifestRow:
 
 
 def write_manifest(path, rows: list[ManifestRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "split", "path", *TARGET_COLUMNS])
         for row in rows:
@@ -446,7 +450,7 @@ def load_manifest(path) -> list[ManifestRow]:
         raise DataError(f"manifest not found: {path}")
     rows: list[ManifestRow] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -574,7 +578,13 @@ def save_checkpoint(path, tensors: dict[str, Array]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read named tensors until EOF; truncation reports its byte offset."""
+    """Read named tensors until EOF; a malformed record reports its byte offset.
+
+    Each tensor is a read-only float64 view of the file's bytes, which are
+    mapped, not copied; the mapping lasts while any tensor is referenced. The
+    file must be replaced, not rewritten in place, while its tensors are in
+    use, as :func:`save_checkpoint` does.
+    """
     raw = _file_bytes(path)
     r = _Reader(raw, str(path))
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -598,7 +608,12 @@ def load_checkpoint(path) -> dict[str, Array]:
         if math.prod(e for e in shape if e) * 8 > np.iinfo(np.intp).max:
             # numpy refuses such a shape even when a zero extent leaves it empty
             raise FormatError(f"{path}: {name} extents {shape} too large", offset=shape_at)
-        tensors[name] = payload.reshape(shape).copy()
+        try:
+            tensors[name] = payload.reshape(shape)
+        except ValueError as exc:  # the sizes agree, so only the rank can be refused
+            raise FormatError(
+                f"{path}: {name} rank {rank} is more than numpy supports", offset=shape_at - 1
+            ) from exc
     return tensors
 
 
@@ -735,6 +750,6 @@ def _write_synthetic(out_dir, n, dims, seed, noise, mode, assignment) -> None:
             "test": n - n_train - n_val,
         },
     }
-    with open(out_dir / SIDECAR_NAME, "w") as fh:
+    with open(out_dir / SIDECAR_NAME, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,22 +5,23 @@ explicit reverse traversal instead of a tape. Each layer is named once, where
 it is built: the name keys its initialization stream, which makes shared
 layers start identically across configurations that add or remove the VAD
 pathway, and it prefixes the layer's entries in the one flat parameter store,
-whose order is construction order. Layers keep no per-call state, so the
-only thing a forward leaves behind is the record a training forward keeps
-for ``backward`` (see ``_TrainRecord``): every layer input and hidden-layer
-gate the gradients read. An eval forward keeps nothing, and any forward
-drops the record it finds. One ``Dropout``, on one generator, serves every
-branch and the fusion head. A branch applies its activation in place on the
-projection output, so its forward makes one ``[batch x align x hidden]``
-array beside the dropout output, and a training forward records in its place
-the keep-mask combined with the activation's gate (see ``ACTIVATIONS``): a
-one-byte mask under relu. A backward forms each hidden layer's
-pre-activation gradient as one product, the upstream gradient times that
-gate. A model is built from a ``TrainConfig``, which it validates and which
-declares every model setting once. Built without ``init`` it draws nothing:
-every parameter starts at zero for the caller to set, as a checkpoint load
-and training's EMA model do. The fusion modes and the activations are
-defined here, once; the config and the CLI read these tables.
+whose order is construction order. Neither the layers nor the model keep
+per-call state: a training forward returns, on its outputs, the record
+``backward`` reads (see ``_TrainRecord``), every layer input and hidden-layer
+gate the gradients need, and an eval forward returns none. So a backward
+reads only the outputs it is given, whatever forwards ran in between. One
+``Dropout``, on one generator, serves every branch and the fusion head. A
+branch applies its activation in place on the projection output, so its
+forward makes one ``[batch x align x hidden]`` array beside the dropout
+output, and a training forward records in its place the keep-mask combined
+with the activation's gate (see ``ACTIVATIONS``): a one-byte mask under
+relu. A backward forms each hidden layer's pre-activation gradient as one
+product, the upstream gradient times that gate. A model is built from a
+``TrainConfig``, which it validates and which declares every model setting
+once. Built without ``init`` it draws nothing: every parameter starts at
+zero for the caller to set, as a checkpoint load and training's EMA model
+do. The fusion modes and the activations are defined here, once; the config
+and the CLI read these tables.
 """
 
 from __future__ import annotations
@@ -71,7 +72,11 @@ def _init_rng(seed: int, name: str) -> np.random.Generator:
 
 @dataclass
 class ForwardOutputs:
-    """Everything one forward pass produces, shaped for the loss module."""
+    """Everything one forward pass produces, shaped for the loss module.
+
+    A training forward's ``record`` is what its ``backward`` reads; an eval
+    forward's is None.
+    """
 
     y_hat: Array
     y_logits: Array
@@ -79,26 +84,26 @@ class ForwardOutputs:
     v_hat: Array | None
     z: dict[str, Array]
     z_fus: Array
+    record: _TrainRecord | None = None
 
 
 @dataclass
 class _TrainRecord:
-    """What a training forward keeps for ``backward``: the inputs it reads.
+    """What a training forward returns for ``backward``: the inputs it reads.
 
-    Its outputs hold the inputs of the aux heads (``z``), of the fusion
-    hidden layer (``z_fus``) and of the VAD injection (``v_hat``); the rest
-    is here. Every training forward draws its keep-masks, at dropout 0 too
-    (all kept), and records for each hidden layer its keep-mask times its
-    activation's gate at the activation output (``_gated``): a bool mask
-    under relu, a float array under sigmoid and the keep-mask itself under
-    identity. So each branch's gradient reaches the projection as
-    ``[batch x align x hidden]``. The projection inputs are views of the
-    caller's float64 features, so per branch the record owns one
-    ``[batch x align x hidden]`` gate, one byte per element under relu and
-    identity, plus small arrays.
+    It is the ``record`` of the forward's outputs, which hold the inputs of
+    the aux heads (``z``), of the fusion hidden layer (``z_fus``) and of the
+    VAD injection (``v_hat``); the rest is here. Every training forward
+    draws its keep-masks, at dropout 0 too (all kept), and records for each
+    hidden layer its keep-mask times its activation's gate at the activation
+    output (``_gated``): a bool mask under relu, a float array under sigmoid
+    and the keep-mask itself under identity. So each branch's gradient
+    reaches the projection as ``[batch x align x hidden]``. The projection
+    inputs are views of the caller's float64 features, so per branch the
+    record owns one ``[batch x align x hidden]`` gate, one byte per element
+    under relu and identity, plus small arrays.
     """
 
-    out: ForwardOutputs
     rows: dict[str, Array]  # per branch, the projection input [batch*align x dim]
     a_mean: Array  # the audio pre-activation's time mean, the VAD head's input
     h_drop: Array  # the fusion hidden output after dropout, the output layer's input
@@ -199,8 +204,6 @@ class Model:
             self.inj = None
         self.fusion_hidden = linear("fusion.hidden", hidden_dim, self.fused_dim)
         self.fusion_out = linear("fusion.out", N_TARGETS, hidden_dim)
-        # the last training forward's record, or None
-        self._cache: _TrainRecord | None = None
         # after the name-keyed initialization, so every value keeps its bits
         self._params = ParamStore(named)
 
@@ -240,10 +243,9 @@ class Model:
     def forward(self, features: dict[str, Array], train: bool) -> ForwardOutputs:
         """Run the whole network on pooled features [batch x align x dim].
 
-        Only with ``train`` does the model keep a record of the pass for
-        ``backward``; any other forward drops the record it held.
+        Only with ``train`` do the outputs carry the record of the pass
+        that ``backward`` reads; the model itself keeps nothing.
         """
-        self._cache = None
         batch = None
         rows: dict[str, Array] = {}
         gate: dict[str, Array] = {}
@@ -299,16 +301,17 @@ class Model:
         )
         if train:
             gate["fusion"] = _gated(self._gate, h_act, keep)
-            self._cache = _TrainRecord(out, rows, a_mean, h_drop, gate)
+            out.record = _TrainRecord(rows, a_mean, h_drop, gate)
         return out
 
     def backward(
         self,
+        out: ForwardOutputs,
         d_y_hat: Array,
         d_aux: dict[str, Array],
         d_v_hat: Array | None,
     ) -> None:
-        """Reverse traversal of the last training forward; accumulates parameter grads.
+        """Reverse traversal of the training forward that returned ``out``; accumulates grads.
 
         Returns None: the pooled input features are not learned, so the
         projections form no input gradient. The gradients are the full set
@@ -316,10 +319,9 @@ class Model:
         ``d_v_hat`` the regularizer's on the latent VAD vector (None without
         the VAD pathway).
         """
-        rec = self._cache
+        rec = out.record
         if rec is None:
-            raise StateError("model backward needs a training forward first")
-        out = rec.out
+            raise StateError("model backward needs a training forward's outputs")
         batch = out.y_hat.shape[0]
 
         d_y_logits = _gated(self._out_gate, out.y_hat, as_tensor(d_y_hat))

@@ -11,11 +11,13 @@ while a split is pooled, at most one batch of raw sequences is mapped, and
 none is once the blocks are built, before the run directory is made. Then
 the model's flat parameter and gradient vectors, the AdamW moments and the
 EMA model's values. No batch is copied: each is a view of its block's rows.
-Between a training forward and its backward the model keeps one record of
-the pass, its only per-call state: its outputs and one gate per branch, a
-``[batch x align x hidden]`` keep-mask folded with the activation's
-derivative (one byte per element under relu); the projection inputs it
-reads are views of the pooled blocks.
+The model keeps no per-call state: a training forward's outputs carry the
+record its backward reads, one gate per branch, a ``[batch x align x
+hidden]`` keep-mask folded with the activation's derivative (one byte per
+element under relu), and the projection inputs, views of the pooled blocks;
+the step drops them once its backward returns. A checkpoint is read in
+place, as a mapping of its file, and only the chosen half of it is copied,
+into the model, before the split is pooled.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class TrainConfig:
     def from_json(cls, path) -> "TrainConfig":
         if not Path(path).exists():
             raise DataError(f"config file not found: {path}")
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -300,7 +302,7 @@ def train(config: TrainConfig) -> RunRecord:
     total_steps = len(train_batches) * config.epochs
     global_step = 0
     log_path = run_dir / "log.jsonl"
-    with open(log_path, "w") as log:
+    with open(log_path, "w", encoding="utf-8") as log:
 
         def emit(payload: dict) -> None:
             log.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -326,7 +328,8 @@ def train(config: TrainConfig) -> RunRecord:
                         corr_eps=config.corr_eps,
                         corr_mode=config.corr_mode,
                     )
-                    model.backward(grads.y_hat, grads.aux, grads.v_hat)
+                    model.backward(outputs, grads.y_hat, grads.aux, grads.v_hat)
+                    del outputs, grads  # the record is spent; free it before the next forward
                     factor, norm = clip_global_norm(model.parameters(), config.clip_norm)
                     optimizer.step(lr)
                     if config.ema_cadence == "step":
@@ -395,28 +398,25 @@ def split_checkpoint(tensors: dict[str, Array]) -> tuple[dict, dict]:
     return raw, shadows
 
 
-def load_model_from_checkpoint(
-    config: TrainConfig, ckpt_path, use_ema: bool = True
-) -> Model:
+def _checkpoint_forward(
+    config: TrainConfig, ckpt_path, manifest_path, split: str, use_ema: bool
+) -> tuple[list[str], Array, Array, Array]:
+    """Run a checkpoint's raw or EMA weights over one split in manifest order.
+
+    The checkpoint's tensors are views of its mapped file, and the model
+    copies in only the chosen half; the mapping is dropped before the split
+    is pooled, and the raw sequences before the forward pass (see
+    ``_split_batches``).
+    """
+    if split not in data.SPLITS:
+        raise ConfigError(f"unknown split {split!r}, expected one of {data.SPLITS}")
     raw, shadows = split_checkpoint(data.load_checkpoint(ckpt_path))
     model = config.build_model(init=False)
     if use_ema and not shadows:
         raise DataError(f"{ckpt_path}: checkpoint carries no EMA shadows")
     # set_values writes every parameter and rejects a missing one
     model.set_values(shadows if use_ema else raw)
-    return model
-
-
-def _checkpoint_forward(
-    config: TrainConfig, ckpt_path, manifest_path, split: str, use_ema: bool
-) -> tuple[list[str], Array, Array, Array]:
-    """Load a checkpoint and run it over one split in manifest order.
-
-    The raw sequences are freed before the forward pass (see ``_split_batches``).
-    """
-    if split not in data.SPLITS:
-        raise ConfigError(f"unknown split {split!r}, expected one of {data.SPLITS}")
-    model = load_model_from_checkpoint(config, ckpt_path, use_ema=use_ema)
+    del raw, shadows  # unmap the checkpoint before the split is pooled
     return _forward_batches(model, _split_batches(config, manifest_path, split))
 
 

@@ -172,22 +172,21 @@ def replay_keep_masks(stream, rate, batch, align, hidden):
     return {name: stream.random(shape) < 1.0 - rate for name, shape in shapes}
 
 
-def model_param_grads_repeated(model, keep, d_y_hat, d_aux, d_v_hat):
-    """Parameter gradients of a model's last forward, by explicit row gradients.
+def model_param_grads_repeated(model, out, keep, d_y_hat, d_aux, d_v_hat):
+    """Parameter gradients of the training forward that gave ``out``, by explicit row gradients.
 
-    Reverses the forward from the layer inputs in its training record and
-    outputs, and from ``keep``, the keep-masks the forward drew (see
+    Reverses the forward from the layer inputs in ``out`` and its training
+    record, and from ``keep``, the keep-masks the forward drew (see
     ``replay_keep_masks``), applied as float masks (hidden relu, sigmoid or
     identity, sigmoid outputs). The record's gates are not read: each
     hidden activation's output is recomputed from its layer's input,
     weight and bias, with the forward's bits, and each hidden derivative
-    is formed here from that output: relu's as ``out > 0``, sigmoid's as
-    ``out * (1 - out)``. Each branch's time-mean adjoint is built as an
+    is formed here from that output ``y``: relu's as ``y > 0``, sigmoid's as
+    ``y * (1 - y)``. Each branch's time-mean adjoint is built as an
     explicit [B*T x h] array with ``np.repeat``. Grads start at zero and
     receive one sum each, as the model's accumulators do.
     """
-    rec = model._cache
-    out = rec.out
+    rec = out.record
     rows = (out.y_hat.shape[0] * model.align_len, model.hidden_dim)
     grads = {}
 
@@ -208,12 +207,12 @@ def model_param_grads_repeated(model, keep, d_y_hat, d_aux, d_v_hat):
         y[~pos] = ex / (1.0 + ex)
         return y
 
-    def act_back(out, up):
+    def act_back(y, up):
         if model.hidden_activation == "identity":
             return up
         if model.hidden_activation == "sigmoid":
-            return sigmoid_back(out, up)
-        return up * (out > 0).astype(np.float64)
+            return sigmoid_back(y, up)
+        return up * (y > 0).astype(np.float64)
 
     def drop_back(keep, up):
         if keep is None:

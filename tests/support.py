@@ -49,7 +49,7 @@ def param_loss_fn(model, features, targets, weights):
         breakdown, grads = total_loss(
             out.y_hat, targets, out.aux, out.v_hat, weights
         )
-        model.backward(grads.y_hat, grads.aux, grads.v_hat)
+        model.backward(out, grads.y_hat, grads.aux, grads.v_hat)
         return breakdown.total, params.grad.copy()
 
     return f, params.value.copy()

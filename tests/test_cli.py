@@ -827,6 +827,16 @@ class TestInspect:
         assert run_cli("inspect", "--ckpt", str(bad)) == 2
         assert "truncated while reading w payload (at byte offset 22)" in capsys.readouterr().err
 
+    def test_over_deep_rank_is_data_error(self, tmp_path, capsys):
+        # numpy represents fewer dimensions than the rank byte allows
+        record = b"\x01\x00w\x46" + struct.pack("<70I", *[1] * 70)
+        bad = tmp_path / "deep.emic"
+        bad.write_bytes(b"EMIC\x01\x00" + record + np.float64(1.0).tobytes())
+        assert run_cli("inspect", "--ckpt", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "w rank 70 is more than numpy supports (at byte offset 9)" in err
+        assert "Traceback" not in err
+
     def test_requires_exactly_one_target(self, trained_run):
         assert run_cli("inspect") == 1
         assert run_cli(
@@ -845,6 +855,50 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "gen-synth" in capsys.readouterr().out
+
+
+class TestLocale:
+    def test_text_files_are_utf8_under_an_ascii_locale(self, trained_run, small_dataset, tmp_path):
+        """A UTF-8 manifest, config and sidecar read, and a manifest written, as UTF-8."""
+        rows = [r for r in load_manifest(small_dataset / MANIFEST_NAME) if r.split == "test"]
+        rows[0].id = "café"
+        for row in rows:
+            row.path = str(small_dataset / row.path)
+        write_manifest(tmp_path / MANIFEST_NAME, rows)
+        (tmp_path / "config.json").write_bytes('{"data_dir": "café"}'.encode("utf-8"))
+        (tmp_path / "synth.json").write_bytes('{"dims": "café"}'.encode("utf-8"))
+        script = (
+            "import codecs, locale, sys; from pathlib import Path; "
+            "from emireg.cli import _sidecar_dims, main; "
+            "from emireg.data import load_manifest, write_manifest; "
+            "from emireg.train import TrainConfig; "
+            "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'; "
+            "d = Path(sys.argv[1]); "
+            "write_manifest(d / 'written.csv', load_manifest(d / 'manifest.csv')); "
+            "print(ascii(TrainConfig.from_json(d / 'config.json').data_dir)); "
+            "print(ascii(_sidecar_dims(d / 'synth.json'))); "
+            "sys.exit(main(sys.argv[2:]))"
+        )
+        env = {
+            **os.environ,
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+            "PYTHONPATH": str(Path(emireg.__file__).parents[1]),
+        }
+        preds = tmp_path / "preds.csv"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), "predict",
+             "--ckpt", str(trained_run / "best.emic"), "--manifest", str(tmp_path / MANIFEST_NAME),
+             "--split", "test", "--out", str(preds)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [r"'caf\xe9'", r"'caf\xe9'"]
+        written = (tmp_path / "written.csv").read_bytes()
+        assert written == (tmp_path / MANIFEST_NAME).read_bytes()
+        assert "café" in written.decode("utf-8")
+        assert preds.read_text(encoding="utf-8").splitlines()[1].startswith("café,")
 
 
 class TestFlagTables:

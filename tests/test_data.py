@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import struct
 import threading
 import weakref
@@ -716,6 +717,55 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="too large") as err:
             load_checkpoint(path)
         assert err.value.offset == len(header) + 4
+
+    def test_values_are_read_only_views_of_one_mapping(self, rng, tmp_path):
+        path = tmp_path / "m.emic"
+        save_checkpoint(path, {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=3)})
+        back = load_checkpoint(path)
+
+        def root(a):
+            """The object a view's bytes belong to, past numpy's buffer view."""
+            while isinstance(a, np.ndarray):
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        roots = {id(root(v)) for v in back.values()}
+        assert len(roots) == 1
+        assert isinstance(root(back["w"]), data_module.mmap.mmap)
+        for value in back.values():
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[...] = 0.0
+
+    def test_replace_leaves_tensors_already_read(self, rng, tmp_path):
+        # the file is replaced, not truncated, so a mapping keeps its bytes
+        path = tmp_path / "m.emic"
+        save_checkpoint(path, {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=3)})
+        back = load_checkpoint(path)
+        before = {name: v.tobytes() for name, v in back.items()}
+        save_checkpoint(path, {"w": np.ones(1)})
+        assert {name: v.tobytes() for name, v in back.items()} == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_every_rank_parses_or_names_its_rank(self, tmp_path):
+        # the rank is one byte, and numpy represents fewer dimensions than 255
+        header = data_module.CHECKPOINT_MAGIC + struct.pack("<H", data_module.CHECKPOINT_VERSION)
+        path = tmp_path / "m.emic"
+        refused = set()
+        for rank in range(256):
+            for extent in (1, 0):  # one value, or none
+                shape = (extent,) * rank
+                record = struct.pack(f"<H1sB{rank}I", 1, b"w", rank, *shape)
+                path.write_bytes(header + record + bytes(8 * math.prod(shape)))
+                try:
+                    back = load_checkpoint(path)
+                except FormatError as err:
+                    assert f"w rank {rank} is more than numpy supports" in str(err)
+                    assert err.offset == len(header) + 3  # the rank byte
+                    refused.add(rank)
+                else:
+                    assert back["w"].shape == shape
+        assert 0 < min(refused) and refused == set(range(min(refused), 256))
 
     def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch):
         path = tmp_path / "best.emic"

@@ -266,7 +266,7 @@ class TestModelForward:
         kept, _ = traced_memory(forward)
         branch_activation = batch * align * hidden * 8
         assert kept < branch_activation, kept
-        assert model._cache is None
+        assert model.forward(feats, train=False).record is None
 
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_training_record_keeps_one_array_per_branch(self, rng, activation):
@@ -275,8 +275,7 @@ class TestModelForward:
         model = tiny_model(dropout=0.2, hidden_activation=activation)
         feats = tiny_features(rng)
         stream = copy.deepcopy(model.drop.rng)
-        model.forward(feats, train=True)
-        rec = model._cache
+        rec = model.forward(feats, train=True).record
         keep = replay_keep_masks(stream, 0.2, 4, 8, 6)
         owned = []  # the record's own [B x T x h] arrays, one per block of memory
         for a in record_arrays(rec):
@@ -308,8 +307,10 @@ class TestModelForward:
         model = tiny_model(hidden_dim=hidden, align_len=align, dropout=0.2)
         feats = tiny_features(rng, batch=batch, align=align)
         model.forward(feats, train=True)  # warm numpy's own caches
-        model._cache = None
-        kept, _ = traced_memory(lambda: model.forward(feats, train=True))
+        # the outputs, and the record on them, are held past the traced call
+        held = []
+        kept, _ = traced_memory(lambda: held.append(model.forward(feats, train=True)))
+        assert held[0].record is not None
         # three float64 branch arrays and three one-byte masks, plus small ones
         branch_activation = batch * align * hidden * 8
         assert kept < 4 * branch_activation, kept
@@ -349,30 +350,52 @@ class TestModelForward:
 
 
 class TestModelBackward:
-    def test_backward_before_forward(self):
+    def test_backward_before_forward(self, rng):
+        # a model that ran no training forward has no record to reverse
         model = tiny_model()
+        out = model.forward(tiny_features(rng), train=False)
         with pytest.raises(StateError):
-            model.backward(np.zeros((4, 6)), {}, None)
+            model.backward(out, np.ones((4, 6)), {}, None)
+        assert np.all(model.parameters().grad == 0.0)
 
     def test_backward_after_eval_forward_raises(self, rng):
+        # an eval forward's outputs carry no record, whatever ran before it
         model = tiny_model(seed=4)
         feats = tiny_features(rng)
-        model.forward(feats, train=False)
-        with pytest.raises(StateError):
-            model.backward(np.zeros((4, 6)), {}, None)
-        # an eval forward also drops the record of an earlier training forward
         model.forward(feats, train=True)
-        model.forward(feats, train=False)
+        out = model.forward(feats, train=False)
+        assert out.record is None
         model.zero_grads()
         with pytest.raises(StateError):
-            model.backward(np.ones((4, 6)), {}, None)
+            model.backward(out, np.ones((4, 6)), {m: np.ones((4, 6)) for m in MODALITIES}, None)
         assert np.all(model.parameters().grad == 0.0)
+
+    @pytest.mark.parametrize("between", ["eval", "train"])
+    def test_backward_reads_only_its_own_forward(self, rng, between):
+        # the gradients depend on the outputs passed in, not on a forward of
+        # other features run between them and the backward
+        feats, other = tiny_features(rng), tiny_features(rng)
+        d_y_hat = rng.normal(size=(4, 6))
+        d_aux = {m: rng.normal(size=(4, 6)) for m in MODALITIES}
+        d_v_hat = rng.normal(size=(4, 3))
+        grads = {}
+        for case in (None, between):
+            model = tiny_model(seed=3, dropout=0.2)
+            model.inj.weight.value[...] = 0.1
+            out = model.forward(feats, train=True)
+            if case is not None:
+                model.forward(other, train=case == "train")
+            model.zero_grads()
+            model.backward(out, d_y_hat, d_aux, d_v_hat)
+            grads[case] = model.parameters().grad.tobytes()
+        assert grads[between] == grads[None]
 
     def test_zero_upstream_zero_grads(self, rng):
         model = tiny_model()
-        model.forward(tiny_features(rng), train=True)
+        out = model.forward(tiny_features(rng), train=True)
         model.zero_grads()
         model.backward(
+            out,
             np.zeros((4, 6)),
             {m: np.zeros((4, 6)) for m in MODALITIES},
             np.zeros((4, 3)),
@@ -382,9 +405,10 @@ class TestModelBackward:
 
     def test_no_aux_upstream_zeroes_aux_grads(self, rng):
         model = tiny_model(seed=4)
-        model.forward(tiny_features(rng), train=True)
+        out = model.forward(tiny_features(rng), train=True)
         model.zero_grads()
         model.backward(
+            out,
             rng.normal(size=(4, 6)),
             {m: np.zeros((4, 6)) for m in MODALITIES},
             np.zeros((4, 3)),
@@ -418,14 +442,14 @@ class TestModelBackward:
         if vad:  # engage the injection path, which starts at zero
             model.inj.weight.value[...] = rng.normal(0.0, 0.3, model.inj.weight.shape)
         stream = copy.deepcopy(model.drop.rng)
-        model.forward(tiny_features(rng), train=True)
+        out = model.forward(tiny_features(rng), train=True)
         d_y_hat = rng.normal(size=(4, 6))
         d_aux = {m: rng.normal(size=(4, 6)) for m in MODALITIES}
         d_v_hat = rng.normal(size=(4, 3)) if vad else None
         model.zero_grads()
-        assert model.backward(d_y_hat, d_aux, d_v_hat) is None
+        assert model.backward(out, d_y_hat, d_aux, d_v_hat) is None
         keep = replay_keep_masks(stream, dropout, 4, 8, 6)
-        expected = model_param_grads_repeated(model, keep, d_y_hat, d_aux, d_v_hat)
+        expected = model_param_grads_repeated(model, out, keep, d_y_hat, d_aux, d_v_hat)
         params = model.parameters()
         assert set(expected) == set(params)
         for name, p in params.items():
@@ -451,7 +475,7 @@ class TestModelBackward:
 
 
 class TestLayerState:
-    """The training record is the only thing a forward leaves behind."""
+    """A forward leaves nothing behind: its training record travels on its outputs."""
 
     def test_layers_hold_no_arrays_but_their_params(self, rng):
         model = tiny_model(seed=3, dropout=0.2)
@@ -466,9 +490,11 @@ class TestLayerState:
             ]
 
         feats = tiny_features(rng)
-        model.forward(feats, train=True)
+        before = dict(vars(model))
+        out = model.forward(feats, train=True)
         assert held() == []
         model.backward(
+            out,
             rng.normal(size=(4, 6)),
             {m: rng.normal(size=(4, 6)) for m in MODALITIES},
             rng.normal(size=(4, 3)),
@@ -476,6 +502,9 @@ class TestLayerState:
         assert held() == []
         model.forward(feats, train=False)
         assert held() == []
+        # nor does the model: its attributes are the objects it was built with
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[name] is value for name, value in before.items())
         assert sum(isinstance(layer, Dropout) for layer in layers) == 1
         assert len(layers) == 1 + 3 + 3 + 2 + 2  # dropout, proj, aux, vad, fusion
 
@@ -489,22 +518,21 @@ class TestLayerState:
         for interleave in (False, True):
             model = tiny_model(seed=3, dropout=0.2)
             model.inj.weight.value[...] = inj
-            model.forward(feats, train=True)
+            out = model.forward(feats, train=True)
             if interleave:  # same shapes as the recorded pass, other values
                 model.fusion_hidden.forward(np.ones((4, model.fused_dim)))
                 for m in MODALITIES:
                     model.proj[m].forward(np.ones((4 * 8, TINY_DIMS[m])))
             model.zero_grads()
-            model.backward(d_y_hat, d_aux, d_v_hat)
+            model.backward(out, d_y_hat, d_aux, d_v_hat)
             grads.append(model.parameters().grad.tobytes())
         assert grads[0] == grads[1]
 
     def test_masks_come_from_one_stream_in_branch_order(self, rng):
         # under identity each recorded gate is the keep-mask itself
         model = tiny_model(seed=3, dropout=0.2, hidden_activation="identity")
-        model.forward(tiny_features(rng), train=True)
+        rec = model.forward(tiny_features(rng), train=True).record
         stream = seeded_rng(3, _DROPOUT_STREAM)
-        rec = model._cache
         for key, shape in [*((m, (4, 8, 6)) for m in MODALITIES), ("fusion", (4, 6))]:
             assert np.array_equal(rec.gate[key], stream.random(shape) < 0.8), key
 
@@ -598,8 +626,9 @@ class TestParamStore:
 
     def test_zero_grads_clears_every_grad(self, rng):
         model = tiny_model(seed=4)
-        model.forward(tiny_features(rng), train=True)
+        out = model.forward(tiny_features(rng), train=True)
         model.backward(
+            out,
             rng.normal(size=(4, 6)),
             {m: rng.normal(size=(4, 6)) for m in MODALITIES},
             rng.normal(size=(4, 3)),

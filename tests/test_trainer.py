@@ -547,6 +547,22 @@ class TestEvaluate:
             "type": "eval", "epoch": 3, "ema": True, **report.to_dict()
         }
 
+    @pytest.mark.parametrize("use_ema", [True, False])
+    def test_checkpoint_is_copied_once_into_the_model(self, small_dataset, tmp_path, use_ema):
+        # the fusion layer's 768 x 256 weight dominates the parameters, and
+        # the checkpoint's tensors are views of its mapped file
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=1, hidden_dim=256,
+                           batch_size=4)
+        record = train(cfg)
+        ckpt = Path(record.run_dir) / "best.emic"
+        evaluate_checkpoint(cfg, ckpt, "val", use_ema=use_ema)  # warm numpy's own caches
+        params = cfg.build_model(init=False).parameters().value.nbytes
+        _, peak = traced_memory(lambda: evaluate_checkpoint(cfg, ckpt, "val", use_ema=use_ema))
+        # building the model holds its layers' own arrays beside its flat
+        # values and grads, 3 * params; a copy of the checkpoint's two
+        # halves would add 2 * params more
+        assert 2 * params < peak < 4 * params, (peak, params)
+
     def test_missing_split_errors(self, small_dataset, tmp_path):
         cfg = small_config(small_dataset, tmp_path / "run", epochs=1)
         record = train(cfg)
