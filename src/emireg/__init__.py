@@ -19,7 +19,7 @@ from .data import (
     write_feature_file,
 )
 from .layers import Dropout, Linear, adaptive_avg_pool
-from .losses import LossBreakdown, LossWeights, mse_loss, pearson_loss, total_loss, vad_reg_loss
+from .losses import LossBreakdown, mse_loss, pearson_loss, total_loss, vad_reg_loss
 from .metrics import EarlyStopper, EvalReport, mean_pcc, pearson
 from .model import ForwardOutputs, Model, fuse
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
@@ -38,7 +38,6 @@ __all__ = [
     "ForwardOutputs",
     "Linear",
     "LossBreakdown",
-    "LossWeights",
     "MODALITIES",
     "Model",
     "RunRecord",

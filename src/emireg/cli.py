@@ -149,7 +149,7 @@ def _sidecar_dims(path: Path):
     with open(path, encoding="utf-8") as fh:
         try:
             sidecar = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
             raise DataError(f"{path}: dataset sidecar is not valid JSON: {exc}") from exc
     if not isinstance(sidecar, dict) or "dims" not in sidecar:
         raise DataError(f"{path}: dataset sidecar must be a JSON object with a 'dims' key")
@@ -170,8 +170,10 @@ def _resolve_config(args) -> TrainConfig:
         payload["data_dir"] = args.data
     if args.dims:
         payload["dims"] = _parse_dims(args.dims)
-    if payload.get("dims") is None and payload.get("data_dir"):
-        sidecar = Path(payload["data_dir"]) / data.SIDECAR_NAME
+    # a data_dir of another type is left to validate, which names it
+    data_dir = payload.get("data_dir")
+    if payload.get("dims") is None and isinstance(data_dir, str) and data_dir:
+        sidecar = Path(data_dir) / data.SIDECAR_NAME
         if sidecar.exists():
             payload["dims"] = _sidecar_dims(sidecar)
     for f in _FLAG_FIELDS:

@@ -2,12 +2,16 @@
 
 Every loss returns both its value and the analytic gradient with respect to
 the predictions it consumes, so a single backward pass can accumulate all
-terms. All functions are pure.
+terms. ``TrainConfig`` declares and validates each loss setting once: the
+three term weights, the three per-branch auxiliary weights and the
+correlation term's eps and mode. ``total_loss`` and ``aux_loss`` read them
+from the config they are given and keep no state of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,32 +20,11 @@ from .metrics import pearson_with_grad
 from .schema import N_TARGETS, VAD_DIM
 from .tensor import Array, as_tensor, ensure_finite
 
+if TYPE_CHECKING:
+    from .train import TrainConfig
+
 DEFAULT_CORR_EPS = 1e-8
 CORR_MODES = ("per_dim", "flat")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Non-negative weights of the composite objective.
-
-    ``corr``/``aux``/``vad`` weigh whole terms; ``aux_visual``/``aux_audio``/
-    ``aux_text`` weigh the per-branch pieces inside the auxiliary term.
-    """
-
-    corr: float = 0.5
-    aux: float = 0.3
-    vad: float = 0.1
-    aux_visual: float = 1.0
-    aux_audio: float = 1.0
-    aux_text: float = 1.0
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not np.isfinite(value) or value < 0:
-                raise ConfigError(f"loss weight {name} must be finite and >= 0, got {value}")
-
-    def per_branch(self) -> dict[str, float]:
-        return {"visual": self.aux_visual, "audio": self.aux_audio, "text": self.aux_text}
 
 
 @dataclass
@@ -131,10 +114,18 @@ def pearson_loss(
 def aux_loss(
     aux_preds: dict[str, Array],
     y,
-    weights: LossWeights,
+    config: TrainConfig,
 ) -> tuple[float, dict[str, Array], dict[str, float]]:
-    """Weighted sum of per-branch MSE against the shared 6-D target."""
-    per_branch_w = weights.per_branch()
+    """Sum of per-branch MSE against the shared 6-D target.
+
+    Each branch's MSE is weighted by the config's ``lambda_visual``,
+    ``lambda_audio`` or ``lambda_text``.
+    """
+    per_branch_w = {
+        "visual": config.lambda_visual,
+        "audio": config.lambda_audio,
+        "text": config.lambda_text,
+    }
     grads: dict[str, Array] = {}
     values: dict[str, float] = {}
     total = 0.0
@@ -162,11 +153,14 @@ def total_loss(
     y,
     aux_preds: dict[str, Array],
     v_hat,
-    weights: LossWeights,
-    corr_eps: float = DEFAULT_CORR_EPS,
-    corr_mode: str = "per_dim",
+    config: TrainConfig,
 ) -> tuple[LossBreakdown, LossGrads]:
     """Compose the four terms, each gradient scaled by its term's weight.
+
+    The weights are the config's ``lambda_corr``, ``lambda_aux`` and
+    ``lambda_vad``; the correlation term uses its ``corr_eps`` and
+    ``corr_mode``, and the auxiliary term its per-branch weights (see
+    ``aux_loss``). The config is taken as validated: its owner validates it.
 
     Every term is evaluated and differentiated whatever its weight, so logs
     stay comparable across configurations and a zero weight takes the same
@@ -182,25 +176,27 @@ def total_loss(
     mse_value, mse_grad = mse_loss(y_hat, y)
 
     if y_hat.shape[0] >= 2:
-        corr_value, corr_grad = pearson_loss(y_hat, y, eps=corr_eps, mode=corr_mode)
+        corr_value, corr_grad = pearson_loss(
+            y_hat, y, eps=config.corr_eps, mode=config.corr_mode
+        )
     else:
         corr_value, corr_grad = 1.0, np.zeros_like(y_hat)
-    d_y_hat = mse_grad + weights.corr * corr_grad
+    d_y_hat = mse_grad + config.lambda_corr * corr_grad
 
-    aux_value, aux_grads, aux_values = aux_loss(aux_preds, y, weights)
-    d_aux = {name: weights.aux * g for name, g in aux_grads.items()}
+    aux_value, aux_grads, aux_values = aux_loss(aux_preds, y, config)
+    d_aux = {name: config.lambda_aux * g for name, g in aux_grads.items()}
 
     if v_hat is not None:
         vad_value, vad_grad = vad_reg_loss(v_hat)
-        d_v_hat = weights.vad * vad_grad
+        d_v_hat = config.lambda_vad * vad_grad
     else:
         vad_value, d_v_hat = 0.0, None
 
     total = (
         mse_value
-        + weights.corr * corr_value
-        + weights.aux * aux_value
-        + weights.vad * vad_value
+        + config.lambda_corr * corr_value
+        + config.lambda_aux * aux_value
+        + config.lambda_vad * vad_value
     )
     ensure_finite(np.asarray(total), "total_loss")
     breakdown = LossBreakdown(

@@ -70,7 +70,7 @@ class AdamW:
     block over the flat vectors.
     """
 
-    def __init__(self, params: ParamStore, weight_decay: float = 1e-4):
+    def __init__(self, params: ParamStore, weight_decay: float):
         self.params = params
         self.weight_decay = weight_decay
         self.t = 0

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, DataError, EmiregError, NumericError
-from .losses import CORR_MODES, DEFAULT_CORR_EPS, LossWeights, total_loss
+from .losses import CORR_MODES, DEFAULT_CORR_EPS, total_loss
 from .metrics import EarlyStopper, EvalReport, mean_pcc
 from .model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS, Model, fused_width
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
@@ -61,6 +61,11 @@ def _has_type(value, allowed: tuple) -> bool:
     return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
+# a number field's int must fit numpy's int64: numpy holds an int from 2**64
+# on only as an object, which np.isfinite refuses, and one past float64's
+# range overflows the schedule's float arithmetic
+_INT64 = np.iinfo(np.int64)
+
 # a numeric field's rule: the phrase its error message quotes -> the test
 _RULES = {
     ">= 1": lambda v: v >= 1,
@@ -84,7 +89,9 @@ class TrainConfig:
     rule (a key of ``_RULES``) or a tuple of choices; ``validate`` applies
     them, and the CLI gives the field a ``--flag`` with that help and those
     choices. ``dims``, ``data_dir``, ``run_dir`` and ``vad_enabled`` have
-    flags of their own in the CLI.
+    flags of their own in the CLI. Each model and loss setting is declared
+    here once: ``Model(config)`` and ``losses.total_loss(..., config)`` read
+    it from the config, and neither keeps a default of its own.
     """
 
     dims: dict[str, int] | None = None
@@ -102,14 +109,12 @@ class TrainConfig:
     align_len: int = _flag(128, "temporal alignment length", ">= 1")
     fusion: str = _flag("concat", "fusion mode", choices=FUSION_MODES)
     vad_enabled: bool = True
-    lambda_corr: float = _flag(LossWeights.corr, "correlation-loss weight", "finite and >= 0")
-    lambda_aux: float = _flag(LossWeights.aux, "auxiliary-loss weight", "finite and >= 0")
-    lambda_vad: float = _flag(LossWeights.vad, "VAD-regularizer weight", "finite and >= 0")
-    lambda_visual: float = _flag(
-        LossWeights.aux_visual, "visual aux sub-weight", "finite and >= 0"
-    )
-    lambda_audio: float = _flag(LossWeights.aux_audio, "audio aux sub-weight", "finite and >= 0")
-    lambda_text: float = _flag(LossWeights.aux_text, "text aux sub-weight", "finite and >= 0")
+    lambda_corr: float = _flag(0.5, "correlation-loss weight", "finite and >= 0")
+    lambda_aux: float = _flag(0.3, "auxiliary-loss weight", "finite and >= 0")
+    lambda_vad: float = _flag(0.1, "VAD-regularizer weight", "finite and >= 0")
+    lambda_visual: float = _flag(1.0, "visual aux sub-weight", "finite and >= 0")
+    lambda_audio: float = _flag(1.0, "audio aux sub-weight", "finite and >= 0")
+    lambda_text: float = _flag(1.0, "text aux sub-weight", "finite and >= 0")
     corr_mode: str = _flag("per_dim", "correlation loss form", choices=CORR_MODES)
     corr_eps: float = _flag(DEFAULT_CORR_EPS, "correlation-loss variance floor", "finite and >= 0")
     hidden_activation: str = _flag("relu", "hidden activation", choices=tuple(ACTIVATIONS))
@@ -126,6 +131,8 @@ class TrainConfig:
                 raise ConfigError(
                     f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}"
                 )
+            if _has_type(value, (int,)) and not _INT64.min <= value <= _INT64.max:
+                raise ConfigError(f"{f.name} is too large to represent as a 64-bit int")
         if self.dims is None or set(self.dims) != set(MODALITIES):
             raise ConfigError(f"dims must map {MODALITIES} to positive sizes")
         for m, d in self.dims.items():
@@ -147,16 +154,6 @@ class TrainConfig:
                 raise ConfigError(
                     f"{name} weight [{self.hidden_dim} x {width}] is too large to represent"
                 )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            corr=self.lambda_corr,
-            aux=self.lambda_aux,
-            vad=self.lambda_vad,
-            aux_visual=self.lambda_visual,
-            aux_audio=self.lambda_audio,
-            aux_text=self.lambda_text,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -180,7 +177,7 @@ class TrainConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
 
@@ -281,7 +278,6 @@ def train(config: TrainConfig) -> RunRecord:
             f"val split has {val_batches.n_samples} row(s); the metric needs at least 2"
         )
     model = config.build_model()
-    weights = config.loss_weights()
     optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
     # the EMA weights are a second model, scored and saved as a loaded checkpoint's
     ema_model = config.build_model(init=False)
@@ -320,13 +316,7 @@ def train(config: TrainConfig) -> RunRecord:
                     model.zero_grads()
                     outputs = model.forward(batch.features, train=True)
                     breakdown, grads = total_loss(
-                        outputs.y_hat,
-                        batch.targets,
-                        outputs.aux,
-                        outputs.v_hat,
-                        weights,
-                        corr_eps=config.corr_eps,
-                        corr_mode=config.corr_mode,
+                        outputs.y_hat, batch.targets, outputs.aux, outputs.v_hat, config
                     )
                     model.backward(outputs, grads.y_hat, grads.aux, grads.v_hat)
                     del outputs, grads  # the record is spent; free it before the next forward

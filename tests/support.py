@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 
-from emireg.losses import LossWeights, total_loss
+from emireg.losses import total_loss
 from emireg.model import Model
 from emireg.train import TrainConfig
 
@@ -32,7 +32,7 @@ def small_config(data_dir, run_dir, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def param_loss_fn(model, features, targets, weights):
+def param_loss_fn(model, features, targets, loss_config):
     """Build f(theta_vec) -> (total loss, grad_vec) over all parameters.
 
     The vector is the model's flat parameter store. Forward runs in training
@@ -46,9 +46,7 @@ def param_loss_fn(model, features, targets, weights):
         params.value[...] = vec
         model.zero_grads()
         out = model.forward(features, train=True)
-        breakdown, grads = total_loss(
-            out.y_hat, targets, out.aux, out.v_hat, weights
-        )
+        breakdown, grads = total_loss(out.y_hat, targets, out.aux, out.v_hat, loss_config)
         model.backward(out, grads.y_hat, grads.aux, grads.v_hat)
         return breakdown.total, params.grad.copy()
 
@@ -103,8 +101,8 @@ def tiny_model_case(seed, batch=4, align=8, hidden=6, vad=True, fusion="concat")
     raise AssertionError("could not find a kink-free configuration")
 
 
-def default_weights():
-    return LossWeights(corr=0.5, aux=0.3, vad=0.1)
+def default_loss_config():
+    return TrainConfig(lambda_corr=0.5, lambda_aux=0.3, lambda_vad=0.1)
 
 
 def use_cpus(monkeypatch, n: int) -> None:

@@ -260,7 +260,10 @@ class TestTrain:
             '{"lr": "0.1"}',
             '{"vad_enabled": "false"}',
             '{"seed": "7"}',
+            '{"lr": 18446744073709551616}',
+            '{"lr": ' + "1" * 5000 + "}",
         ],
+        ids=lambda value: "5000-digit-int" if len(str(value)) > 4000 else None,
     )
     def test_malformed_config_is_config_error(self, small_dataset, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
@@ -281,7 +284,9 @@ class TestTrain:
             ("{}", 2, "data error"),
             ("not json", 2, "data error"),
             ('{"dims": "8:7:6"}', 1, "config error"),
+            ('{"dims": ' + "1" * 5000 + "}", 2, "data error"),
         ],
+        ids=lambda value: "5000-digit-int" if len(str(value)) > 4000 else None,
     )
     def test_malformed_sidecar(self, small_dataset, tmp_path, capsys, text, code, label):
         data_dir = tmp_path / "ds"
@@ -294,6 +299,20 @@ class TestTrain:
         if code == 2:
             assert str(data_dir / "synth.json") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("data_dir", [5, ["x"]], ids=["int", "list"])
+    def test_mistyped_data_dir_is_config_error(self, tmp_path, capsys, command, data_dir):
+        # no dims are given, so the sidecar lookup would read data_dir first
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"data_dir": data_dir}))
+        run_dir = tmp_path / "run"
+        code = run_cli(command, "--config", str(config), "--run-dir", str(run_dir))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("emireg: config error: data_dir must be str | None, got ")
+        assert "Traceback" not in err
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_negative_seed_is_config_error(self, small_dataset, tmp_path, capsys, command):
@@ -329,8 +348,9 @@ class TestTrain:
             (["--hidden-dim", str(2**31), "--fusion", "average"],
              "fusion.hidden weight [2147483648 x 2147483648]"),
             (["--align-len", str(2**62)], "pooled ["),
+            (["--epochs", str(10**400)], "epochs is"),
         ],
-        ids=["hidden-dim", "dims", "average-fusion", "align-len"],
+        ids=["hidden-dim", "dims", "average-fusion", "align-len", "epochs"],
     )
     def test_unrepresentable_sizes_are_config_errors(
         self, small_dataset, tmp_path, capsys, flags, message

@@ -16,7 +16,7 @@ from oracles import (
     model_param_grads_repeated,
     replay_keep_masks,
 )
-from support import TINY_DIMS, default_weights, param_loss_fn, tiny_model_case, traced_memory
+from support import TINY_DIMS, default_loss_config, param_loss_fn, tiny_model_case, traced_memory
 
 
 def tiny_model(seed=0, **kwargs):
@@ -459,18 +459,18 @@ class TestModelBackward:
         worst = 0.0
         for seed in range(3):
             model, feats, targets = tiny_model_case(seed)
-            f, x0 = param_loss_fn(model, feats, targets, default_weights())
+            f, x0 = param_loss_fn(model, feats, targets, default_loss_config())
             worst = max(worst, grad_check(f, x0))
         assert worst < 1e-6
 
     def test_average_fusion_gradient_check(self):
         model, feats, targets = tiny_model_case(11, fusion="average")
-        f, x0 = param_loss_fn(model, feats, targets, default_weights())
+        f, x0 = param_loss_fn(model, feats, targets, default_loss_config())
         assert grad_check(f, x0) < 1e-6
 
     def test_vad_free_gradient_check(self):
         model, feats, targets = tiny_model_case(12, vad=False)
-        f, x0 = param_loss_fn(model, feats, targets, default_weights())
+        f, x0 = param_loss_fn(model, feats, targets, default_loss_config())
         assert grad_check(f, x0) < 1e-6
 
 

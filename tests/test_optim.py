@@ -82,7 +82,7 @@ class TestAdamW:
 
     def test_step_counter(self, rng):
         params = _params(rng)
-        opt = AdamW(params)
+        opt = AdamW(params, weight_decay=1e-4)
         for i in range(3):
             opt.step(0.0)
         assert opt.t == 3
@@ -102,10 +102,10 @@ class TestAdamW:
         with pytest.raises(
             NumericError, match=r"^non-finite parameter 'p1' after optimizer step$"
         ):
-            AdamW(params).step(1e-3)
+            AdamW(params, weight_decay=1e-4).step(1e-3)
 
     def test_negative_lr_rejected(self, rng):
-        opt = AdamW(_params(rng))
+        opt = AdamW(_params(rng), weight_decay=1e-4)
         with pytest.raises(ConfigError):
             opt.step(-1e-3)
 

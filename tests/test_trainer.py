@@ -111,12 +111,14 @@ def assert_numeric_abort(run_dir, saves, message, epoch, step):
 
 
 # values outside each rule, and values on its edge that must still pass
+# past 2**64 numpy holds an int only as an object; 10**400 is past float64
+TOO_BIG = [2**64, 10**400]
 RULE_BAD = {
-    ">= 1": [0],
-    ">= 0": [-1],
-    "finite and >= 0": [-1.0, float("nan"), float("inf")],
-    "in [0, 1)": [1.0],
-    "in [0, 1]": [1.5],
+    ">= 1": [0, *TOO_BIG],
+    ">= 0": [-1, *TOO_BIG],
+    "finite and >= 0": [-1.0, float("nan"), float("inf"), *TOO_BIG],
+    "in [0, 1)": [1.0, *TOO_BIG],
+    "in [0, 1]": [1.5, *TOO_BIG],
 }
 RULE_EDGE = {
     ">= 1": [1],
@@ -137,7 +139,8 @@ def rule_cases():
             yield pytest.param(f.name, "nope", f.metadata["choices"], id=f"{f.name}-nope")
             continue
         for bad in RULE_BAD[rule]:
-            yield pytest.param(f.name, bad, RULE_EDGE[rule], id=f"{f.name}-{bad}")
+            label = "10**400" if bad == 10**400 else bad
+            yield pytest.param(f.name, bad, RULE_EDGE[rule], id=f"{f.name}-{label}")
 
 
 class TestConfig:
