@@ -22,6 +22,8 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import data
 from .errors import ConfigError, DataError, EmiregError, NumericError
 from .schema import MODALITIES, TARGET_COLUMNS
@@ -326,9 +328,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_ablate(args) -> int:
     base = _resolve_config(args)
-    seeds = [base.seed + i for i in range(args.seeds)]
+    # the seeds go on as a range, built lazily; ablate refuses an empty one
+    if base.seed + args.seeds - 1 > np.iinfo(np.int64).max:
+        raise ConfigError("--seeds: the last seed is too large to represent as a 64-bit int")
     with _default_run_dir(base, "ablation"):
-        rows, csv_path = ablate(base, seeds=seeds)
+        rows, csv_path = ablate(base, seeds=range(base.seed, base.seed + args.seeds))
     print(Path(csv_path).read_text(encoding="utf-8"), end="")
     print(f"grid written to {csv_path}", file=sys.stderr)
     failed = [r for r in rows if r["error"] is not None]

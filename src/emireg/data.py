@@ -660,6 +660,8 @@ def generate_synthetic(
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise ConfigError("n is too large to represent as a 64-bit int")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(noise) and noise >= 0):

@@ -4,8 +4,8 @@ Every loss returns both its value and the analytic gradient with respect to
 the predictions it consumes, so a single backward pass can accumulate all
 terms. ``TrainConfig`` declares and validates each loss setting once: the
 three term weights, the three per-branch auxiliary weights and the
-correlation term's eps and mode. ``total_loss`` and ``aux_loss`` read them
-from the config they are given and keep no state of their own.
+correlation term's eps. ``total_loss`` and ``aux_loss`` read them from the
+config they are given and keep no state of their own.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .metrics import pearson_with_grad
 from .schema import N_TARGETS, VAD_DIM
 from .tensor import Array, as_tensor, ensure_finite
@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from .train import TrainConfig
 
 DEFAULT_CORR_EPS = 1e-8
-CORR_MODES = ("per_dim", "flat")
 
 
 @dataclass
@@ -78,16 +77,10 @@ def mse_loss(y_hat, y) -> tuple[float, Array]:
     return value, grad
 
 
-def pearson_loss(
-    y_hat,
-    y,
-    eps: float = DEFAULT_CORR_EPS,
-    mode: str = "per_dim",
-) -> tuple[float, Array]:
+def pearson_loss(y_hat, y, eps: float = DEFAULT_CORR_EPS) -> tuple[float, Array]:
     """Batch-level correlation objective: 1 - mean PCC.
 
-    ``per_dim`` computes one PCC per target dimension over the batch and
-    averages the six; ``flat`` computes a single PCC over all entries.
+    One PCC per target dimension over the batch, averaged over the six.
     Dimensions whose prediction or target variance is at or below ``eps``
     contribute PCC = 0 (so 1 to the loss) with a zero gradient, which keeps
     collapsed predictions penalized but gradient-safe.
@@ -97,11 +90,6 @@ def pearson_loss(
     _check_pred_target(y_hat, y, "pearson_loss")
     if y_hat.shape[0] < 2:
         raise ShapeError(f"pearson_loss needs batch >= 2, got {y_hat.shape[0]}")
-    if mode not in CORR_MODES:
-        raise ConfigError(f"unknown pearson mode {mode!r}")
-    if mode == "flat":
-        value, _, grad_flat = pearson_with_grad(y_hat.ravel(), y.ravel(), eps)
-        return 1.0 - value, -grad_flat.reshape(y_hat.shape)
     grad = np.zeros_like(y_hat)
     total = 0.0
     for dim in range(N_TARGETS):
@@ -158,9 +146,9 @@ def total_loss(
     """Compose the four terms, each gradient scaled by its term's weight.
 
     The weights are the config's ``lambda_corr``, ``lambda_aux`` and
-    ``lambda_vad``; the correlation term uses its ``corr_eps`` and
-    ``corr_mode``, and the auxiliary term its per-branch weights (see
-    ``aux_loss``). The config is taken as validated: its owner validates it.
+    ``lambda_vad``; the correlation term uses its ``corr_eps``, and the
+    auxiliary term its per-branch weights (see ``aux_loss``). The config is
+    taken as validated: its owner validates it.
 
     Every term is evaluated and differentiated whatever its weight, so logs
     stay comparable across configurations and a zero weight takes the same
@@ -168,17 +156,14 @@ def total_loss(
     the VAD pathway (``v_hat`` None) the regularizer is 0.0 and has no
     gradient. A batch of one sample, which the trainer can produce as the
     final short batch, is treated as all-degenerate for the correlation term
-    (value 1, zero gradient) rather than an error: on one row, ``flat`` mode
-    would otherwise correlate its six values.
+    (value 1, zero gradient) rather than an error.
     """
     y_hat = as_tensor(y_hat)
     y = as_tensor(y)
     mse_value, mse_grad = mse_loss(y_hat, y)
 
     if y_hat.shape[0] >= 2:
-        corr_value, corr_grad = pearson_loss(
-            y_hat, y, eps=config.corr_eps, mode=config.corr_mode
-        )
+        corr_value, corr_grad = pearson_loss(y_hat, y, eps=config.corr_eps)
     else:
         corr_value, corr_grad = 1.0, np.zeros_like(y_hat)
     d_y_hat = mse_grad + config.lambda_corr * corr_grad

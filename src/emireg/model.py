@@ -14,9 +14,10 @@ reads only the outputs it is given, whatever forwards ran in between. One
 branch applies its activation in place on the projection output, so its
 forward makes one ``[batch x align x hidden]`` array beside the dropout
 output, and a training forward records in its place the keep-mask combined
-with the activation's gate (see ``ACTIVATIONS``): a one-byte mask under
-relu. A backward forms each hidden layer's pre-activation gradient as one
-product, the upstream gradient times that gate. A model is built from a
+with the activation's gate (see ``ACTIVATIONS``), a one-byte mask. A
+backward forms each hidden layer's pre-activation gradient as one product,
+the upstream gradient times that gate. The output head, the aux heads and
+the VAD head each end in a sigmoid. A model is built from a
 ``TrainConfig``, which it validates and which declares every model setting
 once. Built without ``init`` it draws nothing: every parameter starts at
 zero for the caller to set, as a checkpoint load and training's EMA model
@@ -51,16 +52,12 @@ def fused_width(hidden_dim: int, fusion: str) -> int:
 # name -> (forward, gate). ``forward(x, out=x)`` writes its output over its
 # input, and ``forward(x)`` leaves ``x`` as it is. The gradient w.r.t. the
 # pre-activation is the upstream gradient times ``gate(output)``: relu's is
-# the bool ``output > 0``, sigmoid's ``output * (1 - output)``, and identity
-# has none. A gate is exactly 0 or 1 or multiplies an exact 0/1 keep-mask,
-# so folding the mask into it keeps every bit of the two-step product.
+# the bool ``output > 0``, and identity has none. A gate is exactly 0 or 1,
+# so folding the 0/1 keep-mask into it keeps every bit of the two-step product.
 ACTIVATIONS = {
     "relu": (relu, lambda out: out > 0),
-    "sigmoid": (sigmoid, sigmoid_grad_from_output),
     "identity": (lambda x, out=None: x, None),
 }
-# the activations an output head may use; ForwardOutputs holds their outputs
-OUTPUT_ACTIVATIONS = ("sigmoid", "identity")
 
 _INIT_STREAM = 0x1217
 _DROPOUT_STREAM = 0x2D0D
@@ -96,12 +93,12 @@ class _TrainRecord:
     VAD injection (``v_hat``); the rest is here. Every training forward
     draws its keep-masks, at dropout 0 too (all kept), and records for each
     hidden layer its keep-mask times its activation's gate at the activation
-    output (``_gated``): a bool mask under relu, a float array under sigmoid
-    and the keep-mask itself under identity. So each branch's gradient
-    reaches the projection as ``[batch x align x hidden]``. The projection
-    inputs are views of the caller's float64 features, so per branch the
-    record owns one ``[batch x align x hidden]`` gate, one byte per element
-    under relu and identity, plus small arrays.
+    output (``_gated``): a bool mask under relu and the keep-mask itself
+    under identity. So each branch's gradient reaches the projection as
+    ``[batch x align x hidden]``. The projection inputs are views of the
+    caller's float64 features, so per branch the record owns one
+    ``[batch x align x hidden]`` gate, one byte per element, plus small
+    arrays.
     """
 
     rows: dict[str, Array]  # per branch, the projection input [batch*align x dim]
@@ -173,9 +170,7 @@ class Model:
         self.fusion = config.fusion
         self.vad_enabled = config.vad_enabled
         self.hidden_activation = config.hidden_activation
-        self.output_activation = config.output_activation
         self._act, self._gate = ACTIVATIONS[config.hidden_activation]
-        self._out_act, self._out_gate = ACTIVATIONS[config.output_activation]
         self.align_len = config.align_len
         self.fused_dim = fused_width(hidden_dim, config.fusion)
 
@@ -288,13 +283,13 @@ class Model:
         h_act = self._act(self.fusion_hidden.forward(z_fus))
         h_drop, keep = self.drop.forward(h_act, train)
         y_logits = self.fusion_out.forward(h_drop)
-        y_hat = self._out_act(y_logits)
+        y_hat = sigmoid(y_logits)
         aux_logits = {m: self.aux_head[m].forward(z[m]) for m in MODALITIES}
 
         out = ForwardOutputs(
             y_hat=y_hat,
             y_logits=y_logits,
-            aux={m: self._out_act(aux_logits[m]) for m in MODALITIES},
+            aux={m: sigmoid(aux_logits[m]) for m in MODALITIES},
             v_hat=v_hat,
             z=z,
             z_fus=z_fus,
@@ -324,7 +319,7 @@ class Model:
             raise StateError("model backward needs a training forward's outputs")
         batch = out.y_hat.shape[0]
 
-        d_y_logits = _gated(self._out_gate, out.y_hat, as_tensor(d_y_hat))
+        d_y_logits = as_tensor(d_y_hat) * sigmoid_grad_from_output(out.y_hat)
         d_h_drop = self.fusion_out.backward(rec.h_drop, d_y_logits)
         d_h_pre = self.drop.backward(rec.gate["fusion"], d_h_drop)
         d_z = unfuse_grad(
@@ -332,7 +327,7 @@ class Model:
         )
 
         for m in MODALITIES:
-            d_logits = _gated(self._out_gate, out.aux[m], as_tensor(d_aux[m]))
+            d_logits = as_tensor(d_aux[m]) * sigmoid_grad_from_output(out.aux[m])
             d_z[m] = d_z[m] + self.aux_head[m].backward(out.z[m], d_logits)
 
         d_a_rows = None

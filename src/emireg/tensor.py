@@ -33,15 +33,10 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
-def sigmoid(x, out: Array | None = None) -> Array:
-    """Numerically stable logistic function, elementwise; range (0, 1).
-
-    ``out`` may be ``x`` itself, for an in-place pass: each element of ``x``
-    is read before its own place in ``out`` is written.
-    """
+def sigmoid(x) -> Array:
+    """Numerically stable logistic function, elementwise, into a new array; range (0, 1)."""
     x = as_tensor(x)
-    if out is None:
-        out = np.empty_like(x)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

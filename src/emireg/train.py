@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,15 +33,14 @@ import numpy as np
 
 from . import data
 from .errors import ConfigError, DataError, EmiregError, NumericError
-from .losses import CORR_MODES, DEFAULT_CORR_EPS, total_loss
+from .losses import DEFAULT_CORR_EPS, total_loss
 from .metrics import EarlyStopper, EvalReport, mean_pcc
-from .model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS, Model, fused_width
+from .model import ACTIVATIONS, FUSION_MODES, Model, fused_width
 from .optim import AdamW, Ema, clip_global_norm, cosine_lr
 from .schema import MODALITIES
 from .tensor import Array, seeded_rng
 
 EMA_PREFIX = "ema/"
-CADENCES = ("epoch", "step")
 
 _SHUFFLE_STREAM = 0x5841
 
@@ -73,6 +73,16 @@ _RULES = {
     "finite and >= 0": lambda v: np.isfinite(v) and v >= 0,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+# a key of the variants removed from configs written before -> its one value,
+# every run's behaviour: ``from_dict`` drops it at that value, refuses others
+_REMOVED_KEYS = {
+    "corr_mode": "per_dim",
+    "output_activation": "sigmoid",
+    "lr_cadence": "epoch",
+    "ema_cadence": "step",
 }
 
 
@@ -115,12 +125,8 @@ class TrainConfig:
     lambda_visual: float = _flag(1.0, "visual aux sub-weight", "finite and >= 0")
     lambda_audio: float = _flag(1.0, "audio aux sub-weight", "finite and >= 0")
     lambda_text: float = _flag(1.0, "text aux sub-weight", "finite and >= 0")
-    corr_mode: str = _flag("per_dim", "correlation loss form", choices=CORR_MODES)
     corr_eps: float = _flag(DEFAULT_CORR_EPS, "correlation-loss variance floor", "finite and >= 0")
     hidden_activation: str = _flag("relu", "hidden activation", choices=tuple(ACTIVATIONS))
-    output_activation: str = _flag("sigmoid", "output activation", choices=OUTPUT_ACTIVATIONS)
-    lr_cadence: str = _flag("epoch", "cosine step cadence", choices=CADENCES)
-    ema_cadence: str = _flag("step", "EMA update cadence", choices=CADENCES)
     eta_min: float = _flag(0.0, "cosine schedule floor", "finite and >= 0")
     seed: int = _flag(0, "run seed", ">= 0")
 
@@ -164,8 +170,14 @@ class TrainConfig:
             raise ConfigError(
                 f"config must be a JSON object, got {type(payload).__name__}"
             )
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        payload = dict(payload)
+        for key, kept in _REMOVED_KEYS.items():
+            if key in payload and payload.pop(key) != kept:
+                raise ConfigError(
+                    f"{key} is no longer a setting: its variants were removed, and every "
+                    f"run has {key} {kept!r}"
+                )
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**payload)
@@ -199,7 +211,7 @@ class RunRecord:
     """What one training run produced, step by step.
 
     Its ``stop_reason`` is ``completed`` or ``early_stopping``: ``train``
-    raises a numeric failure instead of returning a record.
+    raises a failure instead of returning a record.
     """
 
     config_hash: str
@@ -207,7 +219,7 @@ class RunRecord:
     steps: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_p_mean: float = float("-inf")
-    stop_reason: str = ""
+    stop_reason: str = "completed"
 
 
 def _checkpoint_tensors(model: Model, ema_model: Model) -> dict[str, Array]:
@@ -260,9 +272,10 @@ def _split_batches(config: TrainConfig, manifest_path, split: str) -> data.Batch
 def train(config: TrainConfig) -> RunRecord:
     """Run the full recipe; writes config.json, log.jsonl, best/last checkpoints.
 
-    A ``NumericError`` from a training step or an EMA evaluation is logged as
-    an ``abort`` record with its class and message, then the ``end`` record
-    (``non_finite_loss``), and is raised once the log is closed; best/last
+    An ``EmiregError`` or ``OSError`` once the log is open is logged as an
+    ``abort`` record with its class and message, then the ``end`` record
+    (``non_finite_loss`` for a ``NumericError``, else ``error``), and is
+    raised once the log is closed, or if the log cannot take them; best/last
     stay the last completed epoch's.
     """
     config.validate()
@@ -284,93 +297,97 @@ def train(config: TrainConfig) -> RunRecord:
     ema = Ema(model.parameters(), ema_model.parameters(), config.ema_decay)
     # only a run whose data loaded and whose model was built gets a directory
     run_dir = Path(config.run_dir)
+    created = not run_dir.exists()
     run_dir.mkdir(parents=True, exist_ok=True)
 
     def write_config(fh) -> None:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    data.replace_text_file(run_dir / "config.json", write_config)
+    try:
+        data.replace_text_file(run_dir / "config.json", write_config)
+    except BaseException:  # a directory this call made goes if empty, as a default one does
+        if created and not any(run_dir.iterdir()):
+            run_dir.rmdir()
+        raise
 
     stopper = EarlyStopper(config.patience)
     record = RunRecord(config_hash=config.config_hash(), run_dir=str(run_dir))
 
-    total_steps = len(train_batches) * config.epochs
     global_step = 0
-    log_path = run_dir / "log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as log:
+    failure = None
+    try:
+        with open(run_dir / "log.jsonl", "w", encoding="utf-8") as log:
 
-        def emit(payload: dict) -> None:
-            log.write(json.dumps(payload, sort_keys=True) + "\n")
-            log.flush()
+            def emit(payload: dict) -> None:
+                log.write(json.dumps(payload, sort_keys=True) + "\n")
+                log.flush()
 
-        record.stop_reason = "completed"
-        failure = None
-        try:
-            for epoch in range(1, config.epochs + 1):
-                lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
-                train_batches.shuffle(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
-                for batch in train_batches:
-                    if config.lr_cadence == "step":
-                        lr = cosine_lr(global_step, total_steps, config.lr, config.eta_min)
-                    model.zero_grads()
-                    outputs = model.forward(batch.features, train=True)
-                    breakdown, grads = total_loss(
-                        outputs.y_hat, batch.targets, outputs.aux, outputs.v_hat, config
-                    )
-                    model.backward(outputs, grads.y_hat, grads.aux, grads.v_hat)
-                    del outputs, grads  # the record is spent; free it before the next forward
-                    factor, norm = clip_global_norm(model.parameters(), config.clip_norm)
-                    optimizer.step(lr)
-                    if config.ema_cadence == "step":
+            try:
+                for epoch in range(1, config.epochs + 1):
+                    lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
+                    train_batches.shuffle(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
+                    for batch in train_batches:
+                        model.zero_grads()
+                        outputs = model.forward(batch.features, train=True)
+                        breakdown, grads = total_loss(
+                            outputs.y_hat, batch.targets, outputs.aux, outputs.v_hat, config
+                        )
+                        model.backward(outputs, grads.y_hat, grads.aux, grads.v_hat)
+                        # the record is spent; free it before the next forward
+                        del outputs, grads
+                        factor, norm = clip_global_norm(model.parameters(), config.clip_norm)
+                        optimizer.step(lr)
                         ema.update()
-                    global_step += 1
-                    step_payload = {
-                        "type": "step",
-                        "epoch": epoch,
-                        "step": global_step,
-                        "lr": lr,
-                        "batch": len(batch),
-                        "grad_norm": norm,
-                        "clip_factor": factor,
-                        **breakdown.to_dict(),
-                    }
-                    record.steps.append(step_payload)
-                    emit(step_payload)
-                if config.ema_cadence == "epoch":
-                    ema.update()
+                        global_step += 1
+                        step_payload = {
+                            "type": "step",
+                            "epoch": epoch,
+                            "step": global_step,
+                            "lr": lr,
+                            "batch": len(batch),
+                            "grad_norm": norm,
+                            "clip_factor": factor,
+                            **breakdown.to_dict(),
+                        }
+                        record.steps.append(step_payload)
+                        emit(step_payload)
 
-                _, preds, _, targets = _forward_batches(ema_model, val_batches)
-                report = _score(preds, targets)
-                emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
+                    _, preds, _, targets = _forward_batches(ema_model, val_batches)
+                    report = _score(preds, targets)
+                    emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
 
-                tensors = _checkpoint_tensors(model, ema_model)
-                data.save_checkpoint(run_dir / "last.emic", tensors)
-                improved, stop = stopper.update(report.p_mean)
-                if improved:
-                    data.save_checkpoint(run_dir / "best.emic", tensors)
-                if stop:
-                    record.stop_reason = "early_stopping"
-                    break
-        except NumericError as exc:
-            # keep the last-good checkpoints; raise once the log is closed
-            failure = exc
-            record.stop_reason = "non_finite_loss"
-            error = {"error": str(exc), "error_class": type(exc).__name__}
-            emit({"type": "abort", "epoch": epoch, "step": global_step, **error})
+                    tensors = _checkpoint_tensors(model, ema_model)
+                    data.save_checkpoint(run_dir / "last.emic", tensors)
+                    improved, stop = stopper.update(report.p_mean)
+                    if improved:
+                        data.save_checkpoint(run_dir / "best.emic", tensors)
+                    if stop:
+                        record.stop_reason = "early_stopping"
+                        break
+            except (EmiregError, OSError) as exc:
+                # keep the last-good checkpoints; raise once the log is closed
+                failure = exc
+                numeric = isinstance(exc, NumericError)
+                record.stop_reason = "non_finite_loss" if numeric else "error"
+                error = {"error": str(exc), "error_class": type(exc).__name__}
+                emit({"type": "abort", "epoch": epoch, "step": global_step, **error})
 
-        record.best_epoch = stopper.best_epoch
-        record.best_p_mean = stopper.best
-        emit(
-            {
-                "type": "end",
-                "best_epoch": record.best_epoch,
-                "best_p_mean": record.best_p_mean,
-                "epochs_run": stopper.epoch,
-                "stop_reason": record.stop_reason,
-                "config_hash": record.config_hash,
-            }
-        )
+            record.best_epoch = stopper.best_epoch
+            record.best_p_mean = stopper.best
+            emit(
+                {
+                    "type": "end",
+                    "best_epoch": record.best_epoch,
+                    "best_p_mean": record.best_p_mean,
+                    "epochs_run": stopper.epoch,
+                    "stop_reason": record.stop_reason,
+                    "config_hash": record.config_hash,
+                }
+            )
+    except OSError:  # the log could not take a failure's records: raise the failure
+        if failure is None:
+            raise
     if failure is not None:
         raise failure
     return record
@@ -461,7 +478,7 @@ def cell_name(objective: str, vad: bool, fusion: str) -> str:
     return f"{objective}_{'vad' if vad else 'novad'}_{fusion}"
 
 
-def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict], Path]:
+def ablate(base: TrainConfig, seeds: Sequence[int] | None = None) -> tuple[list[dict], Path]:
     """Run the 2x2x2 grid {fusion} x {objective} x {vad}; write ablation.csv.
 
     All cells share the base seed(s) so differences reflect configuration.
@@ -473,9 +490,10 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
     base.validate()
     if base.run_dir is None:
         raise ConfigError("config.run_dir is required for the ablation grid")
-    seeds = [base.seed] if seeds is None else list(seeds)
+    seeds = [base.seed] if seeds is None else seeds
     if not seeds:
         raise ConfigError("ablate needs at least one seed")
+    several = bool(seeds[1:])  # not len(), which a range past 2**63 - 1 items overflows
     grid_dir = Path(base.run_dir)
     grid_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
@@ -485,7 +503,7 @@ def ablate(base: TrainConfig, seeds: list[int] | None = None) -> tuple[list[dict
         best_epochs: list[int] = []
         error: EmiregError | None = None
         for seed in seeds:
-            run_dir = grid_dir / (name if len(seeds) == 1 else f"{name}-seed{seed}")
+            run_dir = grid_dir / (f"{name}-seed{seed}" if several else name)
             cfg = replace(
                 cell_config(base, objective, vad, fusion),
                 seed=seed,

@@ -177,13 +177,13 @@ def model_param_grads_repeated(model, out, keep, d_y_hat, d_aux, d_v_hat):
 
     Reverses the forward from the layer inputs in ``out`` and its training
     record, and from ``keep``, the keep-masks the forward drew (see
-    ``replay_keep_masks``), applied as float masks (hidden relu, sigmoid or
-    identity, sigmoid outputs). The record's gates are not read: each
-    hidden activation's output is recomputed from its layer's input,
-    weight and bias, with the forward's bits, and each hidden derivative
-    is formed here from that output ``y``: relu's as ``y > 0``, sigmoid's as
-    ``y * (1 - y)``. Each branch's time-mean adjoint is built as an
-    explicit [B*T x h] array with ``np.repeat``. Grads start at zero and
+    ``replay_keep_masks``), applied as float masks (hidden relu or identity,
+    sigmoid output, aux and VAD heads). The record's gates are not read:
+    each hidden activation's output is recomputed from its layer's input,
+    weight and bias, with the forward's bits, and relu's derivative is
+    formed here from that output ``y`` as ``y > 0``. Each branch's
+    time-mean adjoint is built as an explicit [B*T x h] array with
+    ``np.repeat``. Grads start at zero and
     receive one sum each, as the model's accumulators do.
     """
     rec = out.record
@@ -194,24 +194,16 @@ def model_param_grads_repeated(model, out, keep, d_y_hat, d_aux, d_v_hat):
         return up * (y * (1.0 - y))
 
     def act_forward(layer, x):
-        """The hidden activation of ``x @ W.T + b``; sigmoid in its two stable halves."""
+        """The hidden activation of ``x @ W.T + b``."""
         y = x @ layer.weight.value.T
         y += layer.bias.value
         if model.hidden_activation == "identity":
             return y
-        if model.hidden_activation == "relu":
-            return np.maximum(y, 0.0)
-        pos = y >= 0
-        ex = np.exp(y[~pos])
-        y[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-        y[~pos] = ex / (1.0 + ex)
-        return y
+        return np.maximum(y, 0.0)
 
     def act_back(y, up):
         if model.hidden_activation == "identity":
             return up
-        if model.hidden_activation == "sigmoid":
-            return sigmoid_back(y, up)
         return up * (y > 0).astype(np.float64)
 
     def drop_back(keep, up):

@@ -1,11 +1,13 @@
 """Shared fixtures-adjacent helpers for the test suite."""
 
+import errno
 import os
 import threading
 import tracemalloc
 
 import numpy as np
 
+from emireg import data
 from emireg.losses import total_loss
 from emireg.model import Model
 from emireg.train import TrainConfig
@@ -13,6 +15,15 @@ from emireg.train import TrainConfig
 TINY_DIMS = {"visual": 5, "audio": 4, "text": 3}
 SMALL_DIMS = {"visual": 8, "audio": 7, "text": 6}
 RELU_KINK_MARGIN = 1e-3
+
+# the keys a config.json written before their variants were removed carries,
+# at the values every run had then and has now
+REMOVED_KEYS = {
+    "corr_mode": "per_dim",
+    "ema_cadence": "step",
+    "lr_cadence": "epoch",
+    "output_activation": "sigmoid",
+}
 
 
 def small_config(data_dir, run_dir, **overrides) -> TrainConfig:
@@ -135,3 +146,21 @@ def traced_memory(fn) -> tuple[int, int]:
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def fail_replace_file_at(monkeypatch, call: int) -> None:
+    """Make the ``call``-th ``data._replace_file`` from now on raise ENOSPC, once.
+
+    A run writes ``config.json`` first, then each epoch ``last.emic`` and,
+    when the score improves, ``best.emic``.
+    """
+    real_replace = data._replace_file
+    calls = []
+
+    def failing_replace(path, write):
+        calls.append(path)
+        if len(calls) == call:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        real_replace(path, write)
+
+    monkeypatch.setattr(data, "_replace_file", failing_replace)

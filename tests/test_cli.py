@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import emireg
+import emireg.cli
+import emireg.data
 from emireg.cli import _fresh_run_dir, build_parser, main
 from emireg.data import (
     MANIFEST_NAME,
@@ -24,13 +26,13 @@ from emireg.data import (
     load_manifest,
     write_manifest,
 )
-from emireg.losses import CORR_MODES
-from emireg.model import ACTIVATIONS, FUSION_MODES, OUTPUT_ACTIVATIONS
+from emireg.errors import ConfigError
+from emireg.model import ACTIVATIONS, FUSION_MODES
 from emireg.schema import MODALITIES
 from emireg.tensor import seeded_rng
-from emireg.train import CADENCES, TrainConfig
+from emireg.train import TrainConfig
 
-from support import SMALL_DIMS
+from support import REMOVED_KEYS, SMALL_DIMS, fail_replace_file_at
 
 DIMS_FLAG = "8:7:6"
 
@@ -91,6 +93,19 @@ class TestGenSynth:
                 }
             )
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("n", [str(2**63), "1" + "0" * 400], ids=["2**63", "10**400"])
+    def test_n_past_int64_is_config_error(self, tmp_path, monkeypatch, capsys, n):
+        def unreachable(*args):
+            raise AssertionError("a refused n reached the writer")
+
+        # an n that passed would write files until the disk filled
+        monkeypatch.setattr(emireg.data, "_write_synthetic", unreachable)
+        code = run_cli("gen-synth", "--n", n, "--dims", DIMS_FLAG, "--out", str(tmp_path / "d"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "emireg: config error: n is too large to represent as a 64-bit int" in err
+        assert list(tmp_path.iterdir()) == []  # neither the dataset nor a staging directory
 
     def test_disjoint_sidecar(self, tmp_path):
         out = tmp_path / "ds"
@@ -599,6 +614,41 @@ class TestTrain:
         assert not (run_dir / "log.jsonl").exists()
         assert not run_dir.exists()  # data is checked before the run directory is made
 
+    def test_os_error_mid_run_is_logged_then_data_error(
+        self, small_dataset, tmp_path, monkeypatch, capsys
+    ):
+        fail_replace_file_at(monkeypatch, 3)  # config.json, last.emic, then epoch 1's best.emic
+        run_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--data", str(small_dataset), "--run-dir", str(run_dir),
+            "--epochs", "3", "--hidden-dim", "8", "--align-len", "16",
+        )
+        assert code == 2
+        assert "emireg: data error: [Errno 28] No space left on device" in capsys.readouterr().err
+        log = [json.loads(line) for line in (run_dir / "log.jsonl").read_text().splitlines()]
+        assert log[-2]["type"] == "abort"
+        assert log[-2]["error_class"] == "OSError"
+        assert log[-2]["error"].startswith("[Errno 28] No space left on device")
+        assert log[-1]["type"] == "end"
+        assert log[-1]["stop_reason"] == "error"
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_config_write_removes_only_a_run_dir_it_made(
+        self, small_dataset, tmp_path, monkeypatch, capsys, existed
+    ):
+        run_dir = tmp_path / "run"
+        if existed:
+            run_dir.mkdir()
+        fail_replace_file_at(monkeypatch, 1)  # config.json
+        code = run_cli(
+            "train", "--data", str(small_dataset), "--run-dir", str(run_dir),
+            "--epochs", "1", "--hidden-dim", "8", "--align-len", "16",
+        )
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert run_dir.exists() == existed
+        assert not existed or list(run_dir.iterdir()) == []
+
     def test_help_lists_paper_defaults(self, capsys):
         assert run_cli("train", "--help") == 0
         text = capsys.readouterr().out
@@ -620,6 +670,32 @@ class TestEvaluate:
         run_cli("evaluate", "--ckpt", str(trained_run / "best.emic"), "--no-ema")
         without = json.loads(capsys.readouterr().out)
         assert with_ema["p"] != without["p"]
+
+    def write_pre_change_config(self, run_dir, **changes):
+        """Rewrite the run's config.json as a run written before the removed keys went."""
+        payload = json.loads((run_dir / "config.json").read_text())
+        payload.update(REMOVED_KEYS, **changes)
+        (run_dir / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    def test_pre_change_config_gives_the_same_report(self, trained_run, capsys):
+        ckpt = ("--ckpt", str(trained_run / "best.emic"))
+        assert run_cli("evaluate", *ckpt) == 0
+        fresh = capsys.readouterr().out
+        self.write_pre_change_config(trained_run)
+        assert run_cli("evaluate", *ckpt) == 0
+        assert capsys.readouterr().out == fresh
+
+    @pytest.mark.parametrize(
+        "key,value", [("output_activation", "identity"), ("lr_cadence", "step")]
+    )
+    def test_pre_change_config_with_a_removed_variant_is_config_error(
+        self, trained_run, capsys, key, value
+    ):
+        self.write_pre_change_config(trained_run, **{key: value})
+        assert run_cli("evaluate", "--ckpt", str(trained_run / "best.emic")) == 1
+        err = capsys.readouterr().err
+        assert f"emireg: config error: {key} is no longer a setting" in err
+        assert "Traceback" not in err
 
     def test_missing_checkpoint_is_data_error(self, trained_run):
         assert run_cli("evaluate", "--ckpt", str(trained_run / "gone.emic")) == 2
@@ -801,6 +877,34 @@ class TestAblate:
         assert "emireg: config error: ablate needs at least one seed" in capsys.readouterr().err
         assert not grid_dir.exists()
 
+    def test_seeds_past_int64_are_refused_before_any_cell(self, small_dataset, tmp_path, capsys):
+        grid_dir = tmp_path / "grid"
+        code = run_cli(
+            "ablate", "--data", str(small_dataset), "--run-dir", str(grid_dir),
+            "--hidden-dim", "8", "--epochs", "1", "--align-len", "16",
+            "--seed", str(2**63 - 1), "--seeds", "2",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "emireg: config error: --seeds: the last seed is too large" in err
+        assert not grid_dir.exists()
+
+    def test_seeds_go_on_as_a_range(self, small_dataset, tmp_path, monkeypatch):
+        passed = []
+
+        def stop_at_the_grid(base, seeds):
+            passed.append(seeds)
+            raise ConfigError("stopped before the grid")
+
+        monkeypatch.setattr(emireg.cli, "ablate", stop_at_the_grid)
+        code = run_cli(
+            "ablate", "--data", str(small_dataset), "--run-dir", str(tmp_path / "grid"),
+            "--seed", "5", "--seeds", "3",
+        )
+        assert code == 1
+        assert passed == [range(5, 8)]
+
+
 class TestInspect:
     def test_feature_file_header(self, small_dataset, capsys):
         emif = sorted((small_dataset / "features").glob("*.emif"))[0]
@@ -937,11 +1041,7 @@ class TestFlagTables:
     def test_choice_lists_match_their_tables(self, capsys, monkeypatch):
         tables = {
             "fusion": FUSION_MODES,
-            "corr-mode": CORR_MODES,
             "hidden-activation": tuple(ACTIVATIONS),
-            "output-activation": OUTPUT_ACTIVATIONS,
-            "lr-cadence": CADENCES,
-            "ema-cadence": CADENCES,
             "vad": ("on", "off"),
         }
         assert self.choice_lists(capsys, monkeypatch, "train") == tables
@@ -969,7 +1069,7 @@ class TestFlagTables:
             assert type(value)(shown) == value, flag
             assert help_text == help_texts[name], flag
             checked.add(flag)
-        assert len(checked) == 25
+        assert len(checked) == 21
 
     def test_every_config_field_has_a_train_flag(self):
         args = build_parser().parse_args(["train"])

@@ -61,7 +61,6 @@ def _config_a(*flags: str) -> list[str]:
 # its dataset, run and output directories
 ENTRIES = {
     "a": _config_a(),
-    "a_sigmoid": _config_a("--hidden-activation sigmoid"),
     "a_identity": _config_a("--hidden-activation identity"),
     "a_G1_novad_average_mse": _config_a(
         "--vad off --fusion average --lambda-corr 0 --lambda-aux 0"
@@ -70,9 +69,6 @@ ENTRIES = {
     "a_G3_identity_dropout0": _config_a("--hidden-activation identity --dropout 0"),
     "a_identity_dropout0_wd0": _config_a(
         "--hidden-activation identity --dropout 0 --weight-decay 0"
-    ),
-    "a_flat_step_epoch_idout": _config_a(
-        "--corr-mode flat --lr-cadence step --ema-cadence epoch --output-activation identity"
     ),
     "ablate_a": [_GEN_A, f"ablate --data {{data}} --run-dir {{run}} {_FLAGS_A} --epochs 2"],
     # config (b): the reference shapes

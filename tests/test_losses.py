@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from emireg.errors import ConfigError, ShapeError
+from emireg.errors import ShapeError
 from emireg.losses import (
     aux_loss,
     mse_loss,
@@ -107,25 +107,6 @@ class TestPearsonLoss:
 
         assert grad_check(f, _batch(rng)) < 1e-6
 
-    def test_flat_mode_gradient_check(self, rng):
-        y = _batch(rng)
-
-        def f(y_hat):
-            return pearson_loss(y_hat, y, mode="flat")
-
-        assert grad_check(f, _batch(rng)) < 1e-6
-
-    def test_flat_mode_differs_from_per_dim(self, rng):
-        y = _batch(rng)
-        y_hat = _batch(rng)
-        per_dim, _ = pearson_loss(y_hat, y)
-        flat, _ = pearson_loss(y_hat, y, mode="flat")
-        assert per_dim != flat
-
-    def test_unknown_mode(self, rng):
-        with pytest.raises(ConfigError):
-            pearson_loss(_batch(rng), _batch(rng), mode="solo")
-
 
 class TestAuxLoss:
     def test_zero_weights(self, rng):
@@ -177,7 +158,7 @@ class TestVadRegLoss:
 def _reference_loss(y_hat, y, aux, v_hat, config) -> dict:
     """The objective composed term by term from the single-term losses."""
     mse, d_mse = mse_loss(y_hat, y)
-    corr, d_corr = pearson_loss(y_hat, y, eps=config.corr_eps, mode=config.corr_mode)
+    corr, d_corr = pearson_loss(y_hat, y, eps=config.corr_eps)
     branch_weights = {
         "visual": config.lambda_visual,
         "audio": config.lambda_audio,
@@ -217,7 +198,7 @@ def _total_loss_entries(y_hat, y, aux, v_hat, config) -> dict:
 
 # each loss setting of TrainConfig -> a value other than its default, and the
 # entries that value alone moves: a term weight moves the total and its term's
-# gradient; a branch weight, eps or mode moves its term's value as well
+# gradient; a branch weight or eps moves its term's value as well
 LOSS_SETTINGS = {
     "lambda_corr": (2.0, {"total", "d_y_hat"}),
     "lambda_aux": (2.0, {"total", "d_visual", "d_audio", "d_text"}),
@@ -226,7 +207,6 @@ LOSS_SETTINGS = {
     "lambda_audio": (0.25, {"total", "aux", "d_audio"}),
     "lambda_text": (0.25, {"total", "aux", "d_text"}),
     "corr_eps": (1.0, {"total", "corr", "d_y_hat"}),  # above every column's variance
-    "corr_mode": ("flat", {"total", "corr", "d_y_hat"}),
 }
 
 

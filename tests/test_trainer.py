@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import sys
@@ -26,13 +27,14 @@ from emireg.train import (
     _score,
     ablate,
     cell_config,
+    cell_name,
     evaluate_checkpoint,
     predict_checkpoint,
     split_checkpoint,
     train,
 )
 
-from support import SMALL_DIMS, small_config, traced_memory
+from support import REMOVED_KEYS, SMALL_DIMS, fail_replace_file_at, small_config, traced_memory
 
 
 # random valid small configs for small_dataset: every choice field, zero
@@ -175,6 +177,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"dims": SMALL_DIMS, "warmup": 5})
 
+    def test_removed_keys_are_dropped_at_their_only_value(self):
+        payload = {"dims": SMALL_DIMS, **REMOVED_KEYS}
+        assert TrainConfig.from_dict(payload) == TrainConfig(dims=SMALL_DIMS)
+        assert set(REMOVED_KEYS) <= set(payload)  # the caller's dict is left as it was
+        assert not set(REMOVED_KEYS) & {f.name for f in fields(TrainConfig)}
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    @pytest.mark.parametrize("value", ["identity", "flat", None, 1])
+    def test_removed_key_at_another_value_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} is no longer a setting: .*removed"):
+            TrainConfig.from_dict({"dims": SMALL_DIMS, key: value})
+
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             small_config(tmp_path, tmp_path, epochs=0).validate()
@@ -194,7 +208,7 @@ class TestConfig:
         small_config(tmp_path, tmp_path, corr_eps=0.0).validate()
 
     @pytest.mark.parametrize(
-        "field,value", [("hidden_activation", "tanh"), ("output_activation", "relu")]
+        "field,value", [("hidden_activation", "tanh"), ("hidden_activation", "sigmoid")]
     )
     def test_unknown_activation_rejected_before_the_run_starts(self, tmp_path, field, value):
         cfg = small_config(tmp_path / "d", tmp_path / "run", **{field: value})
@@ -379,15 +393,6 @@ class TestTrainLoop:
             expected = cosine_lr(step["epoch"] - 1, 4, 1e-3, 0.0)
             assert step["lr"] == expected
 
-    def test_step_cosine_cadence(self, small_dataset, tmp_path):
-        cfg = small_config(
-            small_dataset, tmp_path / "run", epochs=2, lr=1e-3, lr_cadence="step"
-        )
-        record = train(cfg)
-        lrs = [s["lr"] for s in record.steps]
-        assert lrs[0] == 1e-3
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
     def test_clipping_fires_iff_norm_exceeds(self, small_dataset, tmp_path):
         cfg = small_config(small_dataset, tmp_path / "run", epochs=2, clip_norm=0.01)
         record = train(cfg)
@@ -460,6 +465,64 @@ class TestTrainLoop:
             cfg.run_dir, saves, "non-finite values produced by linear forward",
             2, steps[-1]["step"],
         )
+
+    def test_os_error_is_logged_as_abort_then_end(self, small_dataset, tmp_path, monkeypatch):
+        fail_replace_file_at(monkeypatch, 3)  # config.json, last.emic, then epoch 1's best.emic
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=3)
+        with pytest.raises(OSError, match="No space left on device") as caught:
+            train(cfg)
+        log = read_log(cfg.run_dir)
+        steps = [r for r in log if r["type"] == "step"]
+        assert {r["epoch"] for r in steps} == {1}
+        assert log[-2] == {
+            "type": "abort",
+            "epoch": 1,
+            "step": steps[-1]["step"],
+            "error": str(caught.value),
+            "error_class": "OSError",
+        }
+        assert log[-1]["type"] == "end"
+        assert log[-1]["stop_reason"] == "error"
+        assert [r["type"] for r in log].count("eval") == 1
+
+    def test_failure_is_raised_when_the_log_cannot_take_it(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        trainer = sys.modules["emireg.train"]
+        real_open = open
+
+        class FullLog:
+            """A log whose disk fills at the abort record; its close fails too, as a
+            buffered file's does when it still holds bytes it could not write."""
+
+            def __init__(self, fh):
+                self.fh, self.full = fh, False
+
+            def write(self, text):
+                self.full = self.full or '"type": "abort"' in text
+                if self.full:
+                    raise OSError(errno.ENOSPC, "log disk full")
+                return self.fh.write(text)
+
+            def flush(self):
+                self.fh.flush()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                if self.full:
+                    raise OSError(errno.ENOSPC, "log disk full")
+
+        monkeypatch.setattr(
+            trainer, "open", lambda *a, **kw: FullLog(real_open(*a, **kw)), raising=False
+        )
+        fail_replace_file_at(monkeypatch, 3)
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=3)
+        with pytest.raises(OSError, match="No space left on device"):
+            train(cfg)
+        assert read_log(cfg.run_dir)[-1]["type"] == "eval"
 
     def test_zero_weights_match_mse_cell_config(self, small_dataset, tmp_path):
         # the ablation's 'mse' objective must be exactly the zero-weight run
@@ -627,6 +690,19 @@ class TestAblate:
         assert lines[0] == "fusion,objective,vad,p_mean,p_spread,best_epoch,status,error"
         assert all(r["status"] == "ok" for r in rows)
         assert all(isinstance(r["p_mean"], float) for r in rows)
+
+    def test_seeds_may_be_a_range_longer_than_an_index(self, small_dataset, tmp_path, monkeypatch):
+        tried = []
+
+        def failing_train(cfg):
+            tried.append(Path(cfg.run_dir).name)
+            raise DataError("cell failed")
+
+        monkeypatch.setattr(sys.modules["emireg.train"], "train", failing_train)
+        base = small_config(small_dataset, tmp_path / "grid", epochs=1, seed=0)
+        rows, _ = ablate(base, seeds=range(0, 2**63))  # len() of this range overflows
+        assert all(r["status"] == "failed" for r in rows)
+        assert tried == [f"{cell_name(*cell)}-seed0" for cell in ABLATION_CELLS]
 
     def test_cells_share_init_for_shared_params(self, small_dataset, tmp_path):
         # name-keyed init: the concat cells differ from each other only via
