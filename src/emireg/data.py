@@ -34,27 +34,28 @@ metric-excluded.
 
 Loading streams. ``load_split`` parses and checks the manifest and returns
 one :class:`Sample` per row, which maps its feature file only while its
-``features`` are read. ``make_batches`` resamples every sample to the
-alignment length into one read-only float64 ``[N x align x d]`` block per
-modality and stacks the targets into ``[N x 6]``. It reads the samples one
-batch at a time and pools each batch's sequences into that batch's rows of
-the blocks, in one pooling call per batch that runs on every CPU the process
-may use and gives the bytes of serial pooling, so at most one batch of raw
-sequences is mapped at a time. It returns a :class:`Batches` sequence whose
-every batch is a read-only view of consecutive rows of those blocks.
+``features`` are read. ``make_batches`` resamples samples to the alignment
+length into one float64 ``[N x align x d]`` block per modality and stacks
+the targets into ``[N x 6]``. It reads the samples one batch at a time and
+pools each batch's sequences into that batch's rows of the blocks, in one
+pooling call per batch that runs on every CPU the process may use and gives
+the bytes of serial pooling, so at most one batch of raw sequences is
+mapped at a time. It returns a :class:`Batches` sequence whose every batch
+is a read-only view of consecutive rows of those blocks.
 
-A split's pooled blocks are its only copy, held by the :class:`Batches` made
-from them, which refer to no sample. Shuffled, the rows are in the order of
-one ``rng.permutation``: ``make_batches(shuffle=True)`` pools in that order,
-and :meth:`Batches.shuffle` rearranges the rows in place into the order of
-the next permutation, moving one sample's rows at a time through one row of
-scratch. The trainer shuffles its train batches once per epoch, so a run
-holds no second copy of the split and no per-batch buffer.
+Holding a whole split's blocks costs ``align * sum(dims) * 8`` bytes per
+sample, so the commands hold one batch instead. :func:`stream_batches`
+pools each batch of a split, through ``make_batches``, into the same
+reused rows just before it is used. A :class:`Spill` pools a split once
+the same way and writes each batch to an unnamed file, one record per
+sample; it reads any order of samples back, a batch at a time, into the
+same rows with positioned reads, which add nothing to resident memory.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -64,7 +65,7 @@ import shutil
 import struct
 import tempfile
 import uuid
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -72,7 +73,7 @@ from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, ShapeError
 from .layers import adaptive_avg_pool, pooled_block
 from .schema import MODALITIES, TARGET_COLUMNS
 from .tensor import Array, as_tensor, seeded_rng
@@ -126,8 +127,11 @@ class Sample:
 class Batch:
     """Aligned samples ready for the model.
 
-    The arrays are read-only views of consecutive rows of the pooled blocks,
-    so a :meth:`Batches.shuffle` after the batch was built changes them.
+    The feature arrays are read-only views of rows that the batch's producer
+    owns: consecutive rows of a :func:`make_batches` call's blocks, or the
+    reused rows that :func:`stream_batches` pools into and a
+    :class:`Spill` reads into, which the next batch overwrites. A caller
+    that keeps features past the next batch copies them.
     """
 
     ids: list[str]
@@ -139,54 +143,22 @@ class Batch:
 
 
 class Batches(Sequence):
-    """A split's pooled blocks, read as batches of ``batch_size`` consecutive rows.
+    """Pooled blocks, read as batches of ``batch_size`` consecutive rows.
 
-    Row ``k`` of every block, of the targets and of the ids holds manifest
-    sample ``order[k]``. Batch ``i`` is rows ``[i * batch_size, (i + 1) *
-    batch_size)``, the last one short, built as read-only views when
-    indexed, so the sequence can be iterated any number of times. The
-    blocks, ids and targets are the only data held; :meth:`shuffle`
-    rearranges their rows in place.
+    Batch ``i`` is rows ``[i * batch_size, (i + 1) * batch_size)``, the last
+    one short, built as read-only views when indexed, so the sequence can be
+    iterated any number of times. The blocks, ids and targets are the only
+    data held.
     """
 
-    def __init__(
-        self,
-        ids: Array,
-        features: dict[str, Array],
-        targets: Array,
-        batch_size: int,
-        order: Array,
-    ):
+    def __init__(self, ids: Array, features: dict[str, Array], targets: Array, batch_size: int):
         self._ids = ids
         self._features = features
         self._targets = targets
         self._starts = range(0, len(ids), batch_size)
-        self._order = order
 
     def __len__(self) -> int:
         return len(self._starts)
-
-    @property
-    def n_samples(self) -> int:
-        """How many samples the batches cover, over all of them."""
-        return len(self._ids)
-
-    def shuffle(self, rng: np.random.Generator) -> None:
-        """Rearrange the rows in place into the order of one ``rng.permutation``.
-
-        Afterwards row ``k`` holds manifest sample ``order[k]``, whatever
-        order the rows held before: the rows ``make_batches(shuffle=True)``
-        pools with the same generator. Each array's rows move along the
-        permutation's cycles through one row of scratch, so the call
-        allocates no more than one sample's rows of one block at a time.
-        """
-        order = rng.permutation(self.n_samples)
-        row_of = np.empty_like(order)
-        row_of[self._order] = np.arange(self.n_samples)
-        source = row_of[order]  # the row whose sample moves to row k
-        for a in (*self._features.values(), self._targets, self._ids):
-            _gather_rows(a, source)
-        self._order = order
 
     def batch(self, i: int) -> Batch:
         """Batch ``i``: read-only views of its rows of the blocks, targets and ids."""
@@ -197,31 +169,6 @@ class Batches(Sequence):
 
     def __getitem__(self, i: int) -> Batch:
         return self.batch(i)
-
-
-def _gather_rows(a: Array, source: Array) -> None:
-    """Set ``a[k] = a[source[k]]`` for every row ``k`` in place; ``source`` is a permutation.
-
-    Each cycle of ``source`` is followed from its first row, which waits in
-    a one-row scratch copy until the cycle closes. ``a`` is writable only
-    during the call.
-    """
-    done = np.zeros(len(source), dtype=np.bool_)
-    a.flags.writeable = True
-    try:
-        for start in range(len(source)):
-            if done[start] or source[start] == start:
-                continue
-            scratch = a[start : start + 1].copy()
-            k = start
-            while source[k] != start:
-                a[k] = a[source[k]]
-                done[k] = True
-                k = source[k]
-            a[k] = scratch[0]
-            done[k] = True
-    finally:
-        a.flags.writeable = False
 
 
 # -- EMIF feature files -------------------------------------------------------
@@ -518,20 +465,21 @@ def make_batches(
     align_len: int,
     shuffle: bool = False,
     rng: np.random.Generator | None = None,
+    out: Mapping[str, Array] | None = None,
 ) -> Batches:
     """Pool samples into one block per modality, read as batches; the final short batch is kept.
 
     Each modality's block is float64 [N x align x d], and the targets are
-    stacked into [N x 6]. The samples are read ``batch_size`` at a time, in
-    row order, and each batch's sequences, every modality's, are pooled into
-    their rows of the blocks by one :func:`adaptive_avg_pool` call, split
-    across every CPU the process may use and byte-identical to pooling them
-    one by one; a batch's files are unmapped before the next batch's are
-    read. All
-    arrays are marked read-only, so a write through a batch view raises
-    instead of changing later epochs. With ``shuffle`` the rows follow one
-    ``rng.permutation``, the order :meth:`Batches.shuffle` draws; otherwise
-    manifest order is kept.
+    stacked into [N x 6]. The blocks are new, or the first N rows of
+    ``out``'s buffers (see :func:`pooled_blocks`), which the caller reuses.
+    The samples are read ``batch_size`` at a time, in row order, and each
+    batch's sequences, every modality's, are pooled into their rows of the
+    blocks by one :func:`adaptive_avg_pool` call, split across every CPU
+    the process may use and byte-identical to pooling them one by one; a
+    batch's files are unmapped before the next batch's are read. The
+    batches are read-only views, so a write through one raises. With
+    ``shuffle`` the rows follow one ``rng.permutation``; otherwise manifest
+    order is kept.
     """
     if not samples:
         raise DataError("cannot batch an empty split")
@@ -540,8 +488,12 @@ def make_batches(
     if shuffle and rng is None:
         raise ConfigError("shuffle requested without a generator")
     n = len(samples)
+    if out is None:
+        out = pooled_blocks(n, align_len, samples[0].dims)
+    elif any(len(out[m]) < n for m in MODALITIES):
+        raise ShapeError(f"pooled rows hold fewer than the {n} samples to pool")
     order = rng.permutation(n) if shuffle else np.arange(n)
-    features = {m: pooled_block(n, align_len, samples[0].dims[m]) for m in MODALITIES}
+    features = {m: out[m][:n] for m in MODALITIES}
     for start in range(0, n, batch_size):
         batch = [samples[k].features for k in order[start : start + batch_size]]
         seqs = [f[m] for m in MODALITIES for f in batch]
@@ -552,7 +504,135 @@ def make_batches(
     ids = np.array([samples[k].id for k in order], dtype=object)
     for a in (*features.values(), targets, ids):
         a.flags.writeable = False
-    return Batches(ids, features, targets, batch_size, order)
+    return Batches(ids, features, targets, batch_size)
+
+
+def pooled_blocks(n: int, align_len: int, dims: Mapping[str, int]) -> dict[str, Array]:
+    """One uninitialised float64 [n x align x d] block per modality."""
+    return {m: pooled_block(n, align_len, dims[m]) for m in MODALITIES}
+
+
+def stream_batches(
+    samples: Sequence[Sample],
+    batch_size: int,
+    align_len: int,
+    rows: Mapping[str, Array] | None = None,
+) -> Iterator[Batch]:
+    """The samples' batches in manifest order, each pooled when it is reached.
+
+    Every ``batch_size`` slice goes through :func:`make_batches` into the
+    same ``rows``: buffers of at least ``batch_size`` rows from
+    :func:`pooled_blocks`, or new ones sized to the first batch. So each
+    batch is overwritten by the next, and one batch of pooled rows is held,
+    whatever the split's size.
+    """
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
+        if rows is None:
+            rows = pooled_blocks(len(chunk), align_len, chunk[0].dims)
+        yield make_batches(chunk, batch_size, align_len, out=rows)[0]
+
+
+# a write that runs out of room is a data error, as an unwritable dataset is
+_NO_SPACE = (errno.ENOSPC, errno.EDQUOT)
+# the most buffers one os.pwritev or os.preadv call takes on Linux
+_IOV_MAX = 1024
+
+
+class Spill:
+    """A split pooled once into an unnamed file, read back one batch at a time.
+
+    The file is ``tempfile.TemporaryFile(dir=directory)``: on Linux an
+    ``O_TMPFILE``, never listed in the directory, gone when it is closed or
+    the process dies, and on the directory's file system, not in a ``/tmp``
+    that may be RAM. It holds one fixed-size record per manifest sample:
+    the sample's pooled rows of each modality in turn. Its blocks are
+    allocated first, by ``os.posix_fallocate``; then the samples are pooled
+    by :func:`stream_batches` into ``rows``, and each batch is written from
+    there by one ``os.pwritev``. Running out of space is a
+    :class:`~emireg.errors.DataError`. :meth:`batches` reads each sample's
+    record by one ``os.preadv`` into the same ``rows``, so a batch is a
+    view of them that the next read overwrites. Positioned reads into one
+    reused buffer add nothing to the process's resident memory, where a
+    mapping of the file would add every page it touched. The targets,
+    [N x 6], and the ids stay in memory.
+    """
+
+    def __init__(
+        self,
+        samples: Sequence[Sample],
+        batch_size: int,
+        align_len: int,
+        rows: Mapping[str, Array],
+        directory,
+    ):
+        self._ids = [s.id for s in samples]
+        self._targets = as_tensor(np.stack([s.target for s in samples]))
+        self._batch_size = batch_size
+        self._rows = rows
+        self._record = sum(rows[m][0].nbytes for m in MODALITIES)
+        self._file = tempfile.TemporaryFile(dir=directory)
+        try:
+            # blocks reserved up front make the writes cheaper and a full disk fail first
+            os.posix_fallocate(self._file.fileno(), 0, len(samples) * self._record)
+            at = 0
+            for batch in stream_batches(samples, batch_size, align_len, rows):
+                pooled = [batch.features[m][j] for j in range(len(batch)) for m in MODALITIES]
+                self._transfer(os.pwritev, pooled, at)
+                at += len(batch) * self._record
+        except BaseException as exc:
+            self._file.close()
+            if isinstance(exc, OSError) and exc.errno in _NO_SPACE:
+                raise DataError(
+                    f"no space left for the pooled split in {directory}: {exc}"
+                ) from exc
+            raise
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def batches(self, order: Sequence[int]) -> Iterator[Batch]:
+        """Batches of ``batch_size`` samples, in ``order`` of manifest indices, the last short.
+
+        Each is a read-only view of the rows, overwritten by the next.
+        """
+        for start in range(0, len(order), self._batch_size):
+            picked = order[start : start + self._batch_size]
+            for j, k in enumerate(picked):
+                rows = [self._rows[m][j] for m in MODALITIES]
+                self._transfer(os.preadv, rows, int(k) * self._record)
+            features = {m: self._rows[m][: len(picked)] for m in MODALITIES}
+            targets = self._targets[picked]
+            for a in (*features.values(), targets):
+                a.flags.writeable = False
+            yield Batch([self._ids[k] for k in picked], features, targets)
+
+    def _transfer(self, op, arrays: list[Array], offset: int) -> None:
+        """``os.pwritev`` or ``os.preadv`` the arrays' bytes in turn, from ``offset`` on.
+
+        A short transfer goes on where it stopped; the end of the file is a
+        :class:`~emireg.errors.DataError`.
+        """
+        views = [memoryview(a).cast("B") for a in arrays]
+        while views:
+            done = op(self._file.fileno(), views[:_IOV_MAX], offset)
+            if done == 0:
+                raise DataError("the pooled split's file ended before the record")
+            offset += done
+            while done:
+                if done < len(views[0]):
+                    views[0] = views[0][done:]
+                    break
+                done -= len(views.pop(0))
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "Spill":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -621,6 +701,8 @@ def load_checkpoint(path) -> dict[str, Array]:
 
 
 SEQ_LEN_RANGE = (48, 192)  # spans both sides of the 128-row alignment
+# a feature file's bytes besides its values: magic, version, one header per block
+_FEATURE_HEADER_BYTES = struct.calcsize("<4sH" + "BII" * len(MODALITIES))
 JITTER_SCALE = 0.05
 SPLIT_FRACTIONS = {"train": 0.7, "val": 0.15}
 SYNTHETIC_MODES = ("overlap", "disjoint")
@@ -656,7 +738,9 @@ def generate_synthetic(
     mean pooling recovers the encoded signal. Byte-identical for equal
     arguments. The files are written into a hidden sibling directory and
     moved into ``out_dir`` once all are written, so a call that fails leaves
-    ``out_dir`` as it was.
+    ``out_dir`` as it was. A dataset whose feature files cannot fit in the
+    free space of ``out_dir``'s file system, even at the shortest sequences,
+    is refused before anything is written.
     """
     if n < 2:
         raise ConfigError(f"need at least 2 samples, got {n}")
@@ -682,6 +766,14 @@ def generate_synthetic(
             )
 
     out_dir = Path(out_dir)
+    # every file holds its header and at least the shortest sequence per modality
+    least = n * (_FEATURE_HEADER_BYTES + SEQ_LEN_RANGE[0] * sum(dims.values()) * 4)
+    existing = next(p for p in (out_dir.absolute(), *out_dir.absolute().parents) if p.exists())
+    free = shutil.disk_usage(existing).free
+    if least > free:
+        raise ConfigError(
+            f"{n} samples need at least {least} bytes, but {existing} has {free} free"
+        )
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staged = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
     try:

@@ -5,19 +5,26 @@ order, dropout masks and initialization derive from the config seed, logs
 carry no timestamps or paths, and checkpoints serialize in a fixed order,
 so two runs of one config on copies of one dataset are bit-identical.
 
-What a run keeps resident: one pooled block per modality and split, with
-its targets, held by the split's batches and shuffled in place each epoch;
-while a split is pooled, at most one batch of raw sequences is mapped, and
-none is once the blocks are built, before the run directory is made. Then
-the model's flat parameter and gradient vectors, the AdamW moments and the
-EMA model's values. No batch is copied: each is a view of its block's rows.
-The model keeps no per-call state: a training forward's outputs carry the
-record its backward reads, one gate per branch, a ``[batch x align x
-hidden]`` keep-mask folded with the activation's derivative (one byte per
-element under relu), and the projection inputs, views of the pooled blocks;
-the step drops them once its backward returns. A checkpoint is read in
+What a run keeps resident: one batch of pooled rows per modality. Before
+the first step, the train and val splits are pooled into those rows a
+batch at a time and written to unnamed spill files in the run directory,
+one record per sample (:class:`~emireg.data.Spill`). Each step reads its
+batch's records, in the epoch's permutation, back into the same rows with
+positioned reads, and each evaluation reads the val records in manifest
+order; a batch is a view of the rows that the next read overwrites. The
+spills' pages are page cache, which the kernel evicts and reads back
+rather than ending the run, and the pooled bytes held do not grow with the
+splits. While a split is pooled, at most one batch of raw sequences is
+mapped. Then the model's flat parameter and gradient vectors, the AdamW
+moments and the EMA model's values. The model keeps no per-call state: a
+training forward's outputs carry the record its backward reads, one gate
+per branch, a ``[batch x align x hidden]`` keep-mask folded with the
+activation's derivative (one byte per element under relu), and the
+projection inputs, views of the batch's rows; the step drops them once its
+backward returns, before the next batch is read. A checkpoint is read in
 place, as a mapping of its file, and only the chosen half of it is copied,
-into the model, before the split is pooled.
+into the model, before its split is read; evaluate and predict stream the
+split, pooling each batch into the rows the last one used.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -230,9 +237,13 @@ def _checkpoint_tensors(model: Model, ema_model: Model) -> dict[str, Array]:
 
 
 def _forward_batches(
-    model: Model, batches: data.Batches
+    model: Model, batches: Iterable[data.Batch]
 ) -> tuple[list[str], Array, Array, Array]:
-    """Eval-mode forward over batches: ids, predictions, logits and targets, in order."""
+    """Eval-mode forward over batches: ids, predictions, logits and targets, in order.
+
+    Nothing kept is a view of a batch's features, so each batch may be
+    overwritten once its forward returned.
+    """
     ids, preds, logits, targets = [], [], [], []
     for batch in batches:
         out = model.forward(batch.features, train=False)
@@ -255,28 +266,17 @@ def _score(preds: Array, targets: Array) -> EvalReport:
     return mean_pcc(preds[keep], targets[keep])
 
 
-def _split_batches(config: TrainConfig, manifest_path, split: str) -> data.Batches:
-    """One split's batches in manifest order.
-
-    No name holds the split's samples, which hold no features: the batches
-    keep only the pooled blocks.
-    """
-    return data.make_batches(
-        data.load_split(manifest_path, split, config.dims),
-        config.batch_size,
-        config.align_len,
-        shuffle=False,
-    )
-
-
 def train(config: TrainConfig) -> RunRecord:
     """Run the full recipe; writes config.json, log.jsonl, best/last checkpoints.
 
-    An ``EmiregError`` or ``OSError`` once the log is open is logged as an
-    ``abort`` record with its class and message, then the ``end`` record
-    (``non_finite_loss`` for a ``NumericError``, else ``error``), and is
-    raised once the log is closed, or if the log cannot take them; best/last
-    stay the last completed epoch's.
+    The run directory is made before the splits are pooled, since their
+    spills live in it; a failure before ``config.json`` is written removes
+    a directory this call made. An ``EmiregError`` or ``OSError`` once the
+    log is open is logged as an ``abort`` record with its class and
+    message, then the ``end`` record (``non_finite_loss`` for a
+    ``NumericError``, else ``error``), and is raised once the log is
+    closed, or if the log cannot take them; best/last stay the last
+    completed epoch's.
     """
     config.validate()
     if config.data_dir is None:
@@ -284,18 +284,14 @@ def train(config: TrainConfig) -> RunRecord:
     if config.run_dir is None:
         raise ConfigError("config.run_dir is required for training")
     manifest = Path(config.data_dir) / data.MANIFEST_NAME
-    train_batches = _split_batches(config, manifest, "train")
-    val_batches = _split_batches(config, manifest, "val")
-    if val_batches.n_samples < 2:
-        raise DataError(
-            f"val split has {val_batches.n_samples} row(s); the metric needs at least 2"
-        )
+    splits = [data.load_split(manifest, s, config.dims) for s in ("train", "val")]
+    if len(splits[1]) < 2:
+        raise DataError(f"val split has {len(splits[1])} row(s); the metric needs at least 2")
     model = config.build_model()
-    optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
-    # the EMA weights are a second model, scored and saved as a loaded checkpoint's
-    ema_model = config.build_model(init=False)
-    ema = Ema(model.parameters(), ema_model.parameters(), config.ema_decay)
-    # only a run whose data loaded and whose model was built gets a directory
+    # one batch of pooled rows per modality: both splits are pooled into
+    # them, and every batch is read back into them
+    capacity = min(config.batch_size, max(map(len, splits)))
+    rows = data.pooled_blocks(capacity, config.align_len, config.dims)
     run_dir = Path(config.run_dir)
     created = not run_dir.exists()
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -304,15 +300,37 @@ def train(config: TrainConfig) -> RunRecord:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    spills: list[data.Spill] = []
     try:
+        for samples in splits:
+            spills.append(data.Spill(samples, config.batch_size, config.align_len, rows, run_dir))
         data.replace_text_file(run_dir / "config.json", write_config)
     except BaseException:  # a directory this call made goes if empty, as a default one does
+        for spill in spills:
+            spill.close()
         if created and not any(run_dir.iterdir()):
             run_dir.rmdir()
         raise
+    del splits, samples  # no sample outlives the spills, which keep the ids and targets
+    with spills[0] as train_spill, spills[1] as val_spill:
+        return _run_epochs(config, model, run_dir, train_spill, val_spill)
 
+
+def _run_epochs(
+    config: TrainConfig,
+    model: Model,
+    run_dir: Path,
+    train_spill: data.Spill,
+    val_spill: data.Spill,
+) -> RunRecord:
+    """:func:`train`'s loop, from its spilled splits into a run directory with config.json."""
+    optimizer = AdamW(model.parameters(), weight_decay=config.weight_decay)
+    # the EMA weights are a second model, scored and saved as a loaded checkpoint's
+    ema_model = config.build_model(init=False)
+    ema = Ema(model.parameters(), ema_model.parameters(), config.ema_decay)
     stopper = EarlyStopper(config.patience)
     record = RunRecord(config_hash=config.config_hash(), run_dir=str(run_dir))
+    val_order = np.arange(len(val_spill))
 
     global_step = 0
     failure = None
@@ -326,8 +344,8 @@ def train(config: TrainConfig) -> RunRecord:
             try:
                 for epoch in range(1, config.epochs + 1):
                     lr = cosine_lr(epoch - 1, config.epochs, config.lr, config.eta_min)
-                    train_batches.shuffle(seeded_rng(config.seed, _SHUFFLE_STREAM, epoch))
-                    for batch in train_batches:
+                    shuffle = seeded_rng(config.seed, _SHUFFLE_STREAM, epoch)
+                    for batch in train_spill.batches(shuffle.permutation(len(train_spill))):
                         model.zero_grads()
                         outputs = model.forward(batch.features, train=True)
                         breakdown, grads = total_loss(
@@ -353,7 +371,9 @@ def train(config: TrainConfig) -> RunRecord:
                         record.steps.append(step_payload)
                         emit(step_payload)
 
-                    _, preds, _, targets = _forward_batches(ema_model, val_batches)
+                    _, preds, _, targets = _forward_batches(
+                        ema_model, val_spill.batches(val_order)
+                    )
                     report = _score(preds, targets)
                     emit({"type": "eval", "epoch": epoch, "ema": True, **report.to_dict()})
 
@@ -412,8 +432,11 @@ def _checkpoint_forward(
 
     The checkpoint's tensors are views of its mapped file, and the model
     copies in only the chosen half; the mapping is dropped before the split
-    is pooled, and the raw sequences before the forward pass (see
-    ``_split_batches``).
+    is read. The split is streamed: each batch is pooled into the rows the
+    last one used and its forward runs before the next is pooled, so one
+    batch of pooled rows is held, whatever the split's size. A bad feature
+    file is reported when its batch is reached, after the batches before it
+    ran.
     """
     if split not in data.SPLITS:
         raise ConfigError(f"unknown split {split!r}, expected one of {data.SPLITS}")
@@ -423,8 +446,11 @@ def _checkpoint_forward(
         raise DataError(f"{ckpt_path}: checkpoint carries no EMA shadows")
     # set_values writes every parameter and rejects a missing one
     model.set_values(shadows if use_ema else raw)
-    del raw, shadows  # unmap the checkpoint before the split is pooled
-    return _forward_batches(model, _split_batches(config, manifest_path, split))
+    del raw, shadows  # unmap the checkpoint before the split is read
+    samples = data.load_split(manifest_path, split, config.dims)
+    return _forward_batches(
+        model, data.stream_batches(samples, config.batch_size, config.align_len)
+    )
 
 
 def evaluate_checkpoint(

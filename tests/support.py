@@ -2,6 +2,7 @@
 
 import errno
 import os
+import tempfile
 import threading
 import tracemalloc
 
@@ -164,3 +165,16 @@ def fail_replace_file_at(monkeypatch, call: int) -> None:
         real_replace(path, write)
 
     monkeypatch.setattr(data, "_replace_file", failing_replace)
+
+
+def record_spill_files(monkeypatch) -> list:
+    """A list that collects every unnamed file opened from now on, as a Spill opens its file."""
+    opened = []
+    real_open = tempfile.TemporaryFile
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording_open)
+    return opened

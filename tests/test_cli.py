@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ class TestGenSynth:
         assert "emireg: config error: n is too large to represent as a 64-bit int" in err
         assert list(tmp_path.iterdir()) == []  # neither the dataset nor a staging directory
 
+    def test_n_past_the_free_space_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a refused n reached the writer")
+
+        # the largest int64 n; a writer left in place would fill the disk
+        monkeypatch.setattr(emireg.data, "_write_synthetic", unreachable)
+        monkeypatch.setattr(
+            shutil, "disk_usage", lambda path: SimpleNamespace(free=10**12)
+        )
+        code = run_cli("gen-synth", "--n", str(2**63 - 1), "--dims", DIMS_FLAG,
+                       "--out", str(tmp_path / "d"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"emireg: config error: {2**63 - 1} samples need at least ")
+        assert err.rstrip().endswith(f"but {tmp_path} has 1000000000000 free")
+        assert list(tmp_path.iterdir()) == []  # neither the dataset nor a staging directory
+
     def test_disjoint_sidecar(self, tmp_path):
         out = tmp_path / "ds"
         run_cli("gen-synth", "--n", "10", "--dims", DIMS_FLAG, "--mode", "disjoint",
@@ -151,6 +169,8 @@ class TestGenSynth:
                 raise MemoryError("Unable to allocate 4.37 TiB for an array")
 
         monkeypatch.setattr("emireg.data.seeded_rng", lambda *key: NoMemory())
+        # room for its 77 TB of files, so the refusal of a full disk does not come first
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=10**15))
         out = tmp_path / "ds"
         code = run_cli("gen-synth", "--n", "4", "--dims", "8:100000000000:6", "--out", str(out))
         assert code == 1

@@ -1,12 +1,16 @@
+import errno
 import gc
 import hashlib
 import io
 import json
 import math
+import os
+import shutil
 import struct
 import threading
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,22 +23,25 @@ from emireg.data import (
     SIDECAR_NAME,
     Batches,
     ManifestRow,
+    Spill,
     apply_placeholder,
     generate_synthetic,
     load_checkpoint,
     load_manifest,
     load_split,
     make_batches,
+    pooled_blocks,
     read_feature_file,
     save_checkpoint,
+    stream_batches,
     write_feature_file,
     write_manifest,
 )
-from emireg.errors import ConfigError, DataError, FormatError
+from emireg.errors import ConfigError, DataError, FormatError, ShapeError
 from emireg.schema import MODALITIES
 
 from oracles import dataset_mean_features, least_squares_mean_pcc
-from support import count_thread_starts, traced_memory, use_cpus
+from support import count_thread_starts, record_spill_files, traced_memory, use_cpus
 
 DIMS = {"visual": 8, "audio": 7, "text": 6}
 
@@ -422,40 +429,50 @@ class TestBatching:
                     assert batch.features[m][i].tobytes() == features[m].tobytes()
                 assert batch.targets[i].tobytes() == target.tobytes()
 
-    def test_shuffled_draws_the_order_of_a_shuffled_call(self, rng, tmp_path):
+    def test_spill_reads_the_rows_of_a_shuffled_call(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 23)
-        drawn = make_batches(samples, 5, align_len=16)
-        drawn.shuffle(np.random.default_rng(8))
-        called = make_batches(
-            samples, 5, align_len=16, shuffle=True, rng=np.random.default_rng(8)
-        )
-        assert [b.ids for b in drawn] == [b.ids for b in called]
-        for a, b in zip(drawn, called):
-            for m in MODALITIES:
-                assert a.features[m].tobytes() == b.features[m].tobytes()
-            assert a.targets.tobytes() == b.targets.tobytes()
+        rows = pooled_blocks(5, 16, DIMS)
+        with Spill(samples, 5, 16, rows, tmp_path) as spill:
+            read = spill.batches(np.random.default_rng(8).permutation(23))
+            called = make_batches(
+                samples, 5, align_len=16, shuffle=True, rng=np.random.default_rng(8)
+            )
+            for a, b in zip(read, called, strict=True):
+                assert a.ids == b.ids
+                for m in MODALITIES:
+                    assert a.features[m].tobytes() == b.features[m].tobytes()
+                assert a.targets.tobytes() == b.targets.tobytes()
 
-    def test_shuffle_puts_manifest_sample_order_k_in_row_k(self, rng, tmp_path):
+    def test_spill_reads_manifest_sample_order_k_into_row_k(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 20)
         whole = make_batches(samples, 20, 64)[0]  # manifest order, for reference
-        batches = make_batches(samples, 8, 64)
-        blocks = {m: batches[0].features[m].base for m in MODALITIES}
-        for seed in (1, 2):  # the second shuffle starts from the first one's rows
-            order = np.random.default_rng(seed).permutation(20)
-            batches.shuffle(np.random.default_rng(seed))
-            assert [i for b in batches for i in b.ids] == [samples[k].id for k in order]
-            for m in MODALITIES:
-                assert blocks[m].tobytes() == whole.features[m][order].tobytes()
-                assert all(np.shares_memory(b.features[m], blocks[m]) for b in batches)
-            assert np.concatenate([b.targets for b in batches]).tobytes() == (
-                whole.targets[order].tobytes()
-            )
-        # one row of one block at a time is the only scratch
-        one_sample = 64 * sum(DIMS.values()) * 8
-        _, peak = traced_memory(lambda: batches.shuffle(np.random.default_rng(3)))
-        assert peak < one_sample, peak
-        with pytest.raises(ValueError):
-            batches[0].features["visual"][0, 0, 0] = 1.0
+        rows = pooled_blocks(8, 64, DIMS)
+        with Spill(samples, 8, 64, rows, tmp_path) as spill:
+            assert len(spill) == 20
+            for seed in (1, 2):
+                order = np.random.default_rng(seed).permutation(20)
+                batches = []
+                for batch in spill.batches(order):
+                    # each batch is a read-only view of the rows, read into them
+                    for m in MODALITIES:
+                        assert batch.features[m].base is rows[m]
+                        assert not batch.features[m].flags.writeable
+                    assert not batch.targets.flags.writeable
+                    features = {m: batch.features[m].copy() for m in MODALITIES}
+                    batches.append((batch.ids, features, batch.targets))
+                assert [len(ids) for ids, _, _ in batches] == [8, 8, 4]
+                assert [i for ids, _, _ in batches for i in ids] == [samples[k].id for k in order]
+                for m in MODALITIES:
+                    got = np.concatenate([f[m] for _, f, _ in batches])
+                    assert got.tobytes() == whole.features[m][order].tobytes()
+                got = np.concatenate([t for _, _, t in batches])
+                assert got.tobytes() == whole.targets[order].tobytes()
+            # a read copies into the rows: nothing near one sample's rows is allocated
+            one_sample = 64 * sum(DIMS.values()) * 8
+            _, peak = traced_memory(lambda: list(spill.batches(np.arange(20))))
+            assert peak < one_sample, peak
+            with pytest.raises(ValueError):
+                next(spill.batches(np.arange(20))).features["visual"][0, 0, 0] = 1.0
 
     def test_batches_hold_no_sample(self, rng, tmp_path):
         samples = _make_dataset(rng, tmp_path / "ds", 9)
@@ -465,8 +482,7 @@ class TestBatching:
         del samples
         gc.collect()
         assert all(ref() is None for ref in refs)
-        batches.shuffle(np.random.default_rng(0))
-        assert len(batches) == 3 and batches.n_samples == 9
+        assert len(batches) == 3
         for m in MODALITIES:
             assert np.shares_memory(batches[0].features[m], blocks[m])
 
@@ -613,6 +629,115 @@ class TestBatching:
                 assert np.array_equal(
                     batch.features[m][i], adaptive_avg_pool([s.features[m]], 12)[0]
                 )
+
+
+class TestStreamBatches:
+    def test_stream_gives_the_batches_of_one_call_through_one_buffer(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 11)
+        expected = make_batches(samples, 4, align_len=16)
+        starts = set()
+        for got, want in zip(stream_batches(samples, 4, 16), expected, strict=True):
+            assert got.ids == want.ids
+            for m in MODALITIES:
+                assert got.features[m].tobytes() == want.features[m].tobytes()
+                assert not got.features[m].flags.writeable
+                starts.add((m, got.features[m].__array_interface__["data"][0]))
+            assert got.targets.tobytes() == want.targets.tobytes()
+        assert len(starts) == len(MODALITIES)  # every batch was pooled into the same rows
+
+    def test_stream_pools_into_the_given_rows(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 5)
+        rows = pooled_blocks(6, 16, DIMS)
+        for batch in stream_batches(samples, 3, 16, rows):
+            assert all(batch.features[m].base is rows[m] for m in MODALITIES)
+
+    def test_make_batches_refuses_too_few_rows(self, rng, tmp_path):
+        samples = _make_dataset(rng, tmp_path / "ds", 5)
+        with pytest.raises(ShapeError, match="fewer than the 5 samples"):
+            make_batches(samples, 5, 16, out=pooled_blocks(4, 16, DIMS))
+
+
+class TestSpill:
+    def test_the_file_is_unnamed_and_closed_on_exit(self, rng, tmp_path, monkeypatch):
+        samples = _make_dataset(rng, tmp_path / "ds", 7)
+        opened = record_spill_files(monkeypatch)
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        with Spill(samples, 3, 16, pooled_blocks(3, 16, DIMS), spill_dir):
+            assert list(spill_dir.iterdir()) == []
+            assert len(opened) == 1 and not opened[0].closed
+        assert opened[0].closed
+
+    def test_short_transfers_and_many_buffers_give_the_same_rows(
+        self, rng, tmp_path, monkeypatch
+    ):
+        samples = _make_dataset(rng, tmp_path / "ds", 9)
+        order = np.random.default_rng(4).permutation(9)
+        expected = make_batches(samples, 9, 16, shuffle=True, rng=np.random.default_rng(4))[0]
+        real_pwritev, real_preadv = os.pwritev, os.preadv
+        calls = []
+
+        def short(op):
+            # a call moves 100 bytes of a longer first buffer, else both buffers
+            def call(fd, buffers, offset):
+                calls.append(len(buffers))
+                first = memoryview(buffers[0])
+                return op(fd, [first[:100]] if len(first) > 100 else buffers, offset)
+
+            return call
+
+        monkeypatch.setattr(data_module, "_IOV_MAX", 2)
+        monkeypatch.setattr(os, "pwritev", short(real_pwritev))
+        monkeypatch.setattr(os, "preadv", short(real_preadv))
+        with Spill(samples, 9, 16, pooled_blocks(9, 16, DIMS), tmp_path) as spill:
+            (batch,) = spill.batches(order)
+        assert max(calls) == 2
+        for m in MODALITIES:
+            assert batch.features[m].tobytes() == expected.features[m].tobytes()
+
+    @pytest.mark.parametrize(
+        "call, code",
+        [("pwritev", errno.ENOSPC), ("pwritev", errno.EDQUOT), ("posix_fallocate", errno.ENOSPC)],
+    )
+    def test_a_full_disk_is_a_data_error_and_closes_the_file(
+        self, rng, tmp_path, monkeypatch, call, code
+    ):
+        samples = _make_dataset(rng, tmp_path / "ds", 7)
+        opened = record_spill_files(monkeypatch)
+
+        def full(*args):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, call, full)
+        with pytest.raises(DataError, match="no space left for the pooled split") as err:
+            Spill(samples, 3, 16, pooled_blocks(3, 16, DIMS), tmp_path)
+        assert err.value.__cause__.errno == code
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_other_write_failures_and_pooling_errors_close_the_file(
+        self, rng, tmp_path, monkeypatch
+    ):
+        samples = _make_dataset(rng, tmp_path / "ds", 7)
+        opened = record_spill_files(monkeypatch)
+
+        def broken(fd, buffers, offset):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "pwritev", broken)
+            with pytest.raises(OSError, match="Input/output error"):
+                Spill(samples, 3, 16, pooled_blocks(3, 16, DIMS), tmp_path)
+        (tmp_path / "ds" / "s5.emif").write_bytes(b"EMIF")  # in the second batch
+        with pytest.raises(FormatError, match="truncated"):
+            Spill(samples, 3, 16, pooled_blocks(3, 16, DIMS), tmp_path)
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+    def test_a_read_past_the_end_is_a_data_error(self, rng, tmp_path, monkeypatch):
+        samples = _make_dataset(rng, tmp_path / "ds", 4)
+        with Spill(samples, 4, 16, pooled_blocks(4, 16, DIMS), tmp_path) as spill:
+            monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: 0)
+            with pytest.raises(DataError, match="ended before the record"):
+                next(spill.batches(np.arange(4)))
 
 
 class TestCheckpoint:
@@ -1046,3 +1171,26 @@ class TestSyntheticGenerator:
     def test_too_few_samples(self, tmp_path):
         with pytest.raises(ConfigError):
             generate_synthetic(tmp_path / "d", n=1, dims=DIMS, seed=0)
+
+    def test_a_dataset_past_the_free_space_is_refused_up_front(self, tmp_path, monkeypatch):
+        # 33 header bytes and 48 rows of 21 float32 values per file, the least it can hold
+        least = 10 * (33 + 48 * sum(DIMS.values()) * 4)
+        asked = []
+
+        def disk_usage(path):
+            asked.append(Path(path))
+            return SimpleNamespace(free=least - 1)
+
+        written = []
+        monkeypatch.setattr(shutil, "disk_usage", disk_usage)
+        monkeypatch.setattr(data_module, "_write_synthetic", lambda *args: written.append(args))
+        out = tmp_path / "not" / "yet" / "d"
+        with pytest.raises(ConfigError, match=f"10 samples need at least {least} bytes"):
+            generate_synthetic(out, n=10, dims=DIMS, seed=0)
+        assert asked == [tmp_path]  # the nearest directory that exists
+        assert list(tmp_path.iterdir()) == [] and written == []
+        monkeypatch.setattr(
+            shutil, "disk_usage", lambda path: SimpleNamespace(free=least)
+        )
+        generate_synthetic(out, n=10, dims=DIMS, seed=0)  # exactly enough passes
+        assert len(written) == 1

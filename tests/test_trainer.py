@@ -2,6 +2,8 @@ import csv
 import errno
 import gc
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import weakref
@@ -19,6 +21,7 @@ from emireg.errors import ConfigError, DataError, FormatError, NumericError
 from emireg.optim import cosine_lr
 from emireg import data, layers
 from emireg.model import Model
+from emireg.schema import MODALITIES
 from emireg.train import (
     ABLATION_CELLS,
     RunRecord,
@@ -34,7 +37,14 @@ from emireg.train import (
     train,
 )
 
-from support import REMOVED_KEYS, SMALL_DIMS, fail_replace_file_at, small_config, traced_memory
+from support import (
+    REMOVED_KEYS,
+    SMALL_DIMS,
+    fail_replace_file_at,
+    record_spill_files,
+    small_config,
+    traced_memory,
+)
 
 
 # random valid small configs for small_dataset: every choice field, zero
@@ -327,24 +337,24 @@ class TestTrainLoop:
     def test_training_builds_no_shuffled_batch_in_fresh_memory(
         self, small_dataset, tmp_path, monkeypatch
     ):
-        # every training batch is a read-only view of its split's pooled blocks,
-        # which are shuffled in place, so a run copies no batch and keeps nothing
-        fresh = []
-        real_batch = data.Batches.batch
+        # every batch, train and val, is read from a spill into one reused
+        # read-only buffer per modality, so a run allocates no batch of its
+        # own after the first and keeps nothing
+        starts = {True: set(), False: set()}
+        real_forward = Model.forward
 
-        def counting_batch(self, i):
-            built = real_batch(self, i)
-            arrays = [*built.features.values(), built.targets]
-            if any(a.flags.owndata or a.flags.writeable for a in arrays):
-                fresh.append(i)
-            return built
+        def recording_forward(self, features, train):
+            for m, x in features.items():
+                assert not x.flags.writeable
+                starts[train].add((m, x.__array_interface__["data"][0]))
+            return real_forward(self, features, train)
 
-        monkeypatch.setattr(data.Batches, "batch", counting_batch)
+        monkeypatch.setattr(Model, "forward", recording_forward)
         cfg = small_config(small_dataset, tmp_path / "warm", epochs=2, align_len=64)
-        train(cfg)  # warm numpy's and the interpreter's own caches
-        fresh.clear()
+        train(cfg)  # also warms numpy's and the interpreter's own caches
+        assert starts[True] == starts[False]
+        assert len(starts[True]) == len(MODALITIES)
         kept, _ = traced_memory(lambda: train(replace(cfg, run_dir=str(tmp_path / "run"))))
-        assert fresh == []
         step_bytes = cfg.batch_size * cfg.align_len * sum(SMALL_DIMS.values()) * 8
         assert kept < step_bytes, kept
 
@@ -544,6 +554,187 @@ class TestTrainLoop:
         assert (Path(rec_a.run_dir) / "log.jsonl").read_bytes() == (
             Path(rec_b.run_dir) / "log.jsonl"
         ).read_bytes()
+
+
+class TestSpills:
+    """Each split is spilled into the run directory; the files close on every path."""
+
+    def test_the_spills_are_never_listed_among_the_run_files(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        opened = record_spill_files(monkeypatch)
+        run_dir = tmp_path / "run"
+        listed = []
+        real_forward = Model.forward
+
+        def listing_forward(self, features, train):
+            listed.append(sorted(p.name for p in run_dir.iterdir()))
+            return real_forward(self, features, train)
+
+        monkeypatch.setattr(Model, "forward", listing_forward)
+        train(small_config(small_dataset, run_dir, epochs=2))
+        assert listed[0] == ["config.json", "log.jsonl"]
+        assert listed[-1] == ["best.emic", "config.json", "last.emic", "log.jsonl"]
+        assert len(opened) == 2 and all(f.closed for f in opened)  # train's and val's
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["made", "given"])
+    def test_full_disk_while_spilling_is_a_data_error(
+        self, small_dataset, tmp_path, monkeypatch, capsys, existed
+    ):
+        opened = record_spill_files(monkeypatch)
+
+        def full(fd, buffers, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "pwritev", full)
+        run_dir = tmp_path / "run"
+        if existed:
+            run_dir.mkdir()
+        with pytest.raises(DataError, match="no space left for the pooled split"):
+            train(small_config(small_dataset, run_dir))
+        argv = ["train", "--data", str(small_dataset), "--run-dir", str(run_dir),
+                "--hidden-dim", "8", "--align-len", "16"]
+        assert main(argv) == 2
+        assert "emireg: data error: no space left for the pooled split" in capsys.readouterr().err
+        # a directory the call made is gone; one it was given stays, empty
+        assert run_dir.exists() == existed
+        assert not existed or list(run_dir.iterdir()) == []
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+    def test_a_bad_val_file_closes_the_train_spill_too(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        data.generate_synthetic(data_dir, n=20, dims=SMALL_DIMS, seed=0)
+        (data_dir / "features" / "syn000015.emif").write_bytes(b"EMIF")  # a val row
+        opened = record_spill_files(monkeypatch)
+        with pytest.raises(FormatError, match="truncated"):
+            train(small_config(data_dir, tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+    def test_a_failed_read_mid_run_is_logged_and_closes_the_spills(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        opened = record_spill_files(monkeypatch)
+        real_preadv = os.preadv
+        reads = []
+
+        def failing_preadv(fd, buffers, offset):
+            reads.append(offset)
+            if len(reads) == 120:  # in epoch 2: each epoch reads 84 train and 18 val records
+                raise OSError(errno.EIO, "Input/output error")
+            return real_preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", failing_preadv)
+        cfg = small_config(small_dataset, tmp_path / "run")
+        with pytest.raises(OSError, match="Input/output error"):
+            train(cfg)
+        log = read_log(cfg.run_dir)
+        assert log[-2]["type"] == "abort" and log[-2]["epoch"] == 2
+        assert log[-2]["error_class"] == "OSError"
+        assert log[-1]["stop_reason"] == "error"
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_numeric_error_mid_run_closes_the_spills(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        opened = record_spill_files(monkeypatch)
+        cfg = small_config(small_dataset, tmp_path / "run", epochs=30, lr=1e12, patience=30)
+        with pytest.raises(NumericError):
+            train(cfg)
+        assert read_log(cfg.run_dir)[-1]["stop_reason"] == "non_finite_loss"
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+
+# wide enough that one sample's pooled rows, 128 x 192 float64 values, dwarf
+# what a run keeps per manifest row (its ids, targets and paths)
+_BOUND_DIMS = {"visual": 64, "audio": 64, "text": 64}
+_BOUND_SAMPLE_BYTES = 128 * sum(_BOUND_DIMS.values()) * 8
+
+
+@pytest.fixture(scope="module")
+def bound_datasets(tmp_path_factory):
+    """Datasets of N = 16 and 4N = 64 train samples (3 and 13 val) at _BOUND_DIMS."""
+    root = tmp_path_factory.mktemp("bound")
+    sets = {}
+    for n_train, n in ((16, 23), (64, 92)):
+        sets[n_train] = root / f"train{n_train}"
+        data.generate_synthetic(sets[n_train], n=n, dims=_BOUND_DIMS, seed=5)
+        rows = data.load_manifest(sets[n_train] / MANIFEST_NAME)
+        assert sum(r.split == "train" for r in rows) == n_train
+    return sets
+
+
+def _bound_config(data_dir, run_dir) -> TrainConfig:
+    return TrainConfig(
+        dims=dict(_BOUND_DIMS), data_dir=str(data_dir), run_dir=str(run_dir),
+        hidden_dim=16, batch_size=4, align_len=128, epochs=1,
+    )
+
+
+class TestMemoryBound:
+    """What a command holds does not grow with its split: one or two batches, not N samples."""
+
+    def test_train_peak_does_not_grow_with_the_split(self, bound_datasets, tmp_path):
+        small, large = bound_datasets[16], bound_datasets[64]
+        train(_bound_config(small, tmp_path / "warm"))
+        peaks = [
+            traced_memory(lambda: train(_bound_config(d, tmp_path / name)))[1]
+            for d, name in ((small, "n"), (large, "4n"))
+        ]
+        two_batches = 2 * 4 * _BOUND_SAMPLE_BYTES
+        assert abs(peaks[1] - peaks[0]) < two_batches, peaks
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_checkpoint_peak_does_not_grow_with_the_split(
+        self, bound_datasets, tmp_path, command
+    ):
+        small, large = bound_datasets[16], bound_datasets[64]
+        train(_bound_config(small, tmp_path / "run"))
+        ckpt = tmp_path / "run" / "best.emic"
+
+        def run(data_dir):
+            cfg = _bound_config(data_dir, None)
+            if command == "evaluate":
+                evaluate_checkpoint(cfg, ckpt, "train")
+            else:
+                predict_checkpoint(cfg, ckpt, data_dir / MANIFEST_NAME, "train")
+
+        run(small)
+        peaks = [traced_memory(lambda: run(d))[1] for d in (small, large)]
+        one_batch = 4 * _BOUND_SAMPLE_BYTES
+        assert abs(peaks[1] - peaks[0]) < one_batch, peaks
+
+    def test_train_resident_memory_does_not_grow_with_the_split(self, bound_datasets, tmp_path):
+        # ru_maxrss counts every page the process touched, a mapped file's
+        # too, which tracemalloc does not see
+        script = (
+            "import json, resource, sys; from emireg.train import TrainConfig, train; "
+            "train(TrainConfig.from_dict(json.loads(sys.argv[1]))); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        # a process keeps the peak of the one that forked it across exec, so
+        # the run is started by a launcher far smaller than this test process
+        launcher = (
+            "import subprocess, sys; "
+            "done = subprocess.run([sys.executable, '-c', *sys.argv[1:]], capture_output=True, "
+            "text=True); sys.stdout.write(done.stdout); sys.stderr.write(done.stderr); "
+            "sys.exit(done.returncode)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(data.__file__).parents[1])}
+        rss = {}
+        for n_train, data_dir in bound_datasets.items():
+            cfg = _bound_config(data_dir, tmp_path / f"run{n_train}")
+            done = subprocess.run(
+                [sys.executable, "-c", launcher, script, json.dumps(cfg.to_dict())],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            rss[n_train] = int(done.stdout) * 1024  # KiB on Linux
+        # holding the 3N more train samples, or touching them in a mapping,
+        # would add 3N samples' pooled bytes; one batch held adds none
+        n = 16
+        assert abs(rss[4 * n] - rss[n]) < n * _BOUND_SAMPLE_BYTES, rss
 
 
 class TestEvaluate:
